@@ -29,9 +29,8 @@ def main():
         for seed in range(lo, hi + 1):
             work = os.path.join(run.STATE, f"record-{name}-{seed}-{os.getpid()}")
             os.makedirs(work)
-            tally = run.Tally()
             try:
-                *_, summary = run.prepare(name, seed, work, tally, repeats=1)
+                *_, summary, tally = run.prepare(name, seed, work)
             finally:
                 shutil.rmtree(work, ignore_errors=True)
             if tally.failures:

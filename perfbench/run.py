@@ -1,6 +1,6 @@
 """tinytsfm benchmark: one workload, one seed, one measured run.
 
-    python3 perfbench/run.py --workload pretrain --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload pretrain --seed 1 --seconds 50 --trace 0
 
 Run from the root of a source checkout; the package is imported from
 `src/`. With `--trace 0` the last stdout line is a JSON object whose metrics
@@ -26,9 +26,9 @@ import platform
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import time
-from array import array
 
 import numpy as np
 
@@ -39,7 +39,11 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 STATE = os.path.join(ROOT, ".perfbench")
 
-SETUP_REPEATS = 5
+# Set-ups are repeated between passes while they take less than this share
+# of the measured time, so their median samples the whole run as the
+# passes do; at least SETUP_MIN set-ups are timed in any run.
+SETUP_SHARE = 0.2
+SETUP_MIN = 5
 # No more traced passes once this many spans are held (40 bytes each).
 SPAN_CAP = 1_500_000
 COVERAGE_FLOOR = 0.90
@@ -77,25 +81,13 @@ def blas_threads():
 
 
 def git_commit():
-    """HEAD of the checkout's git directory, or 'unknown' outside git."""
-    git = os.path.join(ROOT, ".git")
+    """HEAD of the checkout, or 'unknown' outside git."""
     try:
-        with open(os.path.join(git, "HEAD"), encoding="utf-8") as fh:
-            head = fh.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        ref_path = os.path.join(git, ref)
-        if os.path.exists(ref_path):
-            with open(ref_path, encoding="utf-8") as fh:
-                return fh.read().strip()
-        with open(os.path.join(git, "packed-refs"), encoding="utf-8") as fh:
-            for line in fh:
-                if line.rstrip().endswith(" " + ref):
-                    return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, timeout=10,
+                              capture_output=True, text=True, check=False)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def environment(args):
@@ -143,11 +135,11 @@ class Tally:
 
 
 class Passes:
-    """Seconds each op took in each pass: one compact column per op, NaN
-    where the op failed, so memory does not grow with the pass count."""
+    """Seconds each op took in each pass: one list per op, NaN where the
+    op failed."""
 
     def __init__(self, ops):
-        self.cols = {op.name: array("d") for op in ops}
+        self.cols = {op.name: [] for op in ops}
 
     def __len__(self):
         return len(next(iter(self.cols.values())))
@@ -207,7 +199,9 @@ def check_reference(workload, seed, summary, tally):
         wrong = []
         for key, ref in recorded.items():
             got = summary.get(key)
-            if got is None or abs(got - ref) > workloads.REFERENCE_RTOL * abs(ref) + 1e-9:
+            tol = workloads.REFERENCE_ATOL.get(
+                key, workloads.REFERENCE_RTOL * abs(ref) + 1e-9)
+            if got is None or abs(got - ref) > tol:
                 wrong.append(f"{key}: got {got}, reference {ref}")
         if wrong:
             raise workloads.OpFailed("reference mismatch: " + "; ".join(wrong))
@@ -216,34 +210,64 @@ def check_reference(workload, seed, summary, tally):
     return "checked"
 
 
-def prepare(name, seed, work, tally, repeats=SETUP_REPEATS):
-    """Set the workload up `repeats` times (timed), then run one untimed
-    warm-up pass whose outputs later passes must reproduce exactly.
-    Returns (workload, ops, setup seconds, reference summary)."""
+def set_up(name, seed, work):
+    """Set a workload up in the empty directory `work`.
+    Returns (workload, seconds, digest of every file the set-up wrote)."""
     import workloads
 
-    setup_s, digests = [], set()
-    for _ in range(repeats):
-        wl = workloads.WORKLOADS[name](work, seed)
-        t0 = time.perf_counter()
-        digests.add(wl.setup())
-        setup_s.append(time.perf_counter() - t0)
+    wl = workloads.WORKLOADS[name](work, seed)
+    t0 = time.perf_counter()
+    wl.setup()
+    elapsed = time.perf_counter() - t0
+    return wl, elapsed, workloads.digest_tree(work)
 
-    def same_setups():
-        if len(digests) != 1:
-            raise workloads.OpFailed("repeated set-ups wrote different inputs")
 
-    tally.attempt(same_setups)
+def prepare(name, seed, work):
+    """Set the workload up once, then run one untimed warm-up pass whose
+    outputs later passes must reproduce exactly.
+    Returns (workload, ops, set-up seconds, set-up digest, reference summary,
+    tally)."""
+    tally = Tally()
+    wl, setup_s, digest = set_up(name, seed, work)
     ops = wl.ops()
     summary = {}
     for op in ops:
-        _, outcome = tally.attempt(op.run, op.check)
-        if outcome is not None:
-            summary.update(op.summary(outcome))
+        tally.attempt(op.run, op.check)
+        if op.first is not None:
+            summary.update(op.summary(op.first))
     if hasattr(wl, "versus_cli"):
         tally.attempt(lambda: wl.versus_cli(ops))
-        wl.latencies = array("d")  # time only measured passes
-    return wl, ops, setup_s, summary
+        wl.latencies = []  # time only measured passes
+    return wl, ops, setup_s, digest, summary, tally
+
+
+class SetUps:
+    """Repeated set-ups in a spare directory, timed between passes. Each
+    must write the same files as the first set-up."""
+
+    def __init__(self, name, seed, work, first_s, digest):
+        self.name, self.seed, self.digest = name, seed, digest
+        self.spare = os.path.join(work, "spare")
+        self.seconds = [first_s]
+        self.spent = 0.0  # wall time of the repeats, clean-up included
+
+    def repeat(self, tally):
+        import workloads
+
+        t0 = time.perf_counter()
+        os.makedirs(self.spare)
+        try:
+            _, elapsed, digest = set_up(self.name, self.seed, self.spare)
+        finally:
+            shutil.rmtree(self.spare, ignore_errors=True)
+        self.seconds.append(elapsed)
+        self.spent += time.perf_counter() - t0
+
+        def same():
+            if digest != self.digest:
+                raise workloads.OpFailed("a repeated set-up wrote different files")
+
+        tally.attempt(same)
 
 
 # ---------------------------------------------------------------- per layer
@@ -273,7 +297,10 @@ def layer_values(tracer, ops=None):
 
 def per_layer(tracer, phases, passes, ops):
     """Per-layer figures per pass, the same per phase, and trace coverage:
-    the share of each phase's timed wall time that layer spans account for."""
+    the share of each phase's timed wall time that falls in the self time
+    of a layer span other than an entry span (see spans.is_entry). Time no
+    span holds (the harness) and time an entry span holds itself (its
+    private helpers) lower it."""
     n = len(passes)
     totals, ratios = layer_values(tracer)
     values = {k: v / n for k, v in totals.items()}
@@ -285,7 +312,8 @@ def per_layer(tracer, phases, passes, ops):
         phase, phase_ratios = layer_values(tracer, ids)
         layer_ms = sum(phase[f"{layer}.self_ms"] for layer in spans.LAYERS
                        if f"{layer}.self_ms" in phase)
-        coverage[op.name] = layer_ms / wall_ms if wall_ms else 0.0
+        attributed = layer_ms - tracer.entry_self_ms(ids)
+        coverage[op.name] = attributed / wall_ms if wall_ms else 0.0
         breakdown[op.name] = {
             "self_ms": dict(sorted(((k, v / n) for k, v in phase.items()
                                     if k.endswith(".self_ms") and v),
@@ -301,19 +329,20 @@ def per_layer(tracer, phases, passes, ops):
 
 
 def measure(args, work):
-    tally = Tally()
     t_import = time.perf_counter()
     import tinytsfm  # noqa: F401  (the first import is part of the run)
     import workloads
     import_s = time.perf_counter() - t_import
-    wl, ops, setup_s, summary = prepare(args.workload, args.seed, work, tally)
+    wl, ops, first_s, digest, summary, tally = prepare(args.workload, args.seed, work)
+    setups = SetUps(args.workload, args.seed, work, first_s, digest)
     reference = check_reference(args.workload, args.seed, summary, tally)
 
     # With tracing, untraced and traced passes alternate, so each traced
     # pass has an untraced partner run under the same machine conditions.
     passes, traced, phases = Passes(ops), Passes(ops), []
     tracer = spans.Tracer() if args.trace else None
-    deadline = time.perf_counter() + args.seconds
+    start = time.perf_counter()
+    deadline = start + args.seconds
     while True:
         run_pass(ops, tally, passes)
         if tracer is not None and len(tracer) < SPAN_CAP:
@@ -325,15 +354,20 @@ def measure(args, work):
                 tracer.uninstall()
             if untraced_calls:  # online latencies come from untraced passes only
                 del wl.latencies[untraced_calls:]
+        if setups.spent < SETUP_SHARE * (time.perf_counter() - start):
+            setups.repeat(tally)
         if time.perf_counter() >= deadline:
             break
+    while len(setups.seconds) < SETUP_MIN:
+        setups.repeat(tally)
     # ru_maxrss is in KiB on Linux; read it before tracing allocates spans
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     result = {"env": environment(args), "import_s": import_s,
-              "setup_s_all": setup_s, "reference": reference,
+              "setup_s_all": setups.seconds, "reference": reference,
               "pass_ms_all": np.round(passes.totals() * 1e3, 4).tolist()}
     values = {
-        "setup_s": statistics.median(setup_s),
+        "setup_s": statistics.median(setups.seconds),
+        "setups": len(setups.seconds),
         "pass_ms": float(np.median(passes.totals())) * 1e3,
         "passes": len(passes),
         "peak_rss_mb": peak_rss_mb,

@@ -86,7 +86,7 @@ def spread(cfg, k, first_seed):
             values = [r[m["name"]] for r in runs]
             q1, med, q3 = statistics.quantiles(values, n=4)
             share = (q3 - q1) / med
-            steady = m["name"] == "setup_s" or share <= m["bound"] / 3
+            steady = share <= m["bound"] / 3
             ok &= steady
             print(f"{wl:9s} {m['name']:12s} median {med:10.5g} spread {share:6.1%} "
                   f"(a third of the bound: {m['bound'] / 3:.1%}) "

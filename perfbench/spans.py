@@ -47,6 +47,15 @@ PRIMITIVES = frozenset(
 )
 
 
+def is_entry(name, parent):
+    """An entry span: one the benchmark calls directly (no parent span), or
+    the CLI's dispatcher, command functions and `map_series` (which runs a
+    command's per-series closure). What they do outside any other span is
+    work no layer function accounts for."""
+    return (parent < 0 or name in ("cli.dispatch", "cli.map_series")
+            or name.startswith("cli.cmd_"))
+
+
 def _public_callables(module):
     """(owner, attribute, original, span name) for each public function and
     public method defined in `module`."""
@@ -227,6 +236,14 @@ class Tracer:
             if name in PRIMITIVES:
                 n_calls["numcore.primitive"] += int(calls[i])
         return totals, n_calls
+
+    def entry_self_ms(self, ops):
+        """Self time in ms of the entry spans whose op id is in `ops`."""
+        nid, _, _, parent, op = self.arrays()
+        own = self.self_times()
+        cli_entry = np.array([is_entry(n, 0) for n in self.names], dtype=bool)
+        entry = (parent < 0) | cli_entry[nid]
+        return float(own[entry & np.isin(op, list(ops))].sum()) / 1e6
 
     def save(self, path):
         """Write the spans and the name table (numpy .npz)."""
