@@ -33,6 +33,7 @@ from .model import (
 )
 from .pretrain import (
     PretrainConfig,
+    encode_forecast_pairs,
     evaluate_forecast_mse,
     linear_probe,
     pretrain,
@@ -401,10 +402,12 @@ def cmd_finetune(rc):
             pairs.append((history, truth))
         if weights.horizon != horizon:
             attach_forecast_head(weights, horizon, seed=rc["seed"])
-        metrics["mse_before"] = evaluate_forecast_mse(weights, pairs)
-        linear_probe(weights, "forecast", pairs, epochs=rc["epochs"],
+        # a frozen encoder is a pure function of the windows: encode them once
+        data = encode_forecast_pairs(weights, pairs) if freeze else pairs
+        metrics["mse_before"] = evaluate_forecast_mse(weights, data)
+        linear_probe(weights, "forecast", data, epochs=rc["epochs"],
                      cfg=cfg, freeze=freeze)
-        metrics["mse_after"] = evaluate_forecast_mse(weights, pairs)
+        metrics["mse_after"] = evaluate_forecast_mse(weights, data)
         metrics["horizon"] = horizon
     else:
         linear_probe(weights, "reconstruction", dataset, epochs=rc["epochs"],

@@ -529,11 +529,21 @@ def blob_path(manifest_path):
 
 
 def load_checkpoint(path):
-    """Load and shape-validate a checkpoint written by save_checkpoint."""
+    """Load and validate a checkpoint written by save_checkpoint: shapes,
+    blob extents and finite values. Every failure is a ConfigError."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint manifest not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{path}: checkpoint manifest is not valid JSON ({exc})"
+            ) from None
+    if not isinstance(manifest, dict) or not all(
+        isinstance(manifest.get(key), dict) for key in ("config", "params")
+    ):
+        raise ConfigError(f"{path}: checkpoint manifest needs 'config' and 'params' objects")
     cfg_fields = dict(manifest["config"])
     horizon = cfg_fields.pop("forecast_horizon", None)
     try:
@@ -546,21 +556,36 @@ def load_checkpoint(path):
         missing = sorted(set(expected) - set(listed))
         extra = sorted(set(listed) - set(expected))
         raise ConfigError(f"checkpoint parameters mismatch: missing {missing}, extra {extra}")
-    with open(blob_path(path), "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(blob_path(path), "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"checkpoint blob not found: {blob_path(path)}") from None
     params = {}
     for name in expected:
         entry = listed[name]
-        shape = tuple(entry["shape"])
+        try:
+            shape, offset, length = tuple(entry["shape"]), entry["offset"], entry["length"]
+        except (KeyError, TypeError):
+            raise ConfigError(
+                f"checkpoint entry for {name!r} needs shape, offset and length"
+            ) from None
         if shape != expected[name]:
             raise ConfigError(
                 f"checkpoint shape for {name!r} is {shape}, expected {expected[name]}"
             )
         count = int(np.prod(shape)) if shape else 1
-        if entry["length"] != count * 4:
+        if length != count * 4:
             raise ConfigError(f"checkpoint byte length for {name!r} inconsistent with shape")
-        arr = np.frombuffer(
-            blob, dtype="<f4", count=count, offset=entry["offset"]
-        ).reshape(shape)
+        if not isinstance(offset, int) or offset < 0:
+            raise ConfigError(f"checkpoint offset for {name!r} must be a non-negative integer")
+        if offset + length > len(blob):
+            raise ConfigError(
+                f"checkpoint blob {blob_path(path)} ({len(blob)} bytes) is truncated: "
+                f"{name!r} needs bytes [{offset}, {offset + length})"
+            )
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"checkpoint parameter {name!r} holds non-finite values")
         params[name] = nc.Tensor(arr.copy(), requires_grad=True)
     return ModelWeights(config, params, horizon=horizon)

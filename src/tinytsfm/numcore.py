@@ -1,20 +1,30 @@
 """Minimal dense-tensor engine: f32 arrays, tape-based reverse-mode autodiff,
 AdamW with decoupled weight decay, global-L2 gradient clipping, cosine schedule.
 
-Everything is float32 end to end. Ops record onto the innermost active Tape
-(opened as a context manager) whenever any input requires gradients; with no
-tape open they run forward-only, which is the inference path. backward walks
-the tape exactly once in reverse, so recording order doubles as the
-topological order.
+Everything is float32 end to end. Ops record onto the innermost Tape the
+calling thread has open (a context manager) whenever any input requires
+gradients; with no tape open in that thread they run forward-only, which is
+the inference path. backward walks the tape exactly once in reverse, so
+recording order doubles as the topological order.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ShapeError, TrainingError
 
-_TAPES = []
+
+class _TapeStack(threading.local):
+    """Each thread's stack of open tapes, so concurrent inference in one
+    thread never records onto a tape that another thread opened."""
+
+    def __init__(self):
+        self.tapes = []
+
+
+_TAPES = _TapeStack()
 
 
 class Tape:
@@ -25,11 +35,11 @@ class Tape:
         self._nodes = []
 
     def __enter__(self):
-        _TAPES.append(self)
+        _TAPES.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPES.pop()
+        _TAPES.tapes.pop()
         return False
 
     def __len__(self):
@@ -91,9 +101,10 @@ def _as_tensor(x):
 
 
 def _record(out, inputs, backward_fn):
-    if _TAPES and any(t.requires_grad for t in inputs):
+    tapes = _TAPES.tapes
+    if tapes and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _TAPES[-1]._nodes.append((out, inputs, backward_fn))
+        tapes[-1]._nodes.append((out, inputs, backward_fn))
     return out
 
 

@@ -24,6 +24,7 @@ from .model import (
     model_forward,
     nonpadded_patches,
     patch_observed_indicator,
+    reconstruction_head,
     revin_normalize,
 )
 
@@ -284,12 +285,53 @@ def _prepare_forecast_pairs(weights, dataset):
     )
 
 
-def evaluate_forecast_mse(weights, dataset):
-    """Mean squared error of the forecasting head in normalized space."""
+@dataclass
+class EncodedForecastPairs:
+    """Forecast pairs run once through a frozen encoder: hidden states
+    [B, N, D] and normalized targets [B, H]. Valid only while the encoder
+    weights stay those recorded in encoder_digest."""
+
+    hidden: np.ndarray
+    targets: np.ndarray
+    encoder_digest: str
+
+
+def _encoder_digest(weights):
+    """sha256 of every parameter outside the task heads."""
+    h = hashlib.sha256()
+    for name, p in weights.params.items():
+        if not name.startswith(("recon_head.", "forecast_head.")):
+            h.update(name.encode("utf-8"))
+            h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+def encode_forecast_pairs(weights, dataset):
+    """Run every (history, target) pair's window through the encoder in one
+    batched forward pass; returns EncodedForecastPairs, whose plain arrays
+    keep the encoder off any tape they are later used on."""
     xs, plans, targets = _prepare_forecast_pairs(weights, dataset)
     h, _ = model_forward(weights, xs, plans)
-    fc = forecasting_head(h, weights)
-    return float(np.mean(np.square(fc.data - targets)))
+    return EncodedForecastPairs(h.data, targets, _encoder_digest(weights))
+
+
+def _encoded(weights, dataset):
+    """dataset as EncodedForecastPairs, refusing ones from other encoder weights."""
+    if not isinstance(dataset, EncodedForecastPairs):
+        return encode_forecast_pairs(weights, dataset)
+    if dataset.encoder_digest != _encoder_digest(weights):
+        raise ContractError(
+            "encoded forecast pairs came from different encoder weights; encode again"
+        )
+    return dataset
+
+
+def evaluate_forecast_mse(weights, dataset):
+    """Mean squared error of the forecasting head in normalized space, over
+    (history, target) pairs or their EncodedForecastPairs."""
+    encoded = _encoded(weights, dataset)
+    fc = forecasting_head(encoded.hidden, weights)
+    return float(np.mean(np.square(fc.data - encoded.targets)))
 
 
 def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
@@ -298,12 +340,21 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
 
     reconstruction: dataset is a list of Series trained with the masked
     objective. forecast: dataset is a list of (history Series, target vector)
-    pairs trained with plain MSE in normalized space.
+    pairs, or with freeze their EncodedForecastPairs, trained with plain MSE
+    in normalized space.
+
+    A frozen encoder runs with no tape open, so only the head is recorded
+    and differentiated: the forecast probe encodes every window once, the
+    reconstruction probe once per step (its masks change every step).
     """
     if head_kind not in HEAD_KINDS:
         raise ConfigError(f"unknown head kind {head_kind!r}; choose from {HEAD_KINDS}")
     if head_kind == "forecast" and weights.horizon is None:
         raise ConfigError("attach a forecasting head before probing it")
+    if isinstance(dataset, EncodedForecastPairs) and not freeze:
+        raise ContractError(
+            "an unfrozen encoder changes every step; pass the raw forecast pairs"
+        )
     if epochs == 0:
         return weights
     if epochs < 0:
@@ -313,10 +364,12 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
     mcfg = weights.config
     if head_kind == "reconstruction":
         xs, obs, pobs, _ = _prepare_series(dataset, mcfg)
+    elif freeze:
+        encoded = _encoded(weights, dataset)
+        hidden, targets = encoded.hidden, encoded.targets
     else:
         xs, pobs, targets = _prepare_forecast_pairs(weights, dataset)
-        obs = None
-    n_series = xs.shape[0]
+    n_series = len(targets) if head_kind == "forecast" else xs.shape[0]
     steps_per_epoch = math.ceil(n_series / cfg.batch_size)
     planned = epochs * steps_per_epoch
     sched = nc.CosineSchedule(
@@ -331,20 +384,28 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
             idx = order[lo:lo + cfg.batch_size]
             lr = nc.cosine_lr(min(step, sched.total_steps), sched)
             nc.zero_grads(weights.params)
+            # a frozen encoder runs before the tape opens, so it stays forward-only
+            if head_kind == "reconstruction":
+                sampled = np.empty((len(idx), mcfg.n_patches), dtype=np.uint8)
+                for r in range(len(idx)):
+                    sampled[r] = sample_patch_mask(
+                        mcfg.n_patches, cfg.mask_ratio, rng
+                    ).observed
+                input_plan = pobs[idx] & sampled
+                if freeze:
+                    h, _ = model_forward(weights, xs[idx], input_plan)
+            elif freeze:
+                h = hidden[idx]
             with nc.Tape() as tape:
                 if head_kind == "reconstruction":
-                    sampled = np.empty(
-                        (len(idx), mcfg.n_patches), dtype=np.uint8
-                    )
-                    for r in range(len(idx)):
-                        sampled[r] = sample_patch_mask(
-                            mcfg.n_patches, cfg.mask_ratio, rng
-                        ).observed
-                    input_plan = pobs[idx] & sampled
-                    _, recon = model_forward(weights, xs[idx], input_plan)
+                    if freeze:
+                        recon = reconstruction_head(h, weights)
+                    else:
+                        _, recon = model_forward(weights, xs[idx], input_plan)
                     loss = masked_mse_loss(xs[idx], recon, input_plan, obs[idx])
                 else:
-                    h, _ = model_forward(weights, xs[idx], pobs[idx])
+                    if not freeze:
+                        h, _ = model_forward(weights, xs[idx], pobs[idx])
                     fc = forecasting_head(h, weights)
                     diff = nc.sub(fc, nc.Tensor(targets[idx]))
                     loss = nc.mean_(nc.mul(diff, diff))

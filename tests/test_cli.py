@@ -11,8 +11,10 @@ import pytest
 
 from tinytsfm import __version__
 from tinytsfm import metrics as mx
-from tinytsfm.cli import config_hash, dispatch
-from tinytsfm.data import Series, save_csv
+from tinytsfm import model as tm
+from tinytsfm import pretrain as tp
+from tinytsfm.cli import _forecast_split, config_hash, dispatch
+from tinytsfm.data import Series, load_csv, save_csv
 
 
 def write_sines(path, n=3, length=512, freq=4, noise=0.05, seed=0, prefix="s"):
@@ -448,3 +450,97 @@ def test_pretrain_accepts_directory_of_csvs(tmp_path):
                      "--out", out, "--steps", "2", "--batch-size", "4"])
     assert code == 0
     assert read_report(out)["metrics"]["steps"] == 2
+
+
+@pytest.mark.parametrize("epochs", ["1", "3"])
+def test_frozen_finetune_encodes_each_window_once(workdir, tmp_path, monkeypatch,
+                                                  epochs):
+    rows = []
+
+    def counting_forward(weights, x_norm, *args, **kwargs):
+        rows.append(np.asarray(x_norm).shape[0])
+        return tm.model_forward(weights, x_norm, *args, **kwargs)
+
+    monkeypatch.setattr(tp, "model_forward", counting_forward)
+    code = dispatch(["finetune", "--ckpt", workdir["ckpt"],
+                     "--data", workdir["data"], "--out", str(tmp_path / "ft"),
+                     "--horizon", "8", "--epochs", epochs, "--batch-size", "2"])
+    assert code == 0
+    assert rows == [3]  # one batched forward over the three series
+
+
+def test_unfrozen_finetune_reports_mse_of_the_updated_encoder(workdir, tmp_path):
+    out = str(tmp_path / "ft")
+    code = dispatch(["finetune", "--ckpt", workdir["ckpt"],
+                     "--data", workdir["data"], "--out", out, "--unfreeze",
+                     "--horizon", "8", "--epochs", "2", "--batch-size", "2",
+                     "--lr-init", "1e-2"])
+    assert code == 0
+    metrics = read_report(out)["metrics"]
+    assert metrics["frozen_encoder"] is False
+    tuned = tm.load_checkpoint(os.path.join(out, "checkpoint.json"))
+    pairs = [_forecast_split(s, 8) for s in load_csv(workdir["data"])]
+    assert metrics["mse_after"] == tp.evaluate_forecast_mse(tuned, pairs)
+    assert metrics["mse_after"] != metrics["mse_before"]
+
+
+def _copy_checkpoint(workdir, tmp_path):
+    manifest = tmp_path / "ckpt.json"
+    with open(workdir["ckpt"], encoding="utf-8") as fh:
+        manifest.write_text(fh.read())
+    with open(workdir["ckpt"] + ".bin", "rb") as fh:
+        (tmp_path / "ckpt.json.bin").write_bytes(fh.read())
+    return manifest
+
+
+def _truncate_blob(manifest):
+    blob = manifest.parent / (manifest.name + ".bin")
+    blob.write_bytes(blob.read_bytes()[:-4])
+
+
+def _drop_params(manifest):
+    raw = json.loads(manifest.read_text())
+    del raw["params"]
+    manifest.write_text(json.dumps(raw))
+
+
+def _nan_weight(manifest):
+    entry = json.loads(manifest.read_text())["params"]["layers.0.attn.wq"]
+    blob = manifest.parent / (manifest.name + ".bin")
+    raw = bytearray(blob.read_bytes())
+    raw[entry["offset"]:entry["offset"] + 4] = np.float32(np.nan).tobytes()
+    blob.write_bytes(bytes(raw))
+
+
+def _drop_offset(manifest):
+    raw = json.loads(manifest.read_text())
+    del raw["params"]["mask_token"]["offset"]
+    manifest.write_text(json.dumps(raw))
+
+
+def _cut_manifest(manifest):
+    manifest.write_text(manifest.read_text()[:40])
+
+
+def _remove_blob(manifest):
+    (manifest.parent / (manifest.name + ".bin")).unlink()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate_blob, "truncated"),
+    (_drop_params, "params"),
+    (_nan_weight, "layers.0.attn.wq"),
+    (_drop_offset, "mask_token"),
+    (_cut_manifest, "not valid JSON"),
+    (_remove_blob, "blob not found"),
+])
+def test_corrupt_checkpoint_exits_one_with_one_line_error(workdir, tmp_path, capsys,
+                                                          corrupt, message):
+    manifest = _copy_checkpoint(workdir, tmp_path)
+    corrupt(manifest)
+    code = dispatch(["forecast", "--ckpt", str(manifest), "--data", workdir["data"],
+                     "--out", str(tmp_path / "fc")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err

@@ -1,5 +1,7 @@
 """Engine tests: primitive forward values, FD gradient oracle, optimizer recipe."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,36 @@ def test_no_recording_without_tape():
     tape = nc.Tape()
     nc.mul(x, x)  # outside any tape context
     assert len(tape) == 0
+
+
+def test_tape_records_only_its_own_thread():
+    x = t([1.0, 2.0], grad=True)
+    other = {}
+
+    def run_elsewhere():
+        other["out"] = nc.mul(x, x)
+
+    with nc.Tape() as tape:
+        worker = threading.Thread(target=run_elsewhere)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        mine = nc.mul(x, x)
+    assert len(tape) == 1
+    assert mine.requires_grad
+    assert not other["out"].requires_grad
+
+    def open_tape_elsewhere():
+        with nc.Tape() as theirs:
+            nc.mul(x, x)
+            other["recorded"] = len(theirs)
+
+    worker = threading.Thread(target=open_tape_elsewhere)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert other["recorded"] == 1
+    assert not nc.mul(x, x).requires_grad  # no tape open in this thread
 
 
 # ------------------------------------------------------- FD checks per primitive

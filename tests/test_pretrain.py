@@ -4,6 +4,7 @@ brute-force oracle, the training loop contract, and probe freezing."""
 import numpy as np
 import pytest
 
+from conftest import clone_weights
 from tinytsfm import data as td
 from tinytsfm import model as tm
 from tinytsfm import numcore as nc
@@ -343,3 +344,121 @@ def test_unfrozen_probe_is_fine_tuning():
         weights, "reconstruction", sine_corpus(n=8), epochs=2, cfg=pcfg, freeze=False
     )
     assert not np.array_equal(weights.params[encoder_key].data, before)
+
+
+# ------------------------------------------------------------------ frozen probes off the tape
+
+
+def reference_frozen_probe(weights, head_kind, dataset, epochs, cfg):
+    """The per-batch loop a frozen probe ran before encoding moved off the
+    tape: every step runs the whole model on the tape and backpropagates
+    through it, then updates the head alone."""
+    trainable = weights.parameters(head_only=head_kind)
+    mcfg = weights.config
+    if head_kind == "reconstruction":
+        xs, obs, pobs, _ = tp._prepare_series(dataset, mcfg)
+    else:
+        xs, pobs, targets = tp._prepare_forecast_pairs(weights, dataset)
+    n_series = xs.shape[0]
+    planned = epochs * int(np.ceil(n_series / cfg.batch_size))
+    sched = nc.CosineSchedule(
+        cfg.schedule.lr_init, cfg.schedule.lr_final, max(1, planned - 1)
+    )
+    rng = np.random.default_rng(cfg.seed)
+    opt = nc.AdamWState(trainable, weight_decay=cfg.weight_decay)
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(n_series)
+        for lo in range(0, n_series, cfg.batch_size):
+            idx = order[lo:lo + cfg.batch_size]
+            lr = nc.cosine_lr(min(step, sched.total_steps), sched)
+            nc.zero_grads(weights.params)
+            with nc.Tape() as tape:
+                if head_kind == "reconstruction":
+                    sampled = np.stack([
+                        tp.sample_patch_mask(mcfg.n_patches, cfg.mask_ratio, rng).observed
+                        for _ in idx
+                    ])
+                    plan = pobs[idx] & sampled
+                    _, recon = tm.model_forward(weights, xs[idx], plan)
+                    loss = tp.masked_mse_loss(xs[idx], recon, plan, obs[idx])
+                else:
+                    h, _ = tm.model_forward(weights, xs[idx], pobs[idx])
+                    diff = nc.sub(tm.forecasting_head(h, weights), nc.Tensor(targets[idx]))
+                    loss = nc.mean_(nc.mul(diff, diff))
+                nc.backward(loss, tape)
+            grads = {n: p.grad for n, p in trainable.items() if p.grad is not None}
+            nc.clip_global_norm(grads, cfg.clip_norm)
+            nc.adamw_step({n: trainable[n] for n in grads}, grads, opt, lr)
+            step += 1
+    return weights
+
+
+def _probe_setup(head_kind, seed):
+    weights = tm.init_weights(tiny_cfg(), seed=seed)
+    if head_kind == "forecast":
+        tm.attach_forecast_head(weights, horizon=8, seed=seed)
+        return weights, forecast_pairs(horizon=8)
+    return weights, sine_corpus(n=8)
+
+
+@pytest.mark.parametrize("head_kind", ["reconstruction", "forecast"])
+def test_frozen_probe_matches_per_batch_reference(head_kind):
+    weights, data = _probe_setup(head_kind, seed=6)
+    reference = clone_weights(weights)
+    pcfg = tp.PretrainConfig(
+        batch_size=3, seed=2, schedule=nc.CosineSchedule(lr_init=5e-3, lr_final=1e-4)
+    )
+    tp.linear_probe(weights, head_kind, data, epochs=4, cfg=pcfg)
+    reference_frozen_probe(reference, head_kind, data, epochs=4, cfg=pcfg)
+    for name, p in weights.params.items():
+        want = reference.params[name].data
+        if head_kind == "reconstruction":
+            # same forward arithmetic, only the encoder left off the tape
+            assert np.array_equal(p.data, want), name
+        else:
+            np.testing.assert_allclose(p.data, want, rtol=1e-6, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("head_kind", ["reconstruction", "forecast"])
+def test_frozen_probe_step_differentiates_only_the_head(head_kind):
+    weights, data = _probe_setup(head_kind, seed=7)
+    prefix = "recon_head." if head_kind == "reconstruction" else "forecast_head."
+    tp.linear_probe(weights, head_kind, data, epochs=1,
+                    cfg=tp.PretrainConfig(batch_size=len(data), seed=0))
+    with_grad = sorted(n for n, p in weights.params.items() if p.grad is not None)
+    assert with_grad == sorted(n for n in weights.params if n.startswith(prefix))
+
+
+def test_frozen_forecast_probe_encodes_once(monkeypatch):
+    weights, pairs = _probe_setup("forecast", seed=8)
+    calls = []
+
+    def counting_forward(*args, **kwargs):
+        calls.append(np.asarray(args[1]).shape[0])
+        return tm.model_forward(*args, **kwargs)
+
+    monkeypatch.setattr(tp, "model_forward", counting_forward)
+    encoded = tp.encode_forecast_pairs(weights, pairs)
+    before = tp.evaluate_forecast_mse(weights, encoded)
+    tp.linear_probe(weights, "forecast", encoded, epochs=5,
+                    cfg=tp.PretrainConfig(batch_size=3, seed=0))
+    after = tp.evaluate_forecast_mse(weights, encoded)
+    assert calls == [len(pairs)]
+    assert encoded.hidden.shape == (len(pairs), weights.config.n_patches,
+                                    weights.config.d_model)
+    assert after != before
+    assert after == tp.evaluate_forecast_mse(weights, pairs)
+
+
+def test_encoded_pairs_refuse_an_unfrozen_or_changed_encoder():
+    weights, pairs = _probe_setup("forecast", seed=9)
+    encoded = tp.encode_forecast_pairs(weights, pairs)
+    with pytest.raises(ContractError, match="unfrozen"):
+        tp.linear_probe(weights, "forecast", encoded, epochs=1, freeze=False)
+    tp.linear_probe(weights, "forecast", pairs, epochs=1, freeze=False,
+                    cfg=tp.PretrainConfig(batch_size=4, seed=0))
+    with pytest.raises(ContractError, match="different encoder weights"):
+        tp.evaluate_forecast_mse(weights, encoded)
+    with pytest.raises(ContractError, match="different encoder weights"):
+        tp.linear_probe(weights, "forecast", encoded, epochs=1)
