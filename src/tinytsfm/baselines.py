@@ -475,14 +475,6 @@ class RbfSvm(Estimator):
         return worst
 
 
-def svm_fit(X, y, C=1.0, gamma=None):
-    return RbfSvm(C=C, gamma=gamma).fit(X, y)
-
-
-def svm_predict(model, X):
-    return model.predict(X)
-
-
 # ------------------------------------------------------------------ pca
 
 
@@ -534,11 +526,3 @@ class Pca(Estimator):
         check_fitted(self, "components_")
         Z = np.asarray(Z, dtype=np.float64)
         return Z @ self.components_ + self.mean_
-
-
-def pca_fit(X, k):
-    return Pca(k=k).fit(X)
-
-
-def pca_project(model, X):
-    return model.transform(X)

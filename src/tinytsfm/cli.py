@@ -1,11 +1,14 @@
 """Batch command-line entry points.
 
 Eight subcommands: pretrain, finetune, forecast, impute, detect, classify,
-probe, eval-metrics. Every run resolves a RunConfig (CLI flags override a
---run-config JSON file; MOMENT_MINI_SEED is the seed fallback), validates it
-before any compute, and writes `report.json` — task, dataset, config hash,
-seed, version, metric map — under the output directory. Exit codes: 0 on
-success, 1 on a domain error, 2 on a usage error.
+probe, eval-metrics. Each subcommand's help text and options are declared
+once, in COMMAND_OPTIONS: the argparse parser and the run-config resolver
+both read it. A run resolves every option (a CLI flag overrides a
+--run-config JSON file, which overrides the declared default;
+MOMENT_MINI_SEED is the seed fallback), validates it before any compute,
+and writes `report.json` — task, dataset, config hash, seed, version,
+metric map — under the output directory. Exit codes: 0 on success, 1 on a
+domain error, 2 on a usage error.
 """
 
 import argparse
@@ -53,87 +56,90 @@ from .tasks import (
     zero_shot_impute,
     zero_shot_short_forecast,
 )
-from . import numcore as nc
 
 REQUIRED = object()
 
-COMMAND_DEFAULTS = {
-    "pretrain": {
-        "config": "tiny",
-        "data": REQUIRED,
-        "out": "out",
-        "seed": None,
-        "steps": 2000,
-        "epochs": None,
-        "batch_size": 64,
-        "mask_ratio": 0.30,
-        "lr_init": 1e-4,
-        "lr_final": 1e-5,
-    },
-    "finetune": {
-        "ckpt": REQUIRED,
-        "data": REQUIRED,
-        "out": "out",
-        "seed": None,
-        "head": "forecast",
-        "horizon": 16,
-        "epochs": 1,
-        "batch_size": 64,
-        "lr_init": 1e-4,
-        "lr_final": 1e-5,
-        "unfreeze": False,
-    },
-    "forecast": {
-        "ckpt": REQUIRED,
-        "data": REQUIRED,
-        "out": "out",
-        "seed": None,
-        "horizon": 16,
-        "mode": "zero-shot",
-        "workers": 1,
-    },
-    "impute": {
-        "ckpt": REQUIRED,
-        "data": REQUIRED,
-        "out": "out",
-        "seed": None,
-        "ratio": 0.25,
-        "block_len": 8,
-        "workers": 1,
-    },
-    "detect": {
-        "ckpt": REQUIRED,
-        "data": REQUIRED,
-        "labels": REQUIRED,
-        "out": "out",
-        "seed": None,
-    },
-    "classify": {
-        "ckpt": REQUIRED,
-        "train_data": REQUIRED,
-        "train_classes": REQUIRED,
-        "test_data": REQUIRED,
-        "test_classes": REQUIRED,
-        "out": "out",
-        "seed": None,
-    },
-    "probe": {
-        "ckpt": REQUIRED,
-        "out": "out",
-        "seed": None,
-        "probes": "all",
-        "kind": "frequency",
-        "data": None,
-    },
-    "eval-metrics": {
-        "scores": REQUIRED,
-        "labels": REQUIRED,
-        "out": "out",
-        "seed": None,
-    },
-}
-
 PROBE_NAMES = ("suite", "curve", "mask-stats", "zero-vs-mask")
+
+# command -> (help text, options). An option is (name, default or REQUIRED,
+# argparse keywords); its flag is --name with dashes for underscores. An
+# unset seed comes from MOMENT_MINI_SEED, else 13 (see _env_seed).
+COMMAND_OPTIONS = {
+    "pretrain": ("masked pre-training over a corpus", [
+        ("config", "tiny", dict(help="model size name or ModelConfig JSON file")),
+        ("data", REQUIRED, dict(help="series CSV file or directory of CSVs")),
+        ("out", "out", dict(help="output directory")),
+        ("seed", None, dict(type=int)),
+        ("steps", 2000, dict(type=int, help="total optimizer steps")),
+        ("epochs", None, dict(type=int)),
+        ("batch_size", 64, dict(type=int)),
+        ("mask_ratio", 0.30, dict(type=float)),
+        ("lr_init", 1e-4, dict(type=float)),
+        ("lr_final", 1e-5, dict(type=float)),
+    ]),
+    "finetune": ("train a task head on a frozen encoder (or unfreeze all)", [
+        ("ckpt", REQUIRED, dict(help="checkpoint manifest path")),
+        ("data", REQUIRED, dict(help="series CSV file or directory")),
+        ("out", "out", dict()),
+        ("seed", None, dict(type=int)),
+        ("head", "forecast", dict(choices=["forecast", "reconstruction"])),
+        ("horizon", 16, dict(type=int)),
+        ("epochs", 1, dict(type=int)),
+        ("batch_size", 64, dict(type=int)),
+        ("lr_init", 1e-4, dict(type=float)),
+        ("lr_final", 1e-5, dict(type=float)),
+        ("unfreeze", False, dict(action="store_true")),
+    ]),
+    "forecast": ("forecast the tail of each series and score it", [
+        ("ckpt", REQUIRED, dict()),
+        ("data", REQUIRED, dict()),
+        ("out", "out", dict()),
+        ("seed", None, dict(type=int)),
+        ("horizon", 16, dict(type=int)),
+        ("mode", "zero-shot", dict(choices=["zero-shot", "probed-head"])),
+        ("workers", 1, dict(type=int)),
+    ]),
+    "impute": ("hide blocks, reconstruct them, and score the fill", [
+        ("ckpt", REQUIRED, dict()),
+        ("data", REQUIRED, dict()),
+        ("out", "out", dict()),
+        ("seed", None, dict(type=int)),
+        ("ratio", 0.25, dict(type=float)),
+        ("block_len", 8, dict(type=int)),
+        ("workers", 1, dict(type=int)),
+    ]),
+    "detect": ("score anomalies and evaluate against labels", [
+        ("ckpt", REQUIRED, dict()),
+        ("data", REQUIRED, dict()),
+        ("labels", REQUIRED, dict()),
+        ("out", "out", dict()),
+        ("seed", None, dict(type=int)),
+    ]),
+    "classify": ("SVM over sequence representations", [
+        ("ckpt", REQUIRED, dict()),
+        ("train_data", REQUIRED, dict()),
+        ("train_classes", REQUIRED, dict()),
+        ("test_data", REQUIRED, dict()),
+        ("test_classes", REQUIRED, dict()),
+        ("out", "out", dict()),
+        ("seed", None, dict(type=int)),
+    ]),
+    "probe": ("interpretability probes (CSV/SVG artifacts)", [
+        ("ckpt", REQUIRED, dict()),
+        ("out", "out", dict()),
+        ("seed", None, dict(type=int)),
+        ("probes", "all",
+         dict(help=f"comma list of {','.join(PROBE_NAMES)} or 'all'")),
+        ("kind", "frequency", dict(help="sinusoid family for the embedding suite")),
+        ("data", None, dict(help="series CSV for the zero-vs-mask probe")),
+    ]),
+    "eval-metrics": ("grade a score file against a label file", [
+        ("scores", REQUIRED, dict()),
+        ("labels", REQUIRED, dict()),
+        ("out", "out", dict()),
+        ("seed", None, dict(type=int)),
+    ]),
+}
 
 
 def build_parser():
@@ -143,89 +149,13 @@ def build_parser():
         "evaluation, and interpretability probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, flags):
-        p = sub.add_parser(name, help=help_text)
+    for command, (help_text, options) in COMMAND_OPTIONS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--run-config", default=None,
                        help="JSON file of option defaults (flags override)")
-        for flag, kwargs in flags:
-            p.add_argument(flag, default=None, **kwargs)
-        return p
-
-    add("pretrain", "masked pre-training over a corpus", [
-        ("--config", dict(help="model size name or ModelConfig JSON file")),
-        ("--data", dict(help="series CSV file or directory of CSVs")),
-        ("--out", dict(help="output directory")),
-        ("--seed", dict(type=int)),
-        ("--steps", dict(type=int, help="total optimizer steps")),
-        ("--epochs", dict(type=int)),
-        ("--batch-size", dict(type=int)),
-        ("--mask-ratio", dict(type=float)),
-        ("--lr-init", dict(type=float)),
-        ("--lr-final", dict(type=float)),
-    ])
-    add("finetune", "train a task head on a frozen encoder (or unfreeze all)", [
-        ("--ckpt", dict(help="checkpoint manifest path")),
-        ("--data", dict(help="series CSV file or directory")),
-        ("--out", dict()),
-        ("--seed", dict(type=int)),
-        ("--head", dict(choices=["forecast", "reconstruction"])),
-        ("--horizon", dict(type=int)),
-        ("--epochs", dict(type=int)),
-        ("--batch-size", dict(type=int)),
-        ("--lr-init", dict(type=float)),
-        ("--lr-final", dict(type=float)),
-        ("--unfreeze", dict(action="store_true")),
-    ])
-    add("forecast", "forecast the tail of each series and score it", [
-        ("--ckpt", dict()),
-        ("--data", dict()),
-        ("--out", dict()),
-        ("--seed", dict(type=int)),
-        ("--horizon", dict(type=int)),
-        ("--mode", dict(choices=["zero-shot", "probed-head"])),
-        ("--workers", dict(type=int)),
-    ])
-    add("impute", "hide blocks, reconstruct them, and score the fill", [
-        ("--ckpt", dict()),
-        ("--data", dict()),
-        ("--out", dict()),
-        ("--seed", dict(type=int)),
-        ("--ratio", dict(type=float)),
-        ("--block-len", dict(type=int)),
-        ("--workers", dict(type=int)),
-    ])
-    add("detect", "score anomalies and evaluate against labels", [
-        ("--ckpt", dict()),
-        ("--data", dict()),
-        ("--labels", dict()),
-        ("--out", dict()),
-        ("--seed", dict(type=int)),
-    ])
-    add("classify", "SVM over sequence representations", [
-        ("--ckpt", dict()),
-        ("--train-data", dict()),
-        ("--train-classes", dict()),
-        ("--test-data", dict()),
-        ("--test-classes", dict()),
-        ("--out", dict()),
-        ("--seed", dict(type=int)),
-    ])
-    add("probe", "interpretability probes (CSV/SVG artifacts)", [
-        ("--ckpt", dict()),
-        ("--out", dict()),
-        ("--seed", dict(type=int)),
-        ("--probes", dict(help="comma list of "
-                               f"{','.join(PROBE_NAMES)} or 'all'")),
-        ("--kind", dict(help="sinusoid family for the embedding suite")),
-        ("--data", dict(help="series CSV for the zero-vs-mask probe")),
-    ])
-    add("eval-metrics", "grade a score file against a label file", [
-        ("--scores", dict()),
-        ("--labels", dict()),
-        ("--out", dict()),
-        ("--seed", dict(type=int)),
-    ])
+        # every flag defaults to None, so resolve_run_config sees which were given
+        for name, _, kwargs in options:
+            p.add_argument(f"--{name.replace('_', '-')}", default=None, **kwargs)
     return parser
 
 
@@ -247,7 +177,7 @@ def _env_seed():
 def resolve_run_config(args):
     """Merge CLI flags over --run-config JSON over defaults; reject unknown
     keys; fill the seed from MOMENT_MINI_SEED when nothing else sets it."""
-    defaults = COMMAND_DEFAULTS[args.command]
+    defaults = {name: default for name, default, _ in COMMAND_OPTIONS[args.command][1]}
     file_cfg = {}
     if args.run_config is not None:
         try:
@@ -345,14 +275,15 @@ def _model_config_arg(value):
     return named_config(value)
 
 
-def _train_config(rc, mask_ratio=None):
+def _train_config(rc):
     return PretrainConfig(
-        mask_ratio=rc.get("mask_ratio", 0.30) if mask_ratio is None else mask_ratio,
+        mask_ratio=rc.get("mask_ratio", 0.30),
         batch_size=rc["batch_size"],
         epochs=rc["epochs"],
         total_steps=rc.get("steps"),
         seed=rc["seed"],
-        schedule=nc.CosineSchedule(lr_init=rc["lr_init"], lr_final=rc["lr_final"]),
+        lr_init=rc["lr_init"],
+        lr_final=rc["lr_final"],
     )
 
 

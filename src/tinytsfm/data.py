@@ -84,9 +84,10 @@ class SplitSpec:
 def load_csv(path):
     """Read a header + one-row-per-timestep CSV into one Series per column.
 
-    Empty fields are missing values (observed=0, value 0.0). Ragged rows and
-    non-numeric cells raise ParseError naming the offending line (1-based,
-    counting the header as line 1).
+    Empty fields are missing values (observed=0, value 0.0). Ragged rows,
+    non-numeric cells and cells that are not finite in float32 (nan, inf,
+    1e39) raise ParseError naming the offending line (1-based, counting the
+    header as line 1); a non-finite cell also names its column.
     """
     if not os.path.exists(path):
         raise ParseError(f"csv file not found: {path}")
@@ -121,9 +122,19 @@ def load_csv(path):
                 masks[j].append(True)
     if not columns[0]:
         raise ParseError(f"{path}: no data rows")
+    with np.errstate(over="ignore"):  # beyond float32 range becomes inf, refused below
+        values = np.array(columns, dtype=np.float32)
+    observed = np.array(masks)
+    bad = observed & ~np.isfinite(values)
+    if bad.any():
+        row, col = np.argwhere(bad.T)[0]
+        raise ParseError(
+            f"{path} line {row + 2}, column {col + 1} {names[col]!r}: "
+            f"{columns[col][row]!r} is not a finite float32"
+        )
     return [
-        Series(values=np.array(col, dtype=np.float32), observed=np.array(mask), name=name)
-        for name, col, mask in zip(names, columns, masks)
+        Series(values=v, observed=o, name=name)
+        for name, v, o in zip(names, values, observed)
     ]
 
 

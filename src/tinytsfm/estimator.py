@@ -1,9 +1,6 @@
 """Top-level estimator facade: pretraining, representations, checkpoints, and
 the task adapters behind one scikit-learn-style object."""
 
-import numpy as np
-
-from . import numcore as nc
 from .base import Estimator, check_fitted
 from .errors import ConfigError
 from .model import (
@@ -67,16 +64,15 @@ class MaskedSeriesModel(Estimator):
             f"config must be a ModelConfig or a named size, got {type(self.config).__name__}"
         )
 
-    def _train_config(self, epochs=None, total_steps=None, lr_scale=1.0):
+    def _train_config(self, lr_scale=1.0):
         return PretrainConfig(
             mask_ratio=self.mask_ratio,
             batch_size=self.batch_size,
-            epochs=self.epochs if epochs is None else epochs,
-            total_steps=self.total_steps if total_steps is None else total_steps,
+            epochs=self.epochs,
+            total_steps=self.total_steps,
             seed=self.seed,
-            schedule=nc.CosineSchedule(
-                lr_init=self.lr_init * lr_scale, lr_final=self.lr_final * lr_scale
-            ),
+            lr_init=self.lr_init * lr_scale,
+            lr_final=self.lr_final * lr_scale,
             clip_norm=self.clip_norm,
             weight_decay=self.weight_decay,
         )
@@ -101,7 +97,7 @@ class MaskedSeriesModel(Estimator):
             "forecast",
             pairs,
             epochs=epochs,
-            cfg=self._train_config(epochs=None, total_steps=None, lr_scale=lr_scale),
+            cfg=self._train_config(lr_scale=lr_scale),
             freeze=freeze,
         )
         return self

@@ -269,9 +269,6 @@ class ModelWeights:
             raise ConfigError(f"unknown head kind {head_only!r}")
         return {k: v for k, v in self.params.items() if k.startswith(prefix)}
 
-    def n_params(self):
-        return sum(p.data.size for p in self.params.values())
-
 
 def expected_param_shapes(config, horizon=None):
     """Canonical parameter name -> shape map for a config (insertion-ordered)."""

@@ -5,7 +5,7 @@ head-only linear probing / full fine-tuning."""
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class PretrainConfig:
     epochs: int = 2
     total_steps: int = 2000
     seed: int = 0
-    schedule: nc.CosineSchedule = field(default_factory=nc.CosineSchedule)
+    lr_init: float = 1e-4
+    lr_final: float = 1e-5
     clip_norm: float = 5.0
     weight_decay: float = 0.05
 
@@ -56,6 +57,8 @@ class PretrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.total_steps is not None and self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
+        if self.lr_init <= 0 or self.lr_final <= 0:
+            raise ConfigError("learning rates must be positive")
         if self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
 
@@ -191,11 +194,82 @@ def _prepare_series(dataset, config):
     )
 
 
-def _planned_steps(cfg, n_series):
-    steps_per_epoch = math.ceil(n_series / cfg.batch_size)
-    by_epochs = None if cfg.epochs is None else cfg.epochs * steps_per_epoch
-    candidates = [c for c in (by_epochs, cfg.total_steps) if c is not None]
-    return min(candidates)
+def _planned_steps(n_series, batch_size, epochs, total_steps):
+    """Optimizer steps under two budget caps, whichever binds first; a cap
+    of None is off."""
+    by_epochs = None if epochs is None else epochs * math.ceil(n_series / batch_size)
+    return min(c for c in (by_epochs, total_steps) if c is not None)
+
+
+def _fit_loop(weights, trainable, n_series, cfg, batch_loss, epochs, total_steps):
+    """The optimizer loop under pretraining and probing; returns the
+    (step, lr, loss) records and which series were drawn into a batch.
+
+    Each step draws the next batch of a fresh per-epoch permutation and calls
+    batch_loss(idx, rng) before the tape opens: it draws masks from rng and
+    runs a frozen encoder there, and returns the function that builds the
+    batch's scalar loss on the tape. The loss is checked, backpropagated,
+    clipped by global norm and applied by AdamW to the tensors in trainable,
+    at the cosine lr. Every logged loss is measured before that step's update.
+    """
+    planned = _planned_steps(n_series, cfg.batch_size, epochs, total_steps)
+    sched = nc.CosineSchedule(cfg.lr_init, cfg.lr_final, max(1, planned - 1))
+    rng = np.random.default_rng(cfg.seed)
+    opt = nc.AdamWState(trainable, weight_decay=cfg.weight_decay)
+    records = []
+    drawn = np.zeros(n_series, dtype=bool)
+    step = 0
+    while step < planned:
+        order = rng.permutation(n_series)
+        for lo in range(0, n_series, cfg.batch_size):
+            if step >= planned:
+                break
+            idx = order[lo:lo + cfg.batch_size]
+            loss_fn = batch_loss(idx, rng)
+            lr = nc.cosine_lr(min(step, sched.total_steps), sched)
+            nc.zero_grads(weights.params)
+            with nc.Tape() as tape:
+                loss = loss_fn()
+                loss_val = float(loss.data)
+                if not np.isfinite(loss_val):
+                    raise TrainingError(f"non-finite loss at step {step}")
+                nc.backward(loss, tape)
+            grads = {
+                name: p.grad for name, p in trainable.items() if p.grad is not None
+            }
+            nc.clip_global_norm(grads, cfg.clip_norm)
+            nc.adamw_step({name: trainable[name] for name in grads}, grads, opt, lr)
+            records.append((step, lr, loss_val))
+            drawn[idx] = True
+            step += 1
+    return records, drawn
+
+
+def _reconstruction_loss(weights, dataset, mask_ratio, freeze):
+    """(series names, batch_loss) for the masked objective: each row of a
+    batch gets a fresh uniform patch mask, drawn row by row. A frozen encoder
+    runs before the tape opens, so only the reconstruction head is recorded."""
+    xs, obs, pobs, names = _prepare_series(dataset, weights.config)
+
+    def batch_loss(idx, rng):
+        sampled = np.empty((len(idx), pobs.shape[1]), dtype=np.uint8)
+        for r in range(len(idx)):
+            sampled[r] = sample_patch_mask(pobs.shape[1], mask_ratio, rng).observed
+        plan = pobs[idx] & sampled
+        xb = xs[idx]
+        if freeze:
+            h, _ = model_forward(weights, xb, plan)
+
+        def loss():
+            if freeze:
+                recon = reconstruction_head(h, weights)
+            else:
+                _, recon = model_forward(weights, xb, plan)
+            return masked_mse_loss(xb, recon, plan, obs[idx])
+
+        return loss
+
+    return names, batch_loss
 
 
 def pretrain(weights, dataset, cfg=None):
@@ -207,47 +281,11 @@ def pretrain(weights, dataset, cfg=None):
     Every logged loss is measured before that step's update.
     """
     cfg = cfg or PretrainConfig()
-    mcfg = weights.config
-    xs, obs, pobs, names = _prepare_series(dataset, mcfg)
-    n_series = len(names)
-    n_patches = mcfg.n_patches
-    planned = _planned_steps(cfg, n_series)
-    sched = nc.CosineSchedule(
-        cfg.schedule.lr_init, cfg.schedule.lr_final, max(1, planned - 1)
+    names, batch_loss = _reconstruction_loss(weights, dataset, cfg.mask_ratio, freeze=False)
+    records, drawn = _fit_loop(
+        weights, weights.params, len(names), cfg, batch_loss, cfg.epochs, cfg.total_steps
     )
-    rng = np.random.default_rng(cfg.seed)
-    opt = nc.AdamWState(weights.params, weight_decay=cfg.weight_decay)
-    records = []
-    consumed = set()
-    step = 0
-    while step < planned:
-        order = rng.permutation(n_series)
-        for lo in range(0, n_series, cfg.batch_size):
-            if step >= planned:
-                break
-            idx = order[lo:lo + cfg.batch_size]
-            xb, ob, po = xs[idx], obs[idx], pobs[idx]
-            sampled = np.empty((len(idx), n_patches), dtype=np.uint8)
-            for r in range(len(idx)):
-                sampled[r] = sample_patch_mask(n_patches, cfg.mask_ratio, rng).observed
-            input_plan = po & sampled
-            lr = nc.cosine_lr(min(step, sched.total_steps), sched)
-            nc.zero_grads(weights.params)
-            with nc.Tape() as tape:
-                _, recon = model_forward(weights, xb, input_plan)
-                loss = masked_mse_loss(xb, recon, input_plan, ob)
-                loss_val = float(loss.data)
-                if not np.isfinite(loss_val):
-                    raise TrainingError(f"non-finite loss at step {step}")
-                nc.backward(loss, tape)
-            grads = {
-                name: p.grad for name, p in weights.params.items() if p.grad is not None
-            }
-            nc.clip_global_norm(grads, cfg.clip_norm)
-            nc.adamw_step({name: weights.params[name] for name in grads}, grads, opt, lr)
-            records.append((step, lr, loss_val))
-            consumed.update(names[i] for i in idx)
-            step += 1
+    consumed = {names[i] for i in np.flatnonzero(drawn)}
     log = TrainLog(
         records=records,
         audit_hash=audit_digest(consumed),
@@ -334,6 +372,26 @@ def evaluate_forecast_mse(weights, dataset):
     return float(np.mean(np.square(fc.data - encoded.targets)))
 
 
+def _forecast_loss(weights, dataset, freeze):
+    """(pair count, batch_loss) for the forecast head's MSE in normalized
+    space; a frozen encoder's hidden states are computed once up front."""
+    if freeze:
+        encoded = _encoded(weights, dataset)
+        hidden, targets = encoded.hidden, encoded.targets
+    else:
+        xs, pobs, targets = _prepare_forecast_pairs(weights, dataset)
+
+    def batch_loss(idx, rng):
+        def loss():
+            h = hidden[idx] if freeze else model_forward(weights, xs[idx], pobs[idx])[0]
+            diff = nc.sub(forecasting_head(h, weights), nc.Tensor(targets[idx]))
+            return nc.mean_(nc.mul(diff, diff))
+
+        return loss
+
+    return len(targets), batch_loss
+
+
 def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
     """Train only the requested head on a task dataset (freeze=False trains
     everything — that is full fine-tuning, same loop).
@@ -361,63 +419,10 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     cfg = cfg or PretrainConfig()
     trainable = weights.parameters(head_only=head_kind) if freeze else dict(weights.params)
-    mcfg = weights.config
     if head_kind == "reconstruction":
-        xs, obs, pobs, _ = _prepare_series(dataset, mcfg)
-    elif freeze:
-        encoded = _encoded(weights, dataset)
-        hidden, targets = encoded.hidden, encoded.targets
+        names, batch_loss = _reconstruction_loss(weights, dataset, cfg.mask_ratio, freeze)
+        n_series = len(names)
     else:
-        xs, pobs, targets = _prepare_forecast_pairs(weights, dataset)
-    n_series = len(targets) if head_kind == "forecast" else xs.shape[0]
-    steps_per_epoch = math.ceil(n_series / cfg.batch_size)
-    planned = epochs * steps_per_epoch
-    sched = nc.CosineSchedule(
-        cfg.schedule.lr_init, cfg.schedule.lr_final, max(1, planned - 1)
-    )
-    rng = np.random.default_rng(cfg.seed)
-    opt = nc.AdamWState(trainable, weight_decay=cfg.weight_decay)
-    step = 0
-    for _ in range(epochs):
-        order = rng.permutation(n_series)
-        for lo in range(0, n_series, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            lr = nc.cosine_lr(min(step, sched.total_steps), sched)
-            nc.zero_grads(weights.params)
-            # a frozen encoder runs before the tape opens, so it stays forward-only
-            if head_kind == "reconstruction":
-                sampled = np.empty((len(idx), mcfg.n_patches), dtype=np.uint8)
-                for r in range(len(idx)):
-                    sampled[r] = sample_patch_mask(
-                        mcfg.n_patches, cfg.mask_ratio, rng
-                    ).observed
-                input_plan = pobs[idx] & sampled
-                if freeze:
-                    h, _ = model_forward(weights, xs[idx], input_plan)
-            elif freeze:
-                h = hidden[idx]
-            with nc.Tape() as tape:
-                if head_kind == "reconstruction":
-                    if freeze:
-                        recon = reconstruction_head(h, weights)
-                    else:
-                        _, recon = model_forward(weights, xs[idx], input_plan)
-                    loss = masked_mse_loss(xs[idx], recon, input_plan, obs[idx])
-                else:
-                    if not freeze:
-                        h, _ = model_forward(weights, xs[idx], pobs[idx])
-                    fc = forecasting_head(h, weights)
-                    diff = nc.sub(fc, nc.Tensor(targets[idx]))
-                    loss = nc.mean_(nc.mul(diff, diff))
-                if not np.isfinite(float(loss.data)):
-                    raise TrainingError(f"non-finite loss at probe step {step}")
-                nc.backward(loss, tape)
-            grads = {
-                name: p.grad for name, p in trainable.items() if p.grad is not None
-            }
-            nc.clip_global_norm(grads, cfg.clip_norm)
-            nc.adamw_step(
-                {name: trainable[name] for name in grads}, grads, opt, lr
-            )
-            step += 1
+        n_series, batch_loss = _forecast_loss(weights, dataset, freeze)
+    _fit_loop(weights, trainable, n_series, cfg, batch_loss, epochs, None)
     return weights

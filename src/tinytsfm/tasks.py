@@ -87,31 +87,10 @@ class AnomalySpec:
     downsample_threshold: int = 2560
     downsample_factor: int = 10
     mask_rounds: int = 4  # ceil(1 / 0.3): disjoint groups tiling every patch
-    score: str = "squared_error"
 
     def __post_init__(self):
-        if self.score != "squared_error":
-            raise ConfigError(f"unsupported score kind {self.score!r}")
         if self.window < 1 or self.mask_rounds < 1:
             raise ConfigError("window and mask_rounds must be positive")
-
-
-FORECAST_MODES = ("zero-shot", "probed-head")
-
-
-@dataclass(frozen=True)
-class ForecastSpec:
-    """Forecasting protocol: lookback window, horizon, and head mode."""
-
-    horizon: int
-    lookback: int = 512
-    mode: str = "zero-shot"
-
-    def __post_init__(self):
-        if self.mode not in FORECAST_MODES:
-            raise ConfigError(f"mode must be one of {FORECAST_MODES}, got {self.mode!r}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
 
 
 # ------------------------------------------------------------------ windowing

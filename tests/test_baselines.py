@@ -15,15 +15,11 @@ from tinytsfm.baselines import (
     knn_anomaly,
     naive_fill,
     naive_forecast,
-    pca_fit,
-    pca_project,
     random_walk_drift,
     seasonal_indices,
     seasonal_naive,
     ses_fit,
     SES_ALPHA_GRID,
-    svm_fit,
-    svm_predict,
     theta_forecast,
 )
 from tinytsfm.data import Series
@@ -325,8 +321,8 @@ def test_knn_accepts_series_and_checks_length():
 
 
 def test_svm_two_point_separable():
-    model = svm_fit(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
-    assert np.array_equal(svm_predict(model, [[0.0, 0.0], [1.0, 1.0]]), [0, 1])
+    model = RbfSvm().fit(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
+    assert np.array_equal(model.predict([[0.0, 0.0], [1.0, 1.0]]), [0, 1])
 
 
 def test_svm_solves_xor():
@@ -372,8 +368,8 @@ def test_svm_three_class_blobs():
 def test_svm_string_labels():
     x = np.array([[0.0], [0.1], [5.0], [5.1]])
     y = np.array(["lo", "lo", "hi", "hi"])
-    model = svm_fit(x, y, C=5.0)
-    assert list(svm_predict(model, [[0.05], [5.05]])) == ["lo", "hi"]
+    model = RbfSvm(C=5.0).fit(x, y)
+    assert list(model.predict([[0.05], [5.05]])) == ["lo", "hi"]
 
 
 def test_svm_argmax_is_shift_invariant():
@@ -420,7 +416,7 @@ def test_svm_estimator_protocol():
 def test_pca_line_has_one_component():
     t = np.linspace(-2, 2, 30)
     x = np.stack([t, 2 * t], axis=1)
-    model = pca_fit(x, k=1)
+    model = Pca(k=1).fit(x)
     want = np.array([1.0, 2.0]) / np.sqrt(5.0)
     assert np.allclose(model.components_[0], want, atol=1e-9)
     assert model.explained_variance_ratio_[0] == pytest.approx(1.0)
@@ -458,7 +454,7 @@ def test_pca_projection_matches_manual():
     x = rng.normal(size=(20, 3))
     model = Pca(k=2).fit(x)
     want = (x - model.mean_) @ model.components_.T
-    assert np.allclose(pca_project(model, x), want)
+    assert np.allclose(model.transform(x), want)
     single = model.transform(x[0])
     assert single.shape == (2,) and np.allclose(single, want[0])
 

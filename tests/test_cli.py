@@ -96,6 +96,20 @@ def test_domain_error_exits_one(workdir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_csv_cell_exits_one_naming_file_and_line(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_sines(str(data), n=2)
+    lines = data.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",1e39"
+    data.write_text("\n".join(lines) + "\n")
+    code = dispatch(["pretrain", "--data", str(data), "--out", str(tmp_path / "pre"),
+                     "--steps", "1", "--batch-size", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(data) in err and "line 6" in err and "'s1'" in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "tinytsfm.cli", "--help"],

@@ -82,6 +82,26 @@ def test_load_csv_non_numeric_names_line(tmp_path):
         td.load_csv(str(path))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e39"])
+def test_load_csv_non_finite_cell_names_line_and_column(tmp_path, cell):
+    # 1e39 parses as a float but overflows float32 to inf
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"a,b\n1,2\n3,\n4,{cell}\n5,6\n")
+    with pytest.raises(ParseError) as info:
+        td.load_csv(str(path))
+    message = str(info.value)
+    assert str(path) in message
+    assert "line 4" in message
+    assert "'b'" in message
+
+
+def test_load_csv_reports_first_non_finite_line(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("a,b\n1,2\n3,nan\ninf,4\n")
+    with pytest.raises(ParseError, match="line 3, column 2 'b'"):
+        td.load_csv(str(path))
+
+
 def test_load_csv_missing_file():
     with pytest.raises(ParseError):
         td.load_csv("/nonexistent/file.csv")

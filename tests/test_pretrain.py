@@ -316,10 +316,7 @@ def test_linear_probe_forecast_improves_training_mse_and_freezes_encoder():
         for k, v in weights.params.items()
         if not k.startswith("forecast_head.")
     }
-    pcfg = tp.PretrainConfig(
-        batch_size=4, seed=0,
-        schedule=nc.CosineSchedule(lr_init=5e-3, lr_final=1e-4),
-    )
+    pcfg = tp.PretrainConfig(batch_size=4, seed=0, lr_init=5e-3, lr_final=1e-4)
     tp.linear_probe(weights, "forecast", pairs, epochs=30, cfg=pcfg)
     after_mse = tp.evaluate_forecast_mse(weights, pairs)
     assert after_mse < before_mse
@@ -346,14 +343,58 @@ def test_unfrozen_probe_is_fine_tuning():
     assert not np.array_equal(weights.params[encoder_key].data, before)
 
 
-# ------------------------------------------------------------------ frozen probes off the tape
+# ------------------------------------------------------------------ reference loops
 
 
-def reference_frozen_probe(weights, head_kind, dataset, epochs, cfg):
-    """The per-batch loop a frozen probe ran before encoding moved off the
-    tape: every step runs the whole model on the tape and backpropagates
-    through it, then updates the head alone."""
-    trainable = weights.parameters(head_only=head_kind)
+def reference_pretrain(weights, dataset, cfg):
+    """The pre-training loop as it stood before pretraining and probing
+    shared one loop; returns (weights, records, audit hash)."""
+    mcfg = weights.config
+    xs, obs, pobs, names = tp._prepare_series(dataset, mcfg)
+    n_series = len(names)
+    n_patches = mcfg.n_patches
+    steps_per_epoch = int(np.ceil(n_series / cfg.batch_size))
+    by_epochs = None if cfg.epochs is None else cfg.epochs * steps_per_epoch
+    planned = min(c for c in (by_epochs, cfg.total_steps) if c is not None)
+    sched = nc.CosineSchedule(cfg.lr_init, cfg.lr_final, max(1, planned - 1))
+    rng = np.random.default_rng(cfg.seed)
+    opt = nc.AdamWState(weights.params, weight_decay=cfg.weight_decay)
+    records = []
+    consumed = set()
+    step = 0
+    while step < planned:
+        order = rng.permutation(n_series)
+        for lo in range(0, n_series, cfg.batch_size):
+            if step >= planned:
+                break
+            idx = order[lo:lo + cfg.batch_size]
+            xb, ob, po = xs[idx], obs[idx], pobs[idx]
+            sampled = np.empty((len(idx), n_patches), dtype=np.uint8)
+            for r in range(len(idx)):
+                sampled[r] = tp.sample_patch_mask(n_patches, cfg.mask_ratio, rng).observed
+            input_plan = po & sampled
+            lr = nc.cosine_lr(min(step, sched.total_steps), sched)
+            nc.zero_grads(weights.params)
+            with nc.Tape() as tape:
+                _, recon = tm.model_forward(weights, xb, input_plan)
+                loss = tp.masked_mse_loss(xb, recon, input_plan, ob)
+                loss_val = float(loss.data)
+                nc.backward(loss, tape)
+            grads = {n: p.grad for n, p in weights.params.items() if p.grad is not None}
+            nc.clip_global_norm(grads, cfg.clip_norm)
+            nc.adamw_step({n: weights.params[n] for n in grads}, grads, opt, lr)
+            records.append((step, lr, loss_val))
+            consumed.update(names[i] for i in idx)
+            step += 1
+    return weights, records, tp.audit_digest(consumed)
+
+
+def reference_probe(weights, head_kind, dataset, epochs, cfg, freeze=True):
+    """The per-batch probe loop as it stood before the frozen encoder moved
+    off the tape and before pretraining and probing shared one loop: every
+    step runs the whole model on the tape and backpropagates through it,
+    then updates the head alone, or every tensor when not frozen."""
+    trainable = weights.parameters(head_only=head_kind) if freeze else dict(weights.params)
     mcfg = weights.config
     if head_kind == "reconstruction":
         xs, obs, pobs, _ = tp._prepare_series(dataset, mcfg)
@@ -361,9 +402,7 @@ def reference_frozen_probe(weights, head_kind, dataset, epochs, cfg):
         xs, pobs, targets = tp._prepare_forecast_pairs(weights, dataset)
     n_series = xs.shape[0]
     planned = epochs * int(np.ceil(n_series / cfg.batch_size))
-    sched = nc.CosineSchedule(
-        cfg.schedule.lr_init, cfg.schedule.lr_final, max(1, planned - 1)
-    )
+    sched = nc.CosineSchedule(cfg.lr_init, cfg.lr_final, max(1, planned - 1))
     rng = np.random.default_rng(cfg.seed)
     opt = nc.AdamWState(trainable, weight_decay=cfg.weight_decay)
     step = 0
@@ -406,11 +445,9 @@ def _probe_setup(head_kind, seed):
 def test_frozen_probe_matches_per_batch_reference(head_kind):
     weights, data = _probe_setup(head_kind, seed=6)
     reference = clone_weights(weights)
-    pcfg = tp.PretrainConfig(
-        batch_size=3, seed=2, schedule=nc.CosineSchedule(lr_init=5e-3, lr_final=1e-4)
-    )
+    pcfg = tp.PretrainConfig(batch_size=3, seed=2, lr_init=5e-3, lr_final=1e-4)
     tp.linear_probe(weights, head_kind, data, epochs=4, cfg=pcfg)
-    reference_frozen_probe(reference, head_kind, data, epochs=4, cfg=pcfg)
+    reference_probe(reference, head_kind, data, epochs=4, cfg=pcfg)
     for name, p in weights.params.items():
         want = reference.params[name].data
         if head_kind == "reconstruction":
@@ -462,3 +499,58 @@ def test_encoded_pairs_refuse_an_unfrozen_or_changed_encoder():
         tp.evaluate_forecast_mse(weights, encoded)
     with pytest.raises(ContractError, match="different encoder weights"):
         tp.linear_probe(weights, "forecast", encoded, epochs=1)
+
+
+# ------------------------------------------------------------------ one loop, same bits
+
+
+LOOP_CASES = {
+    # 8 series in batches of 3: every epoch ends on a short batch
+    "ragged-batches": dict(n=8, batch_size=3, epochs=2, total_steps=None),
+    # ceil(7 / 3) * 2 = 6 steps, well under total_steps
+    "epochs-cap-binds": dict(n=7, batch_size=3, epochs=2, total_steps=100),
+    # stops after the first batch of the second epoch
+    "total-steps-cap-binds": dict(n=8, batch_size=3, epochs=5, total_steps=4),
+}
+
+
+def _loop_cfg(case):
+    return tp.PretrainConfig(batch_size=case["batch_size"], epochs=case["epochs"],
+                             total_steps=case["total_steps"], seed=4,
+                             lr_init=5e-3, lr_final=1e-4)
+
+
+def _assert_same_weights(got, want):
+    for name, p in got.params.items():
+        assert np.array_equal(p.data, want.params[name].data), name
+
+
+@pytest.mark.parametrize("case", LOOP_CASES.values(), ids=LOOP_CASES.keys())
+def test_pretrain_matches_reference_loop(case):
+    weights = tm.init_weights(tiny_cfg(), seed=11)
+    reference = clone_weights(weights)
+    data = sine_corpus(n=case["n"])
+    cfg = _loop_cfg(case)
+    _, log = tp.pretrain(weights, data, cfg)
+    _, records, audit = reference_pretrain(reference, data, cfg)
+    assert log.records == records
+    assert log.audit_hash == audit
+    _assert_same_weights(weights, reference)
+
+
+@pytest.mark.parametrize("head_kind", ["reconstruction", "forecast"])
+@pytest.mark.parametrize("case", LOOP_CASES.values(), ids=LOOP_CASES.keys())
+def test_unfrozen_probe_matches_reference_loop(case, head_kind):
+    # a probe's budget is its epochs argument; cfg.epochs and total_steps
+    # do not cap it, in the merged loop as in the reference
+    weights = tm.init_weights(tiny_cfg(), seed=12)
+    if head_kind == "forecast":
+        tm.attach_forecast_head(weights, horizon=8, seed=12)
+        data = forecast_pairs(n=case["n"], horizon=8)
+    else:
+        data = sine_corpus(n=case["n"])
+    reference = clone_weights(weights)
+    cfg = _loop_cfg(case)
+    tp.linear_probe(weights, head_kind, data, epochs=3, cfg=cfg, freeze=False)
+    reference_probe(reference, head_kind, data, epochs=3, cfg=cfg, freeze=False)
+    _assert_same_weights(weights, reference)

@@ -21,7 +21,6 @@ from tinytsfm.tasks import (
     IMPUTE_RATIOS,
     SVM_C_GRID,
     AnomalySpec,
-    ForecastSpec,
     ImputationSpec,
     _stratified_holdout,
     apply_block_mask,
@@ -94,14 +93,7 @@ def test_apply_block_mask_intersects_observedness():
 
 def test_anomaly_and_forecast_spec_validation():
     with pytest.raises(ConfigError):
-        AnomalySpec(score="absolute_error")
-    with pytest.raises(ConfigError):
         AnomalySpec(window=0)
-    with pytest.raises(ConfigError):
-        ForecastSpec(horizon=0)
-    with pytest.raises(ConfigError):
-        ForecastSpec(horizon=16, mode="oracle")
-    assert ForecastSpec(horizon=16).mode == "zero-shot"
 
 
 # ------------------------------------------------------------------ imputation
