@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError, EmptySeriesError, ParseError, ShapeError
 from .model import left_pad
 
 # ------------------------------------------------------------------ record
@@ -258,6 +258,15 @@ def fit_to_window(x, window=512):
             )
         x = replace(x, values=values, observed=observed, anomalies=anomalies)
     return x
+
+
+def fit_windows(collection, window=512):
+    """fit_to_window every series; returns stacked (values [B,window],
+    observed [B,window])."""
+    if len(collection) == 0:
+        raise EmptySeriesError("cannot window an empty collection")
+    fitted = [fit_to_window(s, window) for s in collection]
+    return np.stack([f.values for f in fitted]), np.stack([f.observed for f in fitted])
 
 
 def downsample(x, threshold=2560, factor=10):

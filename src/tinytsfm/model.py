@@ -178,15 +178,6 @@ class PatchMaskPlan:
         if self.observed.ndim != 1:
             raise ShapeError("a patch mask plan is a 1-D per-patch indicator")
 
-    @classmethod
-    def from_observed_mask(cls, observed, patch_len):
-        """A patch counts as observed only if every timestep in it is observed."""
-        return cls(patch_observed_indicator(observed, patch_len))
-
-    def combine(self, other):
-        """Intersection: observed only where both plans agree."""
-        return PatchMaskPlan(self.observed & np.asarray(other.observed, dtype=np.uint8))
-
     @property
     def n_masked(self):
         return int((self.observed == 0).sum())
@@ -203,6 +194,19 @@ def patch_observed_indicator(observed, patch_len):
         raise ShapeError(f"mask length {t} not divisible by patch length {patch_len}")
     grouped = obs.reshape(obs.shape[:-1] + (t // patch_len, patch_len))
     return grouped.all(axis=-1).astype(np.uint8)
+
+
+def prepare_windows(config, values, observed):
+    """Raw windows -> model input: the one path every trainer, task adapter
+    and probe takes to the encoder.
+
+    values/observed: [B,T] (or one window [T]) of seq_len steps. Returns
+    (x_norm, plan, RevinStats): RevIN with config.revin_eps over observed
+    steps, and the uint8 per-patch plan in which a patch is observed only
+    when every one of its steps is.
+    """
+    x_norm, stats = revin_normalize(values, observed, eps=config.revin_eps)
+    return x_norm, patch_observed_indicator(observed, config.patch_len), stats
 
 
 # ------------------------------------------------------------------ positions

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .data import fit_to_window
+from .data import fit_windows
 from .errors import (
     ConfigError,
     ContractError,
@@ -23,9 +23,8 @@ from .model import (
     forecasting_head,
     model_forward,
     nonpadded_patches,
-    patch_observed_indicator,
+    prepare_windows,
     reconstruction_head,
-    revin_normalize,
 )
 
 # ------------------------------------------------------------------ config
@@ -174,24 +173,13 @@ def _prepare_series(dataset, config):
     """Window, normalize, and patch-index every series once up front."""
     if not dataset:
         raise ContractError("empty training dataset")
-    xs, obs, pobs, names = [], [], [], []
-    for s in dataset:
-        w = fit_to_window(s, config.seq_len)
-        if int(nonpadded_patches(w.observed, config.patch_len).sum()) < 2:
-            raise ContractError(
-                f"training series {s.name!r} has fewer than 2 usable patches"
-            )
-        x_norm, _ = revin_normalize(w.values, w.observed, eps=config.revin_eps)
-        xs.append(x_norm)
-        obs.append(w.observed)
-        pobs.append(patch_observed_indicator(w.observed, config.patch_len))
-        names.append(s.name)
-    return (
-        np.stack(xs).astype(np.float32),
-        np.stack(obs),
-        np.stack(pobs).astype(np.uint8),
-        names,
-    )
+    values, obs = fit_windows(dataset, config.seq_len)
+    usable = nonpadded_patches(obs, config.patch_len).sum(axis=1)
+    if np.any(usable < 2):
+        name = dataset[int(np.argmax(usable < 2))].name
+        raise ContractError(f"training series {name!r} has fewer than 2 usable patches")
+    xs, pobs, _ = prepare_windows(config, values, obs)
+    return xs, obs, pobs, [s.name for s in dataset]
 
 
 def _planned_steps(n_series, batch_size, epochs, total_steps):
@@ -302,25 +290,17 @@ HEAD_KINDS = ("reconstruction", "forecast")
 
 def _prepare_forecast_pairs(weights, dataset):
     """Normalize (history, target) pairs with history-only statistics."""
-    mcfg = weights.config
     horizon = weights.horizon
-    xs, plans, targets = [], [], []
-    for history, target in dataset:
-        target = np.asarray(target, dtype=np.float32)
+    targets = [np.asarray(target, dtype=np.float32) for _, target in dataset]
+    for target in targets:
         if target.shape != (horizon,):
             raise ShapeError(
                 f"forecast target shape {target.shape} != horizon ({horizon},)"
             )
-        w = fit_to_window(history, mcfg.seq_len)
-        x_norm, stats = revin_normalize(w.values, w.observed, eps=mcfg.revin_eps)
-        xs.append(x_norm)
-        plans.append(patch_observed_indicator(w.observed, mcfg.patch_len))
-        targets.append((target - stats.mean[0]) / stats.std[0])
-    return (
-        np.stack(xs).astype(np.float32),
-        np.stack(plans).astype(np.uint8),
-        np.stack(targets).astype(np.float32),
-    )
+    values, obs = fit_windows([history for history, _ in dataset], weights.config.seq_len)
+    xs, plans, stats = prepare_windows(weights.config, values, obs)
+    targets = (np.stack(targets) - stats.mean[:, None]) / stats.std[:, None]
+    return xs, plans, targets
 
 
 @dataclass

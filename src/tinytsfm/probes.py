@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import Pca
-from .data import SINE_KINDS, fit_to_window, synth_sine
+from .data import SINE_KINDS, fit_windows, synth_sine
 from .errors import ConfigError
 from .metrics import spearman_rho
-from .model import model_forward, patch_observed_indicator, revin_normalize
+from .model import model_forward, prepare_windows
 from .pretrain import masked_mse_loss, sample_patch_mask
 from .tasks import embed_series
 
@@ -170,16 +170,17 @@ def frequency_error_curve(weights, grid=None, out_dir=None, noise=0.0, seed=0):
     )
     cfg = weights.config
     rng = np.random.default_rng(seed)
+    sines = [
+        synth_sine("frequency", float(c), length=cfg.seq_len, noise=noise, seed=seed)
+        for c in grid
+    ]
+    values, obs = fit_windows(sines, cfg.seq_len)
+    xs, pobs, _ = prepare_windows(cfg, values, obs)
     mses = []
-    for c in grid:
-        series = synth_sine("frequency", float(c), length=cfg.seq_len,
-                            noise=noise, seed=seed)
-        x_norm, _ = revin_normalize(series.values, series.observed)
-        plan = sample_patch_mask(cfg.n_patches, 0.30, rng).observed
+    for x_norm, po, ob in zip(xs, pobs, obs):
+        plan = po & sample_patch_mask(cfg.n_patches, 0.30, rng).observed
         _, recon = model_forward(weights, x_norm, plan)
-        mses.append(
-            masked_mse_loss(x_norm, recon.data, plan, series.observed)
-        )
+        mses.append(masked_mse_loss(x_norm, recon.data, plan, ob))
     mses = np.asarray(mses, dtype=np.float64)
     result = CurveResult(grid=grid, mses=mses, spearman=spearman_rho(grid, mses))
     if out_dir is not None:
@@ -234,18 +235,16 @@ def zero_vs_mask_probe(weights, dataset, mask_ratio=0.30, seed=0):
     compare masked-region MSEs. Unmasked timesteps are identical in both."""
     cfg = weights.config
     rng = np.random.default_rng(seed)
+    values, obs = fit_windows(dataset, cfg.seq_len)
+    xs, pobs, _ = prepare_windows(cfg, values, obs)
     per_series = []
-    for series in dataset:
-        w = fit_to_window(series, cfg.seq_len)
-        x_norm, _ = revin_normalize(w.values, w.observed, eps=cfg.revin_eps)
-        pobs = patch_observed_indicator(w.observed, cfg.patch_len)
-        sampled = sample_patch_mask(cfg.n_patches, mask_ratio, rng).observed
-        plan = pobs & sampled
+    for series, x_norm, po, ob in zip(dataset, xs, pobs, obs):
+        plan = po & sample_patch_mask(cfg.n_patches, mask_ratio, rng).observed
         _, recon_mask = model_forward(weights, x_norm, plan)
         zero_filled = x_norm * np.repeat(plan, cfg.patch_len).astype(np.float32)
-        _, recon_zero = model_forward(weights, zero_filled, pobs)
-        mse_mask = masked_mse_loss(x_norm, recon_mask.data, plan, w.observed)
-        mse_zero = masked_mse_loss(x_norm, recon_zero.data, plan, w.observed)
+        _, recon_zero = model_forward(weights, zero_filled, po)
+        mse_mask = masked_mse_loss(x_norm, recon_mask.data, plan, ob)
+        mse_zero = masked_mse_loss(x_norm, recon_zero.data, plan, ob)
         per_series.append((series.name, float(mse_mask), float(mse_zero)))
     return ZeroVsMaskReport(
         mask_token_mse=float(np.mean([r[1] for r in per_series])),

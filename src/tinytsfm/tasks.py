@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import RbfSvm
-from .data import Series, downsample, fit_to_window
+from .data import Series, downsample, fit_windows
 from .errors import (
     ConfigError,
     EmptySeriesError,
@@ -21,14 +21,13 @@ from .errors import (
     StratificationError,
 )
 from .model import (
-    PatchMaskPlan,
     forecasting_head,
     left_pad,
     model_forward,
     nonpadded_patches,
     patch_observed_indicator,
+    prepare_windows,
     revin_denormalize,
-    revin_normalize,
     sequence_representation,
 )
 
@@ -128,13 +127,12 @@ def zero_shot_impute(weights, x):
     if x.observed.all():
         return x
     vs, obs, spans = _window_grid(x.values, x.observed, cfg.seq_len)
-    pobs = patch_observed_indicator(obs, cfg.patch_len)
-    for w in range(len(vs)):
-        if pobs[w].sum() == 0:
+    for w, full in enumerate(patch_observed_indicator(obs, cfg.patch_len)):
+        if full.sum() == 0:
             raise EmptySeriesError(
                 f"series {x.name!r}: window {w} has no fully observed patch"
             )
-    norm, stats = revin_normalize(vs, obs)
+    norm, pobs, stats = prepare_windows(cfg, vs, obs)
     _, recon = model_forward(weights, norm, pobs)
     filled = revin_denormalize(recon.data, stats)
     out = x.values.copy()
@@ -168,8 +166,7 @@ def detect_anomalies(weights, x, spec=None):
     proc = downsample(x, spec.downsample_threshold, spec.downsample_factor)
     cfg = weights.config
     vs, obs, spans = _window_grid(proc.values, proc.observed, cfg.seq_len)
-    norm, stats = revin_normalize(vs, obs)
-    pobs = patch_observed_indicator(obs, cfg.patch_len)
+    norm, pobs, stats = prepare_windows(cfg, vs, obs)
     patch_group = np.arange(cfg.n_patches) % spec.mask_rounds
     recon_full = np.zeros_like(vs)
     for j in range(spec.mask_rounds):
@@ -213,8 +210,7 @@ def zero_shot_short_forecast(weights, history, horizon):
     )
     window = np.concatenate([hist_v, np.zeros(n_tail * cfg.patch_len, dtype=np.float32)])
     observed = np.concatenate([hist_o, np.zeros(n_tail * cfg.patch_len, dtype=bool)])
-    norm, stats = revin_normalize(window, observed)
-    plan = PatchMaskPlan.from_observed_mask(observed, cfg.patch_len)
+    norm, plan, stats = prepare_windows(cfg, window, observed)
     _, recon = model_forward(weights, norm, plan)
     denorm = revin_denormalize(recon.data, stats)
     return Series(
@@ -237,8 +233,7 @@ def long_forecast(weights, history, horizon):
     values, observed = left_pad(
         history.values[-cfg.seq_len:], cfg.seq_len, history.observed[-cfg.seq_len:]
     )
-    norm, stats = revin_normalize(values, observed)
-    plan = PatchMaskPlan.from_observed_mask(observed, cfg.patch_len)
+    norm, plan, stats = prepare_windows(cfg, values, observed)
     hidden, _ = model_forward(weights, norm, plan)
     fc = forecasting_head(hidden, weights)
     denorm = revin_denormalize(fc.data, stats)
@@ -253,14 +248,9 @@ SVM_C_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4)
 def embed_series(weights, collection):
     """Sequence representations for a list of series. Receives series only —
     labels never enter the embedding stage."""
-    if len(collection) == 0:
-        raise EmptySeriesError("cannot embed an empty collection")
     cfg = weights.config
-    fitted = [fit_to_window(s, cfg.seq_len) for s in collection]
-    vals = np.stack([f.values for f in fitted])
-    obs = np.stack([f.observed for f in fitted])
-    norm, _ = revin_normalize(vals, obs)
-    plan = patch_observed_indicator(obs, cfg.patch_len)
+    vals, obs = fit_windows(collection, cfg.seq_len)
+    norm, plan, _ = prepare_windows(cfg, vals, obs)
     hidden, _ = model_forward(weights, norm, plan)
     return sequence_representation(hidden, nonpadded_patches(obs, cfg.patch_len))
 

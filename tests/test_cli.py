@@ -111,10 +111,15 @@ def test_non_finite_csv_cell_exits_one_naming_file_and_line(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # pytest's pythonpath setting reaches this process, not the subprocess
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "tinytsfm.cli", "--help"],
-        capture_output=True, text=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True, text=True, cwd=root, env=env,
     )
     assert proc.returncode == 0
     assert "pretrain" in proc.stdout

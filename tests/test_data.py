@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tinytsfm import data as td
-from tinytsfm.errors import ConfigError, ParseError, ShapeError
+from tinytsfm.errors import ConfigError, EmptySeriesError, ParseError, ShapeError
 
 
 # ------------------------------------------------------------------ series
@@ -239,6 +239,18 @@ def test_fit_to_window_carries_anomalies():
 def test_fit_to_window_empty_raises():
     with pytest.raises(ShapeError):
         td.fit_to_window(td.Series(values=np.zeros(0, dtype=np.float32)))
+
+
+def test_fit_windows_stacks_fitted_series_and_refuses_none():
+    series = [_ramp(300), _ramp(512), _ramp(1024)]
+    values, observed = td.fit_windows(series, 512)
+    assert values.shape == observed.shape == (3, 512)
+    for row, s in enumerate(series):
+        one = td.fit_to_window(s, 512)
+        assert np.array_equal(values[row], one.values)
+        assert np.array_equal(observed[row], one.observed)
+    with pytest.raises(EmptySeriesError):
+        td.fit_windows([], 512)
 
 
 def test_downsample_identity_at_threshold():

@@ -145,8 +145,8 @@ def test_left_pad_marks_prefix_unobserved():
     assert values.shape == (512,) and observed.shape == (512,)
     assert np.all(values[:412] == 0) and not observed[:412].any()
     assert np.array_equal(values[412:], np.arange(1, 101)) and observed[412:].all()
-    plan = tm.PatchMaskPlan.from_observed_mask(observed, 8)
-    assert plan.n_masked == 52  # 51 fully padded patches + 1 straddling patch
+    indicator = tm.patch_observed_indicator(observed, 8)
+    assert (indicator == 0).sum() == 52  # 51 fully padded patches + 1 straddling patch
 
 
 def test_left_pad_rejects_too_long():
@@ -157,15 +157,9 @@ def test_left_pad_rejects_too_long():
 def test_patch_plan_all_timesteps_rule():
     obs = np.ones(16, dtype=bool)
     obs[5] = False  # one missing timestep masks the whole patch
-    plan = tm.PatchMaskPlan.from_observed_mask(obs, 4)
-    assert np.array_equal(plan.observed, [1, 0, 1, 1])
-    assert plan.n_masked == 1
-
-
-def test_patch_plan_combine_is_intersection():
-    a = tm.PatchMaskPlan(np.array([1, 1, 0, 0]))
-    b = tm.PatchMaskPlan(np.array([1, 0, 1, 0]))
-    assert np.array_equal(a.combine(b).observed, [1, 0, 0, 0])
+    indicator = tm.patch_observed_indicator(obs, 4)
+    assert np.array_equal(indicator, [1, 0, 1, 1])
+    assert (indicator == 0).sum() == 1
 
 
 def test_nonpadded_patches_any_rule():

@@ -9,7 +9,13 @@ from tinytsfm import data as td
 from tinytsfm import model as tm
 from tinytsfm import numcore as nc
 from tinytsfm import pretrain as tp
-from tinytsfm.errors import ConfigError, ContractError, ShapeError, TrainingError
+from tinytsfm.errors import (
+    ConfigError,
+    ContractError,
+    EmptySeriesError,
+    ShapeError,
+    TrainingError,
+)
 
 
 def tiny_cfg(**kw):
@@ -261,6 +267,8 @@ def test_pretrain_rejects_empty_or_degenerate_datasets():
     stub = td.Series(values=np.arange(4, dtype=np.float32), name="stub")
     with pytest.raises(ContractError, match="stub"):
         tp.pretrain(weights, [stub], tp.PretrainConfig())
+    with pytest.raises(ContractError, match="stub"):
+        tp.pretrain(weights, sine_corpus(n=2) + [stub], tp.PretrainConfig())
 
 
 # ------------------------------------------------------------------ probing
@@ -330,6 +338,8 @@ def test_linear_probe_forecast_target_shape_checked():
     history = td.Series(values=np.zeros(64, dtype=np.float32) + np.arange(64))
     with pytest.raises(ShapeError):
         tp.linear_probe(weights, "forecast", [(history, np.zeros(5))], epochs=1)
+    with pytest.raises(EmptySeriesError):
+        tp.linear_probe(weights, "forecast", [], epochs=1)
 
 
 def test_unfrozen_probe_is_fine_tuning():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import clone_weights
-from tinytsfm.data import Series
+from tinytsfm import probes, tasks
+from tinytsfm.data import Series, synth_sine
 from tinytsfm.errors import (
     ConfigError,
     EmptySeriesError,
@@ -16,7 +17,14 @@ from tinytsfm.errors import (
     ShapeError,
     StratificationError,
 )
-from tinytsfm.model import ModelConfig, attach_forecast_head, init_weights, named_config
+from tinytsfm.model import (
+    ModelConfig,
+    attach_forecast_head,
+    init_weights,
+    model_forward,
+    named_config,
+)
+from tinytsfm.pretrain import _prepare_series
 from tinytsfm.tasks import (
     IMPUTE_RATIOS,
     SVM_C_GRID,
@@ -352,3 +360,64 @@ def test_stratified_holdout_covers_every_class():
     assert len(np.intersect1d(fit_idx, val_idx)) == 0
     again = _stratified_holdout(labels, seed=13)
     assert np.array_equal(fit_idx, again[0]) and np.array_equal(val_idx, again[1])
+
+
+# ------------------------------------------------------------------ window preparation
+
+
+def near_flat(length, gap=None):
+    """3 + N(0, 1e-3^2): a spread far below a revin_eps of 0.5."""
+    rng = np.random.default_rng(11)
+    observed = np.ones(length, dtype=bool)
+    if gap is not None:
+        observed[gap] = False
+    values = (3.0 + 1e-3 * rng.normal(size=length)).astype(np.float32)
+    return Series(values=values, observed=observed, name="flat")
+
+
+def adapter_cases(weights):
+    """adapter -> (series whose training window equals the adapter's first
+    encoder input, call that runs the adapter)."""
+    flat = near_flat(64, gap=slice(20, 28))
+    history = near_flat(56)
+    masked_tail = Series(
+        values=np.concatenate([history.values, np.zeros(8, dtype=np.float32)]),
+        observed=np.concatenate([history.observed, np.zeros(8, dtype=bool)]),
+    )
+    flat_sine = synth_sine("frequency", 0.0, length=64, noise=1e-3, seed=0)
+    return {
+        "embed_series": (flat, lambda: embed_series(weights, [flat])),
+        "zero_shot_impute": (flat, lambda: zero_shot_impute(weights, flat)),
+        "detect_anomalies": (flat, lambda: detect_anomalies(weights, flat)),
+        "zero_shot_short_forecast": (
+            masked_tail, lambda: zero_shot_short_forecast(weights, history, 8)
+        ),
+        "long_forecast": (flat, lambda: long_forecast(weights, flat, 8)),
+        "frequency_error_curve": (
+            flat_sine,
+            lambda: probes.frequency_error_curve(weights, grid=[0.0, 1.0], noise=1e-3),
+        ),
+    }
+
+
+@pytest.mark.parametrize("adapter", [
+    "embed_series", "zero_shot_impute", "detect_anomalies",
+    "zero_shot_short_forecast", "long_forecast", "frequency_error_curve",
+])
+def test_adapters_normalize_with_the_training_revin_eps(monkeypatch, adapter):
+    cfg = ModelConfig(seq_len=64, patch_len=8, d_model=16, n_layers=1,
+                      n_heads=2, d_ff=32, revin_eps=0.5)
+    weights = attach_forecast_head(init_weights(cfg, seed=3), horizon=8)
+    seen = []
+
+    def spy(w, x_norm, plan, attn_sink=None):
+        seen.append(np.array(x_norm, copy=True))
+        return model_forward(w, x_norm, plan, attn_sink)
+
+    monkeypatch.setattr(tasks, "model_forward", spy)
+    monkeypatch.setattr(probes, "model_forward", spy)
+    series, run = adapter_cases(weights)[adapter]
+    run()
+    want = _prepare_series([series], cfg)[0][0]
+    assert np.abs(want).max() < 0.01  # the eps floor, not the tiny spread, scales it
+    np.testing.assert_array_equal(seen[0].reshape(want.shape), want)
