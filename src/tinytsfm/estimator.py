@@ -88,7 +88,8 @@ class MaskedSeriesModel(Estimator):
 
     def probe_forecast_head(self, pairs, horizon, epochs=1, freeze=True, lr_scale=1.0):
         """Attach (if needed) and linear-probe a forecasting head on
-        (history Series, target vector) pairs."""
+        (history Series, target vector) pairs for `epochs` epochs; the
+        model's `total_steps` does not cap a probe."""
         check_fitted(self, "weights_")
         if self.weights_.horizon != horizon:
             attach_forecast_head(self.weights_, horizon, seed=self.seed)

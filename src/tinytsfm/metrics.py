@@ -31,6 +31,11 @@ class ScoredSeries:
             )
         if not np.isin(raw, (0, 1)).all():
             raise ShapeError("labels must be binary")
+        nan = np.flatnonzero(np.isnan(self.scores))
+        if nan.size:
+            raise UndefinedMetricError(
+                f"score at index {nan[0]} is NaN; ranking metrics need ordered scores"
+            )
         self.labels = raw.astype(np.int64)
 
 
@@ -113,14 +118,16 @@ def spearman_rho(a, b):
 # ------------------------------------------------------------------ detection
 
 
+def _segment_bounds(labels):
+    """Alternating start and one-past-end indices of each contiguous run of 1s."""
+    arr = np.asarray(labels).astype(bool)
+    return np.flatnonzero(np.diff(np.concatenate([[False], arr, [False]]).astype(int)))
+
+
 def label_segments(labels):
     """Inclusive (start, end) index pairs of each contiguous run of 1s."""
-    arr = np.asarray(labels).astype(bool)
-    padded = np.concatenate([[False], arr, [False]]).astype(int)
-    diff = np.diff(padded)
-    starts = np.flatnonzero(diff == 1)
-    ends = np.flatnonzero(diff == -1) - 1
-    return list(zip(starts.tolist(), ends.tolist()))
+    bounds = _segment_bounds(labels)
+    return list(zip(bounds[::2].tolist(), (bounds[1::2] - 1).tolist()))
 
 
 def adjusted_best_f1(scores, labels=None):
@@ -129,27 +136,32 @@ def adjusted_best_f1(scores, labels=None):
     Point adjustment: if any timestep inside a true anomaly segment is
     flagged, the whole segment counts as detected. All-negative labels give
     0 by convention (with a warning).
+
+    So a segment is detected at threshold theta exactly when its maximum
+    score is >= theta, and the counts for every threshold come from one
+    sort each: fp(theta) is the number of negative points scoring >= theta,
+    tp(theta) the total length of segments whose maximum is >= theta, and
+    fn(theta) = P - tp(theta) for P positive points. F1 is
+    2tp / (2tp + fp + fn), maximised over the unique scores.
     """
     s, lab = _score_label_pair(scores, labels)
     positives = lab.astype(bool)
     if not positives.any():
         warnings.warn("adjusted_best_f1 over all-negative labels is 0 by convention")
         return 0.0
-    segments = label_segments(lab)
-    best = 0.0
-    for theta in np.unique(s):
-        pred = s >= theta
-        adjusted = pred.copy()
-        for a, b in segments:
-            if adjusted[a:b + 1].any():
-                adjusted[a:b + 1] = True
-        tp = int(np.sum(adjusted & positives))
-        fp = int(np.sum(adjusted & ~positives))
-        fn = int(np.sum(~adjusted & positives))
-        denom = 2 * tp + fp + fn
-        if denom > 0:
-            best = max(best, 2.0 * tp / denom)
-    return best
+    # The appended element keeps a one-past-end of n in reduceat's range; it
+    # only ever joins a gap's maximum, and [::2] keeps the segments' maxima.
+    bounds = _segment_bounds(lab)
+    seg_max = np.maximum.reduceat(np.append(s, -np.inf), bounds)[::2]
+    order = np.argsort(seg_max)
+    seg_len = (bounds[1::2] - bounds[::2])[order]
+    missed_len = np.concatenate([[0], np.cumsum(seg_len)])
+    negatives = np.sort(s[~positives])
+    thresholds = np.unique(s)
+    fp = len(negatives) - np.searchsorted(negatives, thresholds, side="left")
+    fn = missed_len[np.searchsorted(seg_max[order], thresholds, side="left")]
+    tp = missed_len[-1] - fn
+    return float((2.0 * tp / (2 * tp + fp + fn)).max())
 
 
 def _concordance_auc(scores, weights):

@@ -384,6 +384,9 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
     A frozen encoder runs with no tape open, so only the head is recorded
     and differentiated: the forecast probe encodes every window once, the
     reconstruction probe once per step (its masks change every step).
+
+    The step budget is `epochs` alone, epochs x ceil(n / cfg.batch_size)
+    steps: cfg.epochs and cfg.total_steps are ignored.
     """
     if head_kind not in HEAD_KINDS:
         raise ConfigError(f"unknown head kind {head_kind!r}; choose from {HEAD_KINDS}")

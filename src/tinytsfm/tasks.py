@@ -166,6 +166,15 @@ def detect_anomalies(weights, x, spec=None):
     proc = downsample(x, spec.downsample_threshold, spec.downsample_factor)
     cfg = weights.config
     vs, obs, spans = _window_grid(proc.values, proc.observed, cfg.seq_len)
+    empty = np.flatnonzero(~obs.any(axis=1))
+    if empty.size:
+        w = int(empty[0])
+        lo, hi, _ = spans[w]
+        where = " of the downsampled series" if proc is not x else ""
+        raise EmptySeriesError(
+            f"series {x.name!r}: window {w} (steps [{lo}, {hi}){where}) "
+            f"has no observed step"
+        )
     norm, pobs, stats = prepare_windows(cfg, vs, obs)
     patch_group = np.arange(cfg.n_patches) % spec.mask_rounds
     recon_full = np.zeros_like(vs)
@@ -250,6 +259,12 @@ def embed_series(weights, collection):
     labels never enter the embedding stage."""
     cfg = weights.config
     vals, obs = fit_windows(collection, cfg.seq_len)
+    empty = np.flatnonzero(~obs.any(axis=1))
+    if empty.size:
+        raise EmptySeriesError(
+            f"series {collection[empty[0]].name!r} has no observed step "
+            f"in its {cfg.seq_len}-step window"
+        )
     norm, plan, _ = prepare_windows(cfg, vals, obs)
     hidden, _ = model_forward(weights, norm, plan)
     return sequence_representation(hidden, nonpadded_patches(obs, cfg.patch_len))

@@ -1,6 +1,8 @@
 """Metric tests: pinned example values, invariance properties, and
 independent brute-force oracle twins for the ranking metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,24 @@ def test_scored_series_validation():
     assert mx.roc_auc(s) == 1.0
 
 
+@pytest.mark.parametrize(
+    "metric", [mx.roc_auc, mx.vus_roc, mx.adjusted_best_f1, mx.ScoredSeries]
+)
+def test_nan_scores_are_refused_with_their_index(metric):
+    # NaN sorts above every score: unrefused, each metric would read 1.0 here.
+    with pytest.raises(UndefinedMetricError, match="index 1 is NaN"):
+        metric([0.1, np.nan, 0.9, 0.3], [0, 1, 1, 0])
+
+
+def test_infinite_scores_still_rank():
+    scores = [-np.inf, np.inf, 0.9, 0.3]
+    labels = [0, 1, 1, 0]
+    assert mx.roc_auc(scores, labels) == 1.0
+    assert mx.vus_roc(scores, labels, max_buffer=0) == 1.0
+    assert mx.adjusted_best_f1(scores, labels) == 1.0
+    assert mx.adjusted_best_f1([np.inf, -np.inf, 0.0], [0, 1, 0]) == 0.5
+
+
 def test_label_segments():
     assert mx.label_segments([0, 1, 1, 0, 0]) == [(1, 2)]
     assert mx.label_segments([1, 0, 1, 1, 1]) == [(0, 0), (2, 4)]
@@ -186,6 +206,13 @@ def test_label_segments():
 def test_adjusted_best_f1_point_adjustment_example():
     got = mx.adjusted_best_f1([0.2, 0.9, 0.1, 0.3, 0.0], [0, 1, 1, 0, 0])
     assert got == 1.0
+    # Segments at both ends.
+    labels = [1, 1, 0, 0, 0, 1]
+    assert mx.adjusted_best_f1([0.0, 0.9, 0.1, 0.2, 0.1, 0.3], labels) == 1.0
+    # The first segment peaks at 0.8 and the last at 0.3, below all three
+    # negatives, so best F1 detects only the first: 2*2 / (2*2 + 0 + 1).
+    assert mx.adjusted_best_f1([0.8, 0.0, 0.5, 0.4, 0.35, 0.3], labels) == 0.8
+    assert mx.adjusted_best_f1([0.3, 0.2, 0.1], [1, 1, 1]) == 1.0
 
 
 def test_adjusted_best_f1_perfect_detector():
@@ -209,6 +236,91 @@ def test_adjusted_best_f1_matches_independent_oracle():
         got = mx.adjusted_best_f1(scores, labels)
         want = oracle_adjusted_best_f1(scores, labels)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def reference_adjusted_best_f1(scores, labels=None):
+    """The per-threshold rescan that adjusted_best_f1 replaced, kept verbatim
+    as the reference its counting kernel must equal exactly."""
+    s, lab = mx._score_label_pair(scores, labels)
+    positives = lab.astype(bool)
+    if not positives.any():
+        warnings.warn("adjusted_best_f1 over all-negative labels is 0 by convention")
+        return 0.0
+    segments = mx.label_segments(lab)
+    best = 0.0
+    for theta in np.unique(s):
+        pred = s >= theta
+        adjusted = pred.copy()
+        for a, b in segments:
+            if adjusted[a:b + 1].any():
+                adjusted[a:b + 1] = True
+        tp = int(np.sum(adjusted & positives))
+        fp = int(np.sum(adjusted & ~positives))
+        fn = int(np.sum(~adjusted & positives))
+        denom = 2 * tp + fp + fn
+        if denom > 0:
+            best = max(best, 2.0 * tp / denom)
+    return best
+
+
+def _segment_labels(rng, n, mean_gap, mean_len):
+    """Binary labels of alternating geometric gaps and segments; the first
+    segment may start at index 0 and the last may run to index n - 1."""
+    labels = np.zeros(n, dtype=np.int64)
+    t = int(rng.geometric(1.0 / mean_gap)) - 1
+    while t < n:
+        length = int(rng.geometric(1.0 / mean_len))
+        labels[t:t + length] = 1
+        t += length + int(rng.geometric(1.0 / mean_gap))
+    return labels
+
+
+F1_CASE_KINDS = (
+    "plain", "ties", "inf", "short-segments", "edges", "single-point",
+    "all-positive", "two-levels",
+)
+
+
+def _f1_case(rng, kind, n):
+    if kind == "short-segments":
+        labels = _segment_labels(rng, n, mean_gap=3.0, mean_len=1.5)
+    elif kind == "single-point":
+        labels = _segment_labels(rng, n, mean_gap=6.0, mean_len=1.0)
+    elif kind == "all-positive":
+        labels = np.ones(n, dtype=np.int64)
+    else:
+        labels = _segment_labels(rng, n, mean_gap=40.0, mean_len=8.0)
+    if kind == "edges":
+        labels[0] = labels[-1] = 1
+    if labels.sum() == 0:
+        labels[rng.integers(n)] = 1
+    scores = rng.normal(size=n)
+    if kind == "ties":
+        scores = rng.integers(0, 6, size=n).astype(np.float64)
+    elif kind == "two-levels":
+        scores = rng.choice([0.0, 1.0], size=n)
+    elif kind == "inf":
+        scores[rng.random(n) < 0.05] = np.inf
+        scores[rng.random(n) < 0.05] = -np.inf
+    return scores, labels
+
+
+@pytest.mark.parametrize("kind", F1_CASE_KINDS)
+def test_adjusted_best_f1_equals_per_threshold_reference(kind):
+    """200 seeded cases: the sort-and-count kernel returns exactly the float
+    the per-threshold rescan returns. Most cases are short; every fifth is
+    6,000 points with scores rounded to 0.1 (heavy ties) so the reference
+    stays quick, except one plain and one all-positive case with 6,000
+    unique scores."""
+    rng = np.random.default_rng(F1_CASE_KINDS.index(kind))
+    for i in range(25):
+        n = 6000 if i % 5 == 0 else int(rng.integers(1, 400))
+        scores, labels = _f1_case(rng, kind, n)
+        if n == 6000 and not (i == 0 and kind in ("plain", "all-positive")):
+            scores = np.round(scores, 1)
+        got = mx.adjusted_best_f1(scores, labels)
+        want = reference_adjusted_best_f1(scores, labels)
+        assert got == want, f"{kind} case {i} (n={n}): {got} != {want}"
 
 
 def test_adjusted_best_f1_dominates_plain_best_f1():

@@ -184,6 +184,25 @@ def test_detect_downsamples_long_series(tiny_untrained):
     assert result.scores.shape == (500,)
 
 
+@pytest.mark.parametrize("length, gap, where", [
+    (200, (64, 128), ""),
+    # 3,000 steps are downsampled 10x, so the gap covers processed steps 64-127.
+    (3000, (640, 1280), " of the downsampled series"),
+])
+def test_detect_names_the_series_and_window_with_no_observed_step(
+    small_weights, length, gap, where
+):
+    observed = np.ones(length, dtype=bool)
+    observed[gap[0]:gap[1]] = False
+    x = Series(values=noisy_series(length, seed=12).values, observed=observed,
+               name="gappy")
+    with pytest.raises(EmptySeriesError) as err:
+        detect_anomalies(small_weights, x, AnomalySpec(window=64))
+    assert str(err.value) == (
+        f"series 'gappy': window 1 (steps [64, 128){where}) has no observed step"
+    )
+
+
 def test_detect_window_must_match_model(small_weights):
     with pytest.raises(ConfigError):
         detect_anomalies(small_weights, noisy_series(64), AnomalySpec(window=512))
@@ -319,6 +338,13 @@ def test_embed_series_shape_and_determinism(small_weights):
     assert np.array_equal(reps, embed_series(small_weights, series))
     with pytest.raises(EmptySeriesError):
         embed_series(small_weights, [])
+
+
+def test_embed_series_names_an_all_unobserved_series(small_weights):
+    blank = Series(values=np.zeros(80, dtype=np.float32),
+                   observed=np.zeros(80, dtype=bool), name="blank")
+    with pytest.raises(EmptySeriesError, match="series 'blank' has no observed step"):
+        embed_series(small_weights, [noisy_series(80), blank])
 
 
 def test_embedding_stage_never_sees_labels():
