@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,6 +87,7 @@ COMMAND_OPTIONS = {
         ("horizon", 16, dict(type=int)),
         ("epochs", 1, dict(type=int)),
         ("batch_size", 64, dict(type=int)),
+        ("mask_ratio", 0.30, dict(type=float)),
         ("lr_init", 1e-4, dict(type=float)),
         ("lr_final", 1e-5, dict(type=float)),
         ("unfreeze", False, dict(action="store_true")),
@@ -143,6 +145,7 @@ COMMAND_OPTIONS = {
 
 
 def build_parser():
+    """A fresh argparse parser for every command in COMMAND_OPTIONS."""
     parser = argparse.ArgumentParser(
         prog="tinytsfm",
         description="Masked time-series modeling: pre-training, task "
@@ -157,6 +160,10 @@ def build_parser():
         for name, _, kwargs in options:
             p.add_argument(f"--{name.replace('_', '-')}", default=None, **kwargs)
     return parser
+
+
+# parsing leaves the parser unchanged, so dispatch builds it only once
+_parser = lru_cache(maxsize=1)(build_parser)
 
 
 # ------------------------------------------------------------------ run config
@@ -277,7 +284,7 @@ def _model_config_arg(value):
 
 def _train_config(rc):
     return PretrainConfig(
-        mask_ratio=rc.get("mask_ratio", 0.30),
+        mask_ratio=rc["mask_ratio"],
         batch_size=rc["batch_size"],
         epochs=rc["epochs"],
         total_steps=rc.get("steps"),
@@ -537,9 +544,8 @@ COMMANDS = {
 
 def dispatch(argv=None):
     """Parse argv, run one command, return the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:

@@ -16,7 +16,11 @@ from .model import left_pad
 
 @dataclass
 class Series:
-    """A univariate series with an observation mask and optional metadata."""
+    """A univariate series with an observation mask and optional metadata.
+
+    Every observed value must be finite (else ParseError naming the series
+    and the first bad index); values under unobserved steps are not checked.
+    """
 
     values: np.ndarray
     observed: np.ndarray = None
@@ -36,6 +40,13 @@ class Series:
         if self.observed.shape != self.values.shape:
             raise ShapeError(
                 f"observed mask length {self.observed.shape} != values {self.values.shape}"
+            )
+        bad = self.observed & ~np.isfinite(self.values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParseError(
+                f"series {self.name!r}: observed value at index {i} is "
+                f"{float(self.values[i])!r}, not a finite float32"
             )
         if self.anomalies is not None:
             raw = np.asarray(self.anomalies)

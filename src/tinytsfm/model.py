@@ -212,8 +212,10 @@ def prepare_windows(config, values, observed):
 # ------------------------------------------------------------------ positions
 
 
+@lru_cache(maxsize=8)
 def sinusoidal_pe(n_positions, d_model):
-    """Absolute sinusoidal positional table [n_positions, d_model]."""
+    """Absolute sinusoidal positional table [n_positions, d_model]; cached,
+    so the returned array is shared and read-only."""
     if d_model % 2 != 0:
         raise ConfigError(f"sinusoidal positions need an even d_model, got {d_model}")
     pos = np.arange(n_positions, dtype=np.float64)[:, None]
@@ -222,6 +224,7 @@ def sinusoidal_pe(n_positions, d_model):
     pe = np.zeros((n_positions, d_model), dtype=np.float32)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe.setflags(write=False)
     return pe
 
 
@@ -372,9 +375,10 @@ def embed_patches(patches, plan, weights):
 def encoder_forward(embeddings, weights, attn_sink=None):
     """Pre-norm residual stack: x + Attn(norm(x)), then x + FF(norm(x)).
 
-    Attention logits are scaled by 1/sqrt(d_head) and receive a per-head
-    additive relative-position bias before the softmax. attn_sink, when a
-    list, collects each layer's attention weights as an ndarray.
+    Each attention block is one nc.attention node: logits scaled by
+    1/sqrt(d_head) plus a per-head additive relative-position bias, then the
+    softmax. attn_sink, when a list, collects each layer's attention weights
+    as an ndarray.
     """
     cfg = weights.config
     x = embeddings if isinstance(embeddings, nc.Tensor) else nc.Tensor(embeddings)
@@ -384,9 +388,6 @@ def encoder_forward(embeddings, weights, attn_sink=None):
     b, n, d = x.shape
     if d != cfg.d_model:
         raise ShapeError(f"embedding dim {d} != d_model {cfg.d_model}")
-    heads = cfg.n_heads
-    dh = d // heads
-    scale = nc.Tensor(np.float32(1.0 / math.sqrt(dh)))
     idx = _bucket_index_matrix(n, cfg.n_rel_buckets, cfg.rel_max_distance)
 
     def fold(v):
@@ -395,22 +396,14 @@ def encoder_forward(embeddings, weights, attn_sink=None):
     def unfold(v):
         return nc.reshape(v, (b, n, d))
 
-    def split_heads(v):
-        return nc.transpose(nc.reshape(v, (b, n, heads, dh)), (0, 2, 1, 3))
-
     for i in range(cfg.n_layers):
         lp = lambda name: weights.params[f"layers.{i}.{name}"]
         normed = nc.scale_norm(x, lp("norm1.gamma"))
-        q = split_heads(unfold(nc.matmul(fold(normed), lp("attn.wq"))))
-        k = split_heads(unfold(nc.matmul(fold(normed), lp("attn.wk"))))
-        v = split_heads(unfold(nc.matmul(fold(normed), lp("attn.wv"))))
-        scores = nc.mul(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), scale)
-        bias = nc.transpose(nc.gather_rows(lp("attn.rel_bias"), idx), (2, 0, 1))
-        attn = nc.softmax_lastdim(nc.add(scores, bias))
-        if attn_sink is not None:
-            attn_sink.append(attn.data)
-        ctx = nc.reshape(nc.transpose(nc.matmul(attn, v), (0, 2, 1, 3)), (b * n, d))
-        x = nc.add(x, unfold(nc.matmul(ctx, lp("attn.wo"))))
+        attn = nc.attention(
+            normed, lp("attn.wq"), lp("attn.wk"), lp("attn.wv"), lp("attn.wo"),
+            lp("attn.rel_bias"), idx, cfg.n_heads, sink=attn_sink,
+        )
+        x = nc.add(x, attn)
         normed2 = nc.scale_norm(x, lp("norm2.gamma"))
         ff = nc.matmul(nc.relu(nc.matmul(fold(normed2), lp("ff.w1"))), lp("ff.w2"))
         x = nc.add(x, unfold(ff))

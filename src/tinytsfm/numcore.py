@@ -5,9 +5,12 @@ Everything is float32 end to end. Ops record onto the innermost Tape the
 calling thread has open (a context manager) whenever any input requires
 gradients; with no tape open in that thread they run forward-only, which is
 the inference path. backward walks the tape exactly once in reverse, so
-recording order doubles as the topological order.
+recording order doubles as the topological order. The arithmetic, matmul
+and attention backwards return None for an operand that does not require
+gradients (a constant) instead of computing a gradient nobody reads.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -123,7 +126,10 @@ def add(a, b):
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _record(out, (a, b), bwd)
 
@@ -132,7 +138,10 @@ def sub(a, b):
     out = Tensor(a.data - b.data)
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            -_unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _record(out, (a, b), bwd)
 
@@ -147,8 +156,8 @@ def mul(a, b):
 
     def bwd(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _record(out, (a, b), bwd)
@@ -163,9 +172,12 @@ def matmul(a, b):
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        return ga, gb
 
     return _record(out, (a, b), bwd)
 
@@ -175,11 +187,23 @@ def relu(x):
     return _record(out, (x,), lambda g: (g * (x.data > 0),))
 
 
+def _row_softmax(z):
+    """Softmax over the last axis of the f32 array z, computed in place (z is
+    returned): max-subtraction, exp, then one reciprocal multiply per row.
+
+    fmax.reduce gives max's row maxima (a NaN row still ends up all NaN)
+    with a faster loop than max, and einsum sums short rows faster than sum.
+    """
+    z -= np.fmax.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    total = np.einsum("...i->...", z)[..., None]
+    z *= np.reciprocal(total, out=total)
+    return z
+
+
 def softmax_lastdim(x):
     """Row-wise softmax over the final axis, computed with max-subtraction."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _row_softmax(x.data.copy())
     out = Tensor(p)
 
     def bwd(g):
@@ -246,17 +270,72 @@ def mean_(x, axis=None, keepdims=False):
     return mul(sum_(x, axis=axis, keepdims=keepdims), Tensor(np.float32(1.0 / count)))
 
 
-def gather_rows(table, idx):
-    """out[...] = table[idx[...]] for an integer index array; scatter-add backward."""
+def attention(x, wq, wk, wv, wo, rel_bias, idx, n_heads, sink=None):
+    """Multi-head self-attention as one tape node: for x [B,N,D] returns
+    softmax(q k^T / sqrt(D/H) + bias) v, heads merged, times wo (the block
+    output before any residual add).
+
+    q, k and v come from one [D, 3D] product with wq|wk|wv. Head h's additive
+    bias is rel_bias[idx, h]: idx is an [N,N] array of bucket ids into the
+    [n_buckets, H] table. sink, when a list, receives the [B,H,N,N]
+    probabilities. The backward works from the saved probabilities, q, k, v
+    and context, and sums the bias gradient per bucket with one bincount.
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"attention expects [B,N,D] input, got {x.shape}")
+    b, n, d = x.shape
+    if d % n_heads != 0:
+        raise ShapeError(f"model dim {d} is not divisible by {n_heads} heads")
     idx = np.asarray(idx)
-    out = Tensor(table.data[idx])
+    if idx.shape != (n, n):
+        raise ShapeError(f"bucket index shape {idx.shape} != ({n}, {n})")
+    dh = d // n_heads
+    # the 1/sqrt(dh) logit scale is folded into wq: a [D,D] product, not [B,H,N,N]
+    scale = np.float32(1.0 / math.sqrt(dh))
+    w_qkv = np.concatenate([wq.data * scale, wk.data, wv.data], axis=1)
+    xf = x.data.reshape(b * n, d)
+    # [B*N, 3D] -> three [B,H,N,dh] views
+    q, k, v = (xf @ w_qkv).reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    p = q @ k.swapaxes(-1, -2)
+    p += np.ascontiguousarray(rel_bias.data[idx].transpose(2, 0, 1))
+    _row_softmax(p)
+    if sink is not None:
+        sink.append(p)
+    ctx = np.empty((b, n, n_heads, dh), dtype=np.float32)
+    ctx_h = ctx.transpose(0, 2, 1, 3)
+    np.matmul(p, v, out=ctx_h)
+    ctx = ctx.reshape(b * n, d)
+    out = Tensor((ctx @ wo.data).reshape(b, n, d))
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        gf = g.reshape(b * n, d)
+        g_ctx = (gf @ wo.data.T).reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((b, n, 3, n_heads, dh), dtype=np.float32)
+        g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(p.swapaxes(-1, -2), g_ctx, out=g_v)
+        # softmax backward p * (dp - rowsum(p * dp)); rowsum(p * dp) equals
+        # rowsum(g_ctx * ctx), which needs no [B,H,N,N] product
+        g_s = g_ctx @ v.swapaxes(-1, -2)
+        g_s -= np.einsum("bhnd,bhnd->bhn", g_ctx, ctx_h)[..., None]
+        g_s *= p
+        g_bias = None
+        if rel_bias.requires_grad:
+            n_buckets = rel_bias.data.shape[0]
+            key = idx[None] * n_heads + np.arange(n_heads)[:, None, None]
+            g_bias = np.bincount(key.ravel(), weights=g_s.sum(axis=0).ravel(),
+                                 minlength=n_buckets * n_heads)
+            g_bias = g_bias.reshape(n_buckets, n_heads).astype(np.float32)
+        np.matmul(g_s, k, out=g_q)
+        np.matmul(g_s.swapaxes(-1, -2), q, out=g_k)
+        g_qkv = g_qkv.reshape(b * n, 3 * d)
+        g_x = (g_qkv @ w_qkv.T).reshape(b, n, d) if x.requires_grad else None
+        g_w = xf.T @ g_qkv
+        g_w[:, :d] *= scale
+        g_wo = ctx.T @ gf if wo.requires_grad else None
+        return (g_x, *(g_w[:, j * d:(j + 1) * d] if w.requires_grad else None
+                       for j, w in enumerate((wq, wk, wv))), g_wo, g_bias)
 
-    return _record(out, (table,), bwd)
+    return _record(out, (x, wq, wk, wv, wo, rel_bias), bwd)
 
 
 def backward(loss, tape):

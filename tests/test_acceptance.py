@@ -107,9 +107,13 @@ def _primitive_trials(trial_seed):
     tr = _rand(rng, 2, 3, 4)
     su = _rand(rng, 4, 3)
     me = _rand(rng, 4, 3)
-    table = _rand(rng, 5, 3)
-    idx = rng.integers(0, 5, size=7)
-    r7 = _const(rng, 7, 3)
+    at_x = _rand(rng, 2, 3, 4)
+    # small projections keep the softmax off saturation, where f32 central
+    # differences lose the 1e-3 tolerance
+    at_w = {f"w{n}": nc.Tensor(0.25 * rng.standard_normal((4, 4)).astype(np.float32),
+                               requires_grad=True) for n in "qkvo"}
+    at_bias = _rand(rng, 5, 2)
+    idx = rng.integers(0, 5, size=(3, 3))
 
     cases = [
         ("add", {"a": a, "b": b},
@@ -137,8 +141,10 @@ def _primitive_trials(trial_seed):
                                        1, 3)))),
         ("mean_", {"me": me},
          lambda: nc.mean_(nc.mul(me, r43))),
-        ("gather_rows", {"table": table},
-         lambda: nc.sum_(nc.mul(nc.gather_rows(table, idx), r7))),
+        ("attention", {"x": at_x, **at_w, "rel_bias": at_bias},
+         lambda: nc.sum_(nc.mul(nc.attention(
+             at_x, at_w["wq"], at_w["wk"], at_w["wv"], at_w["wo"], at_bias, idx, 2),
+             r234))),
     ]
     worst = 0.0
     for _, params, loss_fn in cases:

@@ -563,3 +563,41 @@ def test_corrupt_checkpoint_exits_one_with_one_line_error(workdir, tmp_path, cap
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+def _recon_finetune(workdir, out, *extra):
+    code = dispatch(["finetune", "--ckpt", workdir["ckpt"], "--data", workdir["data"],
+                     "--out", out, "--head", "reconstruction", "--epochs", "2",
+                     "--batch-size", "2", "--lr-init", "1e-2", "--seed", "3", *extra])
+    assert code == 0
+    return tm.load_checkpoint(os.path.join(out, "checkpoint.json"))
+
+
+def test_finetune_mask_ratio_changes_the_reconstruction_head(workdir, tmp_path):
+    default = _recon_finetune(workdir, str(tmp_path / "default"))
+    explicit = _recon_finetune(workdir, str(tmp_path / "explicit"), "--mask-ratio", "0.3")
+    half = _recon_finetune(workdir, str(tmp_path / "half"), "--mask-ratio", "0.5")
+    head = "recon_head.weight"
+    assert np.array_equal(default.params[head].data, explicit.params[head].data)
+    assert not np.array_equal(default.params[head].data, half.params[head].data)
+    assert read_report(str(tmp_path / "half"))["config_hash"] != \
+        read_report(str(tmp_path / "default"))["config_hash"]
+
+
+def test_repeated_dispatches_parse_independently(workdir, tmp_path, capsys,
+                                                 monkeypatch):
+    # the parser is built once; one call's options must not leak into the next
+    monkeypatch.delenv("MOMENT_MINI_SEED", raising=False)
+    common = ["impute", "--ckpt", workdir["ckpt"], "--data", workdir["data"], "--out"]
+    runs = {name: str(tmp_path / name) for name in ("a", "b", "c")}
+    assert dispatch(common + [runs["a"], "--ratio", "0.5", "--seed", "4"]) == 0
+    assert dispatch(common + [runs["b"]]) == 0
+    assert dispatch(common + [str(tmp_path / "bad"), "--ratio", "oops"]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert dispatch(common + [runs["c"]]) == 0
+    a, b, c = (read_report(path) for path in runs.values())
+    assert (a["metrics"]["ratio"], a["seed"]) == (0.5, 4)
+    assert (b["metrics"]["ratio"], b["seed"]) == (0.25, 13)
+    assert a["metrics"]["mse"] != b["metrics"]["mse"]
+    del b["config_hash"], c["config_hash"]  # the hash covers --out
+    assert b == c

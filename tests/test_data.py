@@ -28,6 +28,29 @@ def test_series_validates_lengths():
         td.Series(values=np.zeros(3), anomalies=np.array([0, 2, 1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+def test_series_refuses_non_finite_observed_values(bad):
+    # 1e39 is finite in float64 but overflows float32 to inf
+    v = np.arange(200, dtype=np.float64)
+    v[100] = bad
+    v[150] = np.nan  # only the first bad index is named
+    with np.errstate(over="ignore"), pytest.raises(ParseError) as info:
+        td.Series(values=v, name="sensor-7")
+    message = str(info.value)
+    assert "'sensor-7'" in message and "index 100" in message
+
+
+def test_series_leaves_unobserved_values_unchecked():
+    v = np.arange(6, dtype=np.float32)
+    v[[1, 4]] = (np.nan, np.inf)
+    obs = np.ones(6, dtype=bool)
+    obs[[1, 4]] = False
+    s = td.Series(values=v, observed=obs, name="gappy")
+    assert np.isnan(s.values[1]) and s.observed.sum() == 4
+    with pytest.raises(ParseError, match="'gappy'.*index 4"):
+        td.Series(values=v, observed=obs | (np.arange(6) == 4), name="gappy")
+
+
 def test_split_spec_validation():
     with pytest.raises(ConfigError):
         td.SplitSpec(fractions=(0.5, 0.2, 0.2))

@@ -183,6 +183,14 @@ def test_sinusoidal_pe_values():
         tm.sinusoidal_pe(8, 5)
 
 
+def test_sinusoidal_pe_is_cached_read_only():
+    pe = tm.sinusoidal_pe(16, 6)
+    assert tm.sinusoidal_pe(16, 6) is pe
+    assert not pe.flags.writeable
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+
+
 def test_relative_bucket_exact_region():
     for n in range(8):
         assert tm.relative_bucket(-n) == n
@@ -366,6 +374,79 @@ def test_encoder_relative_bias_shifts_attention():
     diag = np.einsum("bhii->bhi", sink_biased[0])
     assert np.all(diag > 0.99)
     assert not np.allclose(sink_flat[0], sink_biased[0])
+
+
+def reference_attention(x, wq, wk, wv, wo, rel_bias, idx, n_heads, sink=None):
+    """The primitive chain encoder_forward ran before nc.attention, kept as
+    the oracle for the fused primitive. The bias lookup is a one-hot matmul:
+    exact in f32, and its gradient is the same per-bucket sum."""
+    b, n, d = x.shape
+    dh = d // n_heads
+    scale = nc.Tensor(np.float32(1.0 / math.sqrt(dh)))
+
+    def fold(v):
+        return nc.reshape(v, (b * n, d))
+
+    def unfold(v):
+        return nc.reshape(v, (b, n, d))
+
+    def split_heads(v):
+        return nc.transpose(nc.reshape(v, (b, n, n_heads, dh)), (0, 2, 1, 3))
+
+    q = split_heads(unfold(nc.matmul(fold(x), wq)))
+    k = split_heads(unfold(nc.matmul(fold(x), wk)))
+    v = split_heads(unfold(nc.matmul(fold(x), wv)))
+    scores = nc.mul(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), scale)
+    onehot = np.eye(rel_bias.shape[0], dtype=np.float32)[np.asarray(idx).reshape(-1)]
+    table = nc.reshape(nc.matmul(nc.Tensor(onehot), rel_bias), (n, n, n_heads))
+    attn = nc.softmax_lastdim(nc.add(scores, nc.transpose(table, (2, 0, 1))))
+    if sink is not None:
+        sink.append(attn.data)
+    ctx = nc.reshape(nc.transpose(nc.matmul(attn, v), (0, 2, 1, 3)), (b * n, d))
+    return unfold(nc.matmul(ctx, wo))
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30))
+
+
+def _encoder_run(w, e, wout):
+    """hidden, attention sink and every gradient of one encoder pass."""
+    nc.zero_grads(w.params)
+    e.grad = None
+    sink = []
+    with nc.Tape() as tape:
+        h = tm.encoder_forward(e, w, attn_sink=sink)
+        loss = nc.mean_(nc.mul(h, wout))
+    nc.backward(loss, tape)
+    grads = {name: p.grad.copy() for name, p in w.params.items() if p.grad is not None}
+    grads["embeddings"] = e.grad.copy()
+    return h.data.copy(), sink, grads
+
+
+@pytest.mark.parametrize("name", ["tiny", "small"])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_fused_attention_matches_reference_chain(monkeypatch, name, batch):
+    cfg = tm.named_config(name)
+    w = tm.init_weights(cfg, seed=21)
+    rng = rng_for(22)
+    for i in range(cfg.n_layers):  # the init bias is zero; make it matter
+        w.params[f"layers.{i}.attn.rel_bias"].data[:] = rng.normal(
+            size=(cfg.n_rel_buckets, cfg.n_heads))
+    e = nc.Tensor(rng.normal(size=(batch, cfg.n_patches, cfg.d_model)), requires_grad=True)
+    wout = nc.Tensor(rng.normal(size=e.shape))
+    fused = _encoder_run(w, e, wout)
+    monkeypatch.setattr(nc, "attention", reference_attention)
+    ref = _encoder_run(w, e, wout)
+    assert _rel_err(fused[0], ref[0]) <= 1e-6
+    assert len(fused[1]) == len(ref[1]) == cfg.n_layers
+    for got, want in zip(fused[1], ref[1]):
+        assert got.shape == (batch, cfg.n_heads, cfg.n_patches, cfg.n_patches)
+        assert _rel_err(got, want) <= 1e-6
+    assert set(fused[2]) == set(ref[2])
+    assert "layers.0.attn.rel_bias" in fused[2]
+    for key, want in ref[2].items():
+        assert _rel_err(fused[2][key], want) <= 1e-5, key
 
 
 def test_encoder_raises_numeric_error_naming_layer():

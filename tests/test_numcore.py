@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from gradcheck import check_grads, finite_difference_grads, max_rel_err
+from tinytsfm import model as tm
 from tinytsfm import numcore as nc
 from tinytsfm.errors import ContractError, ShapeError, TrainingError
+from tinytsfm.pretrain import masked_mse_loss
 
 
 def t(x, grad=False):
@@ -177,6 +179,54 @@ def test_tape_records_only_its_own_thread():
     assert not nc.mul(x, x).requires_grad  # no tape open in this thread
 
 
+def _gradient_slots(tape):
+    """(requires_grad, got a gradient) for every input of every tape node,
+    calling each node's backward on a ones cotangent."""
+    return [
+        (inp.requires_grad, gi is not None)
+        for out, inputs, bwd in tape._nodes
+        for inp, gi in zip(inputs, bwd(np.ones_like(out.data)))
+    ]
+
+
+def test_constant_operands_get_no_backward_work():
+    rng = np.random.default_rng(9)
+    a = t(rng.normal(size=(3, 4)), grad=True)
+    m = t(rng.normal(size=(4, 2)), grad=True)
+    c = t(rng.normal(size=(3, 4)))
+    k = t(rng.normal(size=(2, 3)))
+    w = t(rng.normal(size=(2, 2)))
+    with nc.Tape() as tape:
+        prod = nc.mul(c, nc.mul(a, c))
+        out = nc.matmul(k, nc.matmul(prod, m))
+        loss = nc.sum_(nc.mul(out, w))
+    slots = _gradient_slots(tape)
+    assert (False, True) not in slots  # no constant received a gradient
+    assert (True, False) not in slots  # every live input did
+    assert slots.count((False, False)) == 4  # c twice, k and w
+    nc.backward(loss, tape)
+    g_inner = k.data.T @ w.data  # d loss / d (prod @ m)
+    np.testing.assert_allclose(m.grad, prod.data.T @ g_inner, rtol=1e-5)
+    np.testing.assert_allclose(a.grad, (g_inner @ m.data.T) * c.data * c.data, rtol=1e-5)
+
+
+def test_model_step_constants_get_no_gradient():
+    rng = np.random.default_rng(10)
+    weights = tm.init_weights(tm.named_config("tiny", seq_len=64), seed=1)
+    x = rng.normal(size=(3, 64)).astype(np.float32)
+    plan = (rng.random((3, 8)) > 0.3).astype(np.uint8)
+    with nc.Tape() as tape:
+        _, recon = tm.model_forward(weights, x, plan)
+        loss = masked_mse_loss(x, recon, plan)
+    slots = _gradient_slots(tape)
+    # the patch input, keep/drop masks, positions, targets and mean scale
+    assert slots.count((False, False)) >= 5
+    assert (False, True) not in slots and (True, False) not in slots
+    assert len(tape) == 26  # one attention node stands for the whole block
+    nc.backward(loss, tape)
+    assert all(p.grad is not None for p in weights.params.values())
+
+
 # ------------------------------------------------------- FD checks per primitive
 
 
@@ -274,13 +324,35 @@ def test_fd_sum_axis_keepdims():
     check_grads(lambda: _weighted_mean_loss(nc.sum_(x, axis=1, keepdims=True), w), {"x": x})
 
 
-def test_fd_gather_rows_with_repeats():
+def test_fd_attention():
     rng = np.random.default_rng(19)
-    for _ in range(8):
-        table = t(rng.normal(size=(5, 3)), grad=True)
-        idx = rng.integers(0, 5, size=(4, 4))  # repeats exercise scatter-add
-        w = t(rng.normal(size=(4, 4, 3)))
-        check_grads(lambda: _weighted_mean_loss(nc.gather_rows(table, idx), w), {"t": table})
+    for trial in range(6):
+        b, n, heads, dh = 1 + trial % 2, 3 + trial % 2, 1 + trial % 2, 2
+        d = heads * dh
+        x = t(rng.normal(size=(b, n, d)), grad=True)
+        ws = {name: t(rng.normal(size=(d, d)) * 0.7, grad=True)
+              for name in ("wq", "wk", "wv", "wo")}
+        rel_bias = t(rng.normal(size=(5, heads)), grad=True)
+        idx = rng.integers(0, 5, size=(n, n))  # repeats exercise the per-bucket sum
+        w = t(rng.normal(size=(b, n, d)))
+
+        def loss():
+            out = nc.attention(x, ws["wq"], ws["wk"], ws["wv"], ws["wo"],
+                               rel_bias, idx, heads)
+            return _weighted_mean_loss(out, w)
+
+        check_grads(loss, {"x": x, **ws, "rel_bias": rel_bias})
+
+
+def test_attention_rejects_bad_shapes():
+    w = t(np.zeros((4, 4)))
+    bias = t(np.zeros((5, 2)))
+    with pytest.raises(ShapeError):
+        nc.attention(t(np.zeros((3, 4))), w, w, w, w, bias, np.zeros((3, 3), int), 2)
+    with pytest.raises(ShapeError):
+        nc.attention(t(np.zeros((1, 3, 4))), w, w, w, w, bias, np.zeros((3, 3), int), 3)
+    with pytest.raises(ShapeError):
+        nc.attention(t(np.zeros((1, 3, 4))), w, w, w, w, bias, np.zeros((2, 3), int), 2)
 
 
 def test_fd_two_layer_mlp():
