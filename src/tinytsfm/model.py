@@ -389,13 +389,6 @@ def encoder_forward(embeddings, weights, attn_sink=None):
     if d != cfg.d_model:
         raise ShapeError(f"embedding dim {d} != d_model {cfg.d_model}")
     idx = _bucket_index_matrix(n, cfg.n_rel_buckets, cfg.rel_max_distance)
-
-    def fold(v):
-        return nc.reshape(v, (b * n, d))
-
-    def unfold(v):
-        return nc.reshape(v, (b, n, d))
-
     for i in range(cfg.n_layers):
         lp = lambda name: weights.params[f"layers.{i}.{name}"]
         normed = nc.scale_norm(x, lp("norm1.gamma"))
@@ -405,8 +398,8 @@ def encoder_forward(embeddings, weights, attn_sink=None):
         )
         x = nc.add(x, attn)
         normed2 = nc.scale_norm(x, lp("norm2.gamma"))
-        ff = nc.matmul(nc.relu(nc.matmul(fold(normed2), lp("ff.w1"))), lp("ff.w2"))
-        x = nc.add(x, unfold(ff))
+        hidden = nc.relu(nc.matmul(nc.reshape(normed2, (b * n, d)), lp("ff.w1")))
+        x = nc.add(x, nc.reshape(nc.matmul(hidden, lp("ff.w2")), (b, n, d)))
         if not np.all(np.isfinite(x.data)):
             raise NumericError(f"non-finite activation after layer {i}")
     return nc.reshape(x, (n, d)) if single else x
