@@ -28,6 +28,7 @@ from .baselines import naive_forecast
 from .data import Series, load_classes, load_csv, load_labels, save_csv
 from .errors import ConfigError, ParseError, TsfmError, UndefinedMetricError
 from .model import (
+    ENCODE_CHUNK,
     ModelConfig,
     attach_forecast_head,
     init_weights,
@@ -216,7 +217,10 @@ def resolve_run_config(args):
 
 
 def config_hash(run_config):
-    canonical = json.dumps(run_config, sort_keys=True, default=str)
+    # --workers cannot change any output, so it is left out: runs that differ
+    # only in it write byte-identical reports
+    hashed = {k: v for k, v in run_config.items() if k != "workers"}
+    canonical = json.dumps(hashed, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
@@ -257,11 +261,16 @@ def load_series_arg(path):
 
 
 def map_series(fn, items, workers):
-    """Order-preserving map, optionally across a thread pool."""
+    """fn over consecutive groups of ENCODE_CHUNK items, each group returning
+    one result per item; the results in item order. The groups are fixed, so
+    `workers` (threads, each running whole groups) cannot change a result."""
+    groups = [items[lo:lo + ENCODE_CHUNK] for lo in range(0, len(items), ENCODE_CHUNK)]
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+            results = list(pool.map(fn, groups))
+    else:
+        results = [fn(group) for group in groups]
+    return [row for rows in results for row in rows]
 
 
 def _model_config_arg(value):
@@ -359,23 +368,24 @@ def cmd_forecast(rc):
     weights = load_checkpoint(rc["ckpt"])
     dataset = load_series_arg(rc["data"])
     horizon = rc["horizon"]
+    adapter = long_forecast if rc["mode"] == "probed-head" else zero_shot_short_forecast
 
-    def one(series):
-        history, truth = _forecast_split(series, horizon)
-        if rc["mode"] == "probed-head":
-            fc = long_forecast(weights, history, horizon)
-        else:
-            fc = zero_shot_short_forecast(weights, history, horizon)
-        naive = naive_forecast(history, horizon)
-        return {
-            "name": series.name,
-            "mse": mx.mse(truth, fc.values),
-            "mae": mx.mae(truth, fc.values),
-            "smape": mx.smape_m4(truth, fc.values),
-            "naive_mse": mx.mse(truth, naive),
-        }
+    def group(chunk):
+        splits = [_forecast_split(series, horizon) for series in chunk]
+        forecasts = adapter(weights, [history for history, _ in splits], horizon)
+        rows = []
+        for series, (history, truth), fc in zip(chunk, splits, forecasts):
+            naive = naive_forecast(history, horizon)
+            rows.append({
+                "name": series.name,
+                "mse": mx.mse(truth, fc.values),
+                "mae": mx.mae(truth, fc.values),
+                "smape": mx.smape_m4(truth, fc.values),
+                "naive_mse": mx.mse(truth, naive),
+            })
+        return rows
 
-    rows = map_series(one, dataset, rc["workers"])
+    rows = map_series(group, dataset, rc["workers"])
     metrics = {
         key: float(np.mean([r[key] for r in rows]))
         for key in ("mse", "mae", "smape", "naive_mse")
@@ -389,26 +399,30 @@ def cmd_impute(rc):
     weights = load_checkpoint(rc["ckpt"])
     dataset = load_series_arg(rc["data"])
 
-    def one(indexed):
-        i, series = indexed
-        spec = ImputationSpec(ratio=rc["ratio"], block_len=rc["block_len"],
-                              seed=rc["seed"] + i)
-        masked = apply_block_mask(series, spec)
+    def group(chunk):
+        masked = [
+            apply_block_mask(series, ImputationSpec(
+                ratio=rc["ratio"], block_len=rc["block_len"], seed=rc["seed"] + i))
+            for i, series in chunk
+        ]
         filled = zero_shot_impute(weights, masked)
-        held_out = series.observed & ~masked.observed
-        if not held_out.any():
-            raise ConfigError(
-                f"series {series.name!r}: no observed values were hidden"
-            )
-        truth = series.values[held_out]
-        guess = filled.values[held_out]
-        return {
-            "name": series.name,
-            "mse": mx.mse(truth, guess),
-            "mae": mx.mae(truth, guess),
-        }
+        rows = []
+        for (_, series), hidden, fill in zip(chunk, masked, filled):
+            held_out = series.observed & ~hidden.observed
+            if not held_out.any():
+                raise ConfigError(
+                    f"series {series.name!r}: no observed values were hidden"
+                )
+            truth = series.values[held_out]
+            guess = fill.values[held_out]
+            rows.append({
+                "name": series.name,
+                "mse": mx.mse(truth, guess),
+                "mae": mx.mae(truth, guess),
+            })
+        return rows
 
-    rows = map_series(one, list(enumerate(dataset)), rc["workers"])
+    rows = map_series(group, list(enumerate(dataset)), rc["workers"])
     metrics = {
         "mse": float(np.mean([r["mse"] for r in rows])),
         "mae": float(np.mean([r["mae"] for r in rows])),

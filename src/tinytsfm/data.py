@@ -156,13 +156,19 @@ def save_csv(path, collection):
     length = len(collection[0])
     if any(len(s) != length for s in collection):
         raise ShapeError("all series in one csv must have equal length")
+    columns = []
+    for s in collection:
+        cells = list(map(repr, s.values.tolist()))
+        for t in np.flatnonzero(~s.observed).tolist():
+            cells[t] = ""
+        columns.append(cells)
+    # the bytes csv.writer would write: no cell needs quoting except a lone
+    # empty field, which it writes as "" to tell it from a blank line
+    rows = columns[0] if len(columns) == 1 else map(",".join, zip(*columns))
+    body = "".join((row or '""') + "\r\n" for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([s.name for s in collection])
-        for t in range(length):
-            writer.writerow(
-                [repr(float(s.values[t])) if s.observed[t] else "" for s in collection]
-            )
+        csv.writer(fh).writerow([s.name for s in collection])
+        fh.write(body)
     return path
 
 

@@ -28,7 +28,12 @@ class TrainingError(TsfmError, RuntimeError):
 
 
 class NumericError(TsfmError, ArithmeticError):
-    """Non-finite activation produced during a forward pass; message names the layer."""
+    """Non-finite activation produced during a forward pass; message names the
+    layer. `row` is the first batch row holding one, when known."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class EmptySeriesError(TsfmError, ValueError):

@@ -2,9 +2,16 @@
 patch/mask embedding, positional signals, a bias-free pre-norm transformer
 stack with bucketed relative attention bias, and the task heads.
 
+`encode` maps normalized windows to hidden patch states; each head
+(`reconstruction_head`, `forecasting_head`) is a separate call on those
+states, so a caller runs only the head whose output it reads.
+`model_forward` is encode plus the reconstruction head, for training and
+the probes. `encode_windows` is the read path under every task adapter: a
+chunked, forward-only encode that returns an ndarray.
+
 All forward functions accept a single series ([T] / [N,P]) or a batch
 ([B,T] / [B,N,P]); internally everything runs batched. Normalized-space
-tensors flow through the autodiff engine; inference helpers return ndarrays.
+tensors flow through the autodiff engine.
 """
 
 import json
@@ -401,7 +408,9 @@ def encoder_forward(embeddings, weights, attn_sink=None):
         hidden = nc.relu(nc.matmul(nc.reshape(normed2, (b * n, d)), lp("ff.w1")))
         x = nc.add(x, nc.reshape(nc.matmul(hidden, lp("ff.w2")), (b, n, d)))
         if not np.all(np.isfinite(x.data)):
-            raise NumericError(f"non-finite activation after layer {i}")
+            finite = np.isfinite(x.data).reshape(b, -1).all(axis=1)
+            raise NumericError(f"non-finite activation after layer {i}",
+                               row=int(np.argmin(finite)))
     return nc.reshape(x, (n, d)) if single else x
 
 
@@ -437,8 +446,8 @@ def forecasting_head(hidden, weights):
     return nc.reshape(out, (out.shape[1],)) if single else out
 
 
-def model_forward(weights, x_norm, plan, attn_sink=None):
-    """Normalized window(s) -> (hidden Tensor, reconstruction Tensor).
+def encode(weights, x_norm, plan, attn_sink=None):
+    """Normalized window(s) -> hidden Tensor ([N,D] or [B,N,D]); no head runs.
 
     x_norm: [T] or [B,T] in normalized space; plan: per-patch indicator(s).
     """
@@ -454,10 +463,47 @@ def model_forward(weights, x_norm, plan, attn_sink=None):
     e = embed_patches(patches, plan_arr, weights)
     pe = nc.Tensor(sinusoidal_pe(cfg.n_patches, cfg.d_model)[None])
     h = encoder_forward(nc.add(e, pe), weights, attn_sink=attn_sink)
-    recon = reconstruction_head(h, weights)
-    if single:
-        return nc.reshape(h, h.shape[1:]), nc.reshape(recon, (recon.shape[1],))
-    return h, recon
+    return nc.reshape(h, h.shape[1:]) if single else h
+
+
+def model_forward(weights, x_norm, plan, attn_sink=None):
+    """encode plus the reconstruction head: (hidden Tensor, reconstruction
+    Tensor), for training and the probes."""
+    h = encode(weights, x_norm, plan, attn_sink=attn_sink)
+    return h, reconstruction_head(h, weights)
+
+
+# Rows per encode in encode_windows. Fixed, so a window's hidden state never
+# depends on how many windows arrive with it, and peak memory is one chunk's.
+# Not larger: glibc hands freed heap back to the OS once the free top of the
+# heap exceeds twice its largest freed mmap block, and a 32-row tiny chunk's
+# temporaries crossed that line, so every chunk faulted its ~4 MB in afresh
+# (256 tiny windows: 41-54 ms at 32 rows, 30-33 ms at 16).
+ENCODE_CHUNK = 16
+
+
+def encode_windows(weights, x_norm, plan):
+    """Hidden states [B,N,D] (an ndarray) of normalized windows x_norm [B,T]
+    under per-patch plans [B,N], encoded ENCODE_CHUNK rows at a time with no
+    tape. A NumericError's `row` is the batch row of the first non-finite
+    activation found."""
+    cfg = weights.config
+    x = np.asarray(x_norm, dtype=np.float32)
+    plan_arr = _plan_array(plan)
+    if x.ndim != 2 or plan_arr.ndim != 2 or len(plan_arr) != len(x):
+        raise ShapeError(
+            f"encode_windows needs [B,T] windows and [B,N] plans, got {x.shape} "
+            f"and {plan_arr.shape}"
+        )
+    out = np.empty((len(x), x.shape[1] // cfg.patch_len, cfg.d_model), dtype=np.float32)
+    with nc.OffTape():
+        for lo in range(0, len(x), ENCODE_CHUNK):
+            hi = lo + ENCODE_CHUNK
+            try:
+                out[lo:hi] = encode(weights, x[lo:hi], plan_arr[lo:hi]).data
+            except NumericError as exc:
+                raise NumericError(str(exc), row=lo + exc.row) from None
+    return out
 
 
 def sequence_representation(hidden, include):

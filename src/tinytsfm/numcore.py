@@ -49,6 +49,21 @@ class Tape:
         return len(self._nodes)
 
 
+class OffTape:
+    """Context manager: the enclosed ops run forward-only in this thread, even
+    inside an open Tape, so nothing they compute is recorded or kept for a
+    backward pass."""
+
+    def __enter__(self):
+        self._saved = _TAPES.tapes
+        _TAPES.tapes = []
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        _TAPES.tapes = self._saved
+        return False
+
+
 class Tensor:
     """Dense f32 value. grad is populated by backward for requires_grad leaves."""
 

@@ -20,6 +20,8 @@ from .errors import (
 )
 from .model import (
     PatchMaskPlan,
+    encode,
+    encode_windows,
     forecasting_head,
     model_forward,
     nonpadded_patches,
@@ -236,7 +238,8 @@ def _fit_loop(weights, trainable, n_series, cfg, batch_loss, epochs, total_steps
 def _reconstruction_loss(weights, dataset, mask_ratio, freeze):
     """(series names, batch_loss) for the masked objective: each row of a
     batch gets a fresh uniform patch mask, drawn row by row. A frozen encoder
-    runs before the tape opens, so only the reconstruction head is recorded."""
+    is encoded before the tape opens, so only the reconstruction head runs on
+    it, and runs once a step."""
     xs, obs, pobs, names = _prepare_series(dataset, weights.config)
 
     def batch_loss(idx, rng):
@@ -246,7 +249,7 @@ def _reconstruction_loss(weights, dataset, mask_ratio, freeze):
         plan = pobs[idx] & sampled
         xb = xs[idx]
         if freeze:
-            h, _ = model_forward(weights, xb, plan)
+            h = encode(weights, xb, plan)
 
         def loss():
             if freeze:
@@ -325,12 +328,12 @@ def _encoder_digest(weights):
 
 
 def encode_forecast_pairs(weights, dataset):
-    """Run every (history, target) pair's window through the encoder in one
-    batched forward pass; returns EncodedForecastPairs, whose plain arrays
-    keep the encoder off any tape they are later used on."""
+    """Run every (history, target) pair's window through the encoder with
+    encode_windows (chunked, no tape, no head); returns EncodedForecastPairs,
+    whose plain arrays keep the encoder off any tape they are later used on."""
     xs, plans, targets = _prepare_forecast_pairs(weights, dataset)
-    h, _ = model_forward(weights, xs, plans)
-    return EncodedForecastPairs(h.data, targets, _encoder_digest(weights))
+    hidden = encode_windows(weights, xs, plans)
+    return EncodedForecastPairs(hidden, targets, _encoder_digest(weights))
 
 
 def _encoded(weights, dataset):
@@ -363,7 +366,7 @@ def _forecast_loss(weights, dataset, freeze):
 
     def batch_loss(idx, rng):
         def loss():
-            h = hidden[idx] if freeze else model_forward(weights, xs[idx], pobs[idx])[0]
+            h = hidden[idx] if freeze else encode(weights, xs[idx], pobs[idx])
             diff = nc.sub(forecasting_head(h, weights), nc.Tensor(targets[idx]))
             return nc.mean_(nc.mul(diff, diff))
 

@@ -2,8 +2,12 @@
 gap imputation, anomaly scoring, zero-shot and head-based forecasting, and
 SVM classification over sequence representations.
 
-All adapters are pure functions of the weights and inputs, so they are safe
-to parallelize across series.
+Every adapter encodes through model.encode_windows, in fixed chunks with no
+tape, and then runs only the head whose output it reads. The forecasting and
+imputation adapters take one Series or a list of them and return the same
+shape; a list is encoded in one batch, and each series' result matches its
+batch-1 result up to float rounding. A NumericError names the series and
+window whose activations went non-finite.
 """
 
 import math
@@ -17,16 +21,18 @@ from .errors import (
     ConfigError,
     EmptySeriesError,
     HorizonError,
+    NumericError,
     ShapeError,
     StratificationError,
 )
 from .model import (
+    encode_windows,
     forecasting_head,
     left_pad,
-    model_forward,
     nonpadded_patches,
     patch_observed_indicator,
     prepare_windows,
+    reconstruction_head,
     revin_denormalize,
     sequence_representation,
 )
@@ -66,8 +72,7 @@ def sample_block_mask(spec, length):
     rng = np.random.default_rng(spec.seed)
     hidden = rng.choice(n_blocks, size=n_hidden, replace=False)
     observed = np.ones(length, dtype=bool)
-    for b in hidden:
-        observed[b * spec.block_len:(b + 1) * spec.block_len] = False
+    observed.reshape(n_blocks, spec.block_len)[hidden] = False
     return observed
 
 
@@ -113,6 +118,21 @@ def _window_grid(values, observed, window):
     return vs, obs, spans
 
 
+def _as_list(x):
+    """(list of series, whether x was a single Series)."""
+    return ([x], True) if isinstance(x, Series) else (list(x), False)
+
+
+def _encode(weights, norm, plan, owners):
+    """encode_windows, with a NumericError that names the series and window
+    of the failing row: owners[row] is (series name, window index)."""
+    try:
+        return encode_windows(weights, norm, plan)
+    except NumericError as exc:
+        name, w = owners[exc.row]
+        raise NumericError(f"series {name!r}: window {w}: {exc}", row=exc.row) from None
+
+
 # ------------------------------------------------------------------ imputation
 
 
@@ -121,25 +141,41 @@ def zero_shot_impute(weights, x):
 
     A patch counts as observed only when every one of its timesteps is
     observed; partially observed patches are reconstructed wholesale, but
-    observed entries are always returned bit-for-bit unchanged.
+    observed entries are always returned bit-for-bit unchanged. x is one
+    Series or a list; the windows of every series are encoded together.
     """
     cfg = weights.config
-    if x.observed.all():
-        return x
-    vs, obs, spans = _window_grid(x.values, x.observed, cfg.seq_len)
-    for w, full in enumerate(patch_observed_indicator(obs, cfg.patch_len)):
-        if full.sum() == 0:
-            raise EmptySeriesError(
-                f"series {x.name!r}: window {w} has no fully observed patch"
-            )
-    norm, pobs, stats = prepare_windows(cfg, vs, obs)
-    _, recon = model_forward(weights, norm, pobs)
-    filled = revin_denormalize(recon.data, stats)
-    out = x.values.copy()
-    for w, (lo, hi, pad) in enumerate(spans):
-        missing = ~x.observed[lo:hi]
-        out[lo:hi][missing] = filled[w, pad:][missing]
-    return replace(x, values=out, observed=np.ones(len(x), dtype=bool))
+    series, single = _as_list(x)
+    out = list(series)
+    vs, obs, owners, gaps = [], [], [], []
+    for i, s in enumerate(series):
+        if s.observed.all():
+            continue
+        v, o, spans = _window_grid(s.values, s.observed, cfg.seq_len)
+        for w, full in enumerate(patch_observed_indicator(o, cfg.patch_len)):
+            if full.sum() == 0:
+                raise EmptySeriesError(
+                    f"series {s.name!r}: window {w} has no fully observed patch"
+                )
+        vs.append(v)
+        obs.append(o)
+        owners.extend((s.name, w) for w in range(len(spans)))
+        gaps.append((i, spans))
+    if not gaps:
+        return out[0] if single else out
+    norm, pobs, stats = prepare_windows(cfg, np.concatenate(vs), np.concatenate(obs))
+    hidden = _encode(weights, norm, pobs, owners)
+    filled = revin_denormalize(reconstruction_head(hidden, weights).data, stats)
+    row = 0
+    for i, spans in gaps:
+        s = series[i]
+        values = s.values.copy()
+        for lo, hi, pad in spans:
+            missing = ~s.observed[lo:hi]
+            values[lo:hi][missing] = filled[row, pad:][missing]
+            row += 1
+        out[i] = replace(s, values=values, observed=np.ones(len(s), dtype=bool))
+    return out[0] if single else out
 
 
 # ------------------------------------------------------------------ anomalies
@@ -177,14 +213,15 @@ def detect_anomalies(weights, x, spec=None):
         )
     norm, pobs, stats = prepare_windows(cfg, vs, obs)
     patch_group = np.arange(cfg.n_patches) % spec.mask_rounds
+    groups = [g for g in (patch_group == j for j in range(spec.mask_rounds)) if g.any()]
+    # every round in one encode: row r * len(vs) + w is window w under round r
+    plans = np.concatenate([pobs & ~g[None, :].astype(np.uint8) for g in groups])
+    owners = [(x.name, w) for _ in groups for w in range(len(vs))]
+    hidden = _encode(weights, np.tile(norm, (len(groups), 1)), plans, owners)
+    recon = reconstruction_head(hidden, weights).data.reshape(len(groups), len(vs), -1)
     recon_full = np.zeros_like(vs)
-    for j in range(spec.mask_rounds):
-        group = patch_group == j
-        if not group.any():
-            continue
-        plan = pobs & ~group[None, :].astype(np.uint8)
-        _, recon = model_forward(weights, norm, plan)
-        denorm = revin_denormalize(recon.data, stats)
+    for group, rec in zip(groups, recon):
+        denorm = revin_denormalize(rec, stats)
         cols = np.repeat(group, cfg.patch_len)
         recon_full[:, cols] = denorm[:, cols]
     sq = np.where(obs, np.square(vs - recon_full), np.float32(0.0))
@@ -201,7 +238,8 @@ def zero_shot_short_forecast(weights, history, horizon):
     """Forecast by appending masked patches: the trailing ceil(H/P) patches of
     a window are masked, the preceding region holds the most recent history
     (left-padded if short), and the reconstruction of the masked tail —
-    denormalized with statistics from the history region only — is returned."""
+    denormalized with statistics from the history region only — is returned.
+    history is one Series or a list (returning a list), encoded together."""
     cfg = weights.config
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
@@ -214,24 +252,19 @@ def zero_shot_short_forecast(weights, history, horizon):
     context = cfg.seq_len - n_tail * cfg.patch_len
     if context < 1:
         raise HorizonError(f"masked tail of {n_tail} patches leaves no history context")
-    hist_v, hist_o = left_pad(
-        history.values[-context:], context, history.observed[-context:]
-    )
-    window = np.concatenate([hist_v, np.zeros(n_tail * cfg.patch_len, dtype=np.float32)])
-    observed = np.concatenate([hist_o, np.zeros(n_tail * cfg.patch_len, dtype=bool)])
-    norm, plan, stats = prepare_windows(cfg, window, observed)
-    _, recon = model_forward(weights, norm, plan)
-    denorm = revin_denormalize(recon.data, stats)
-    return Series(
-        values=denorm[context:context + horizon],
-        name=history.name,
-        freq=history.freq,
-    )
+    histories, single = _as_list(history)
+    norm, plan, stats = _history_windows(cfg, histories, context)
+    hidden = _encode(weights, norm, plan, [(h.name, 0) for h in histories])
+    denorm = revin_denormalize(reconstruction_head(hidden, weights).data, stats)
+    out = [Series(values=denorm[i, context:context + horizon], name=h.name, freq=h.freq)
+           for i, h in enumerate(histories)]
+    return out[0] if single else out
 
 
 def long_forecast(weights, history, horizon):
     """Forecast with the attached linear forecasting head: normalize the most
-    recent lookback window, encode, project to the horizon, denormalize."""
+    recent lookback window, encode, project to the horizon, denormalize.
+    history is one Series or a list (returning a list), encoded together."""
     cfg = weights.config
     if weights.horizon is None:
         raise ConfigError("forecasting head not attached")
@@ -239,14 +272,25 @@ def long_forecast(weights, history, horizon):
         raise ConfigError(
             f"forecasting head horizon {weights.horizon} != requested {horizon}"
         )
-    values, observed = left_pad(
-        history.values[-cfg.seq_len:], cfg.seq_len, history.observed[-cfg.seq_len:]
-    )
-    norm, plan, stats = prepare_windows(cfg, values, observed)
-    hidden, _ = model_forward(weights, norm, plan)
-    fc = forecasting_head(hidden, weights)
-    denorm = revin_denormalize(fc.data, stats)
-    return Series(values=denorm, name=history.name, freq=history.freq)
+    histories, single = _as_list(history)
+    norm, plan, stats = _history_windows(cfg, histories, cfg.seq_len)
+    hidden = _encode(weights, norm, plan, [(h.name, 0) for h in histories])
+    denorm = revin_denormalize(forecasting_head(hidden, weights).data, stats)
+    out = [Series(values=denorm[i], name=h.name, freq=h.freq)
+           for i, h in enumerate(histories)]
+    return out[0] if single else out
+
+
+def _history_windows(cfg, histories, context):
+    """Model input whose first `context` steps hold each history's most recent
+    steps (left-padded if short); any steps after them are unobserved."""
+    values = np.zeros((len(histories), cfg.seq_len), dtype=np.float32)
+    observed = np.zeros(values.shape, dtype=bool)
+    for i, h in enumerate(histories):
+        values[i, :context], observed[i, :context] = left_pad(
+            h.values[-context:], context, h.observed[-context:]
+        )
+    return prepare_windows(cfg, values, observed)
 
 
 # ------------------------------------------------------------------ classification
@@ -266,7 +310,7 @@ def embed_series(weights, collection):
             f"in its {cfg.seq_len}-step window"
         )
     norm, plan, _ = prepare_windows(cfg, vals, obs)
-    hidden, _ = model_forward(weights, norm, plan)
+    hidden = _encode(weights, norm, plan, [(s.name, 0) for s in collection])
     return sequence_representation(hidden, nonpadded_patches(obs, cfg.patch_len))
 
 

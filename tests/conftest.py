@@ -1,7 +1,16 @@
 """Shared fixtures: a session-scoped pretrained tiny model over the mixed
 sinusoid + AR(1) corpus, reused by task smokes, probes, and acceptance."""
 
-import numpy as np
+import os
+
+# One BLAS thread unless the environment says otherwise, as perfbench pins
+# it: tiny-model steps are dispatch-bound, and on a 2-core host a second
+# BLAS thread spreads their times more than it speeds them up. NumPy reads
+# these when it loads, so they are set before the first import of it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 import tinytsfm.numcore as nc

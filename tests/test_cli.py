@@ -15,6 +15,12 @@ from tinytsfm import model as tm
 from tinytsfm import pretrain as tp
 from tinytsfm.cli import _forecast_split, config_hash, dispatch
 from tinytsfm.data import Series, load_csv, save_csv
+from tinytsfm.tasks import (
+    ImputationSpec,
+    apply_block_mask,
+    zero_shot_impute,
+    zero_shot_short_forecast,
+)
 
 
 def write_sines(path, n=3, length=512, freq=4, noise=0.05, seed=0, prefix="s"):
@@ -154,6 +160,7 @@ def test_config_hash_tracks_config_content():
     c = config_hash({"seed": 1, "command": "x"})
     assert a != b
     assert a == c  # key order is canonicalized
+    assert a == config_hash({"command": "x", "seed": 1, "workers": 3})
 
 
 def test_identical_invocations_write_identical_reports(workdir, tmp_path):
@@ -275,18 +282,44 @@ def test_forecast_reports_per_series_and_naive(workdir, tmp_path):
     )
 
 
-def test_forecast_workers_do_not_change_results(workdir, tmp_path):
-    outs = []
-    for workers in ("1", "3"):
-        out = str(tmp_path / f"fc{workers}")
-        code = dispatch([
-            "forecast", "--ckpt", workdir["ckpt"], "--data", workdir["data"],
-            "--out", out, "--horizon", "8", "--workers", workers,
-        ])
-        assert code == 0
-        outs.append(read_report(out))
-    assert outs[0]["metrics"] == outs[1]["metrics"]
-    assert outs[0]["per_series"] == outs[1]["per_series"]
+K = tm.ENCODE_CHUNK
+
+
+@pytest.mark.parametrize("n_series", [1, K - 1, K + 1, 2 * K + 1])
+def test_batched_forecast_and_impute_match_batch_one(workdir, tmp_path, n_series):
+    data = write_sines(str(tmp_path / "data.csv"), n=n_series, length=600, seed=n_series)
+    reports = {}
+    for command, extra in (("forecast", ["--horizon", "8"]),
+                           ("impute", ["--ratio", "0.25", "--block-len", "8"])):
+        out = tmp_path / command
+        for workers in ("1", "3"):
+            code = dispatch([command, "--ckpt", workdir["ckpt"], "--data", data,
+                             "--out", str(out), "--seed", "5", "--workers", workers,
+                             *extra])
+            assert code == 0
+            reports[command, workers] = (out / "report.json").read_bytes()
+        assert reports[command, "1"] == reports[command, "3"]
+    forecast_rows = json.loads(reports["forecast", "1"])["per_series"]
+    impute_rows = json.loads(reports["impute", "1"])["per_series"]
+    assert len(forecast_rows) == len(impute_rows) == n_series
+    weights = tm.load_checkpoint(workdir["ckpt"])
+
+    def close(got, want):
+        return abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+    for i, (series, fc_row, imp_row) in enumerate(
+            zip(load_csv(data), forecast_rows, impute_rows)):
+        history, truth = _forecast_split(series, 8)
+        fc = zero_shot_short_forecast(weights, history, 8).values  # batch 1
+        assert fc_row["name"] == imp_row["name"] == series.name
+        assert close(fc_row["mse"], mx.mse(truth, fc))
+        assert close(fc_row["mae"], mx.mae(truth, fc))
+        assert close(fc_row["smape"], mx.smape_m4(truth, fc))
+        masked = apply_block_mask(series, ImputationSpec(ratio=0.25, block_len=8, seed=5 + i))
+        filled = zero_shot_impute(weights, masked)
+        held_out = series.observed & ~masked.observed
+        assert close(imp_row["mse"], mx.mse(series.values[held_out], filled.values[held_out]))
+        assert close(imp_row["mae"], mx.mae(series.values[held_out], filled.values[held_out]))
 
 
 def test_impute_reports_fill_error(workdir, tmp_path):
@@ -476,11 +509,11 @@ def test_frozen_finetune_encodes_each_window_once(workdir, tmp_path, monkeypatch
                                                   epochs):
     rows = []
 
-    def counting_forward(weights, x_norm, *args, **kwargs):
+    def counting_encode(weights, x_norm, plan):
         rows.append(np.asarray(x_norm).shape[0])
-        return tm.model_forward(weights, x_norm, *args, **kwargs)
+        return tm.encode_windows(weights, x_norm, plan)
 
-    monkeypatch.setattr(tp, "model_forward", counting_forward)
+    monkeypatch.setattr(tp, "encode_windows", counting_encode)
     code = dispatch(["finetune", "--ckpt", workdir["ckpt"],
                      "--data", workdir["data"], "--out", str(tmp_path / "ft"),
                      "--horizon", "8", "--epochs", epochs, "--batch-size", "2"])

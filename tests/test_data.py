@@ -1,6 +1,8 @@
 """Dataset-layer tests: CSV round trips, deterministic splits, window
 fitting, downsampling, and the synthetic sinusoid family."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,39 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(ra.values, a.values) and ra.observed.all()
     assert np.array_equal(rb.observed, b.observed)
     assert np.array_equal(rb.values[b.observed], b.values[b.observed])
+
+
+def csv_writer_reference(path, collection):
+    """save_csv's bytes as csv.writer writes them, one cell at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([s.name for s in collection])
+        for t in range(len(collection[0])):
+            writer.writerow(
+                [repr(float(s.values[t])) if s.observed[t] else "" for s in collection]
+            )
+
+
+@pytest.mark.parametrize("n_columns", [1, 2, 4])
+def test_save_csv_bytes_match_csv_writer(tmp_path, n_columns):
+    rng = np.random.default_rng(n_columns)
+    edge = np.array([-0.0, 0.0, 1e-45, -1.4e-45, 3.4e38, -3.4e38, 1.0, 0.1],
+                    dtype=np.float32)
+    collection = []
+    for i in range(n_columns):
+        values = np.concatenate([edge, rng.normal(size=24).astype(np.float32)])
+        observed = rng.random(len(values)) > 0.3
+        observed[i] = True
+        if i == 0:
+            observed[8:10] = False  # a row with every cell empty
+        else:
+            observed[8:10] = rng.random(2) > 0.5
+        collection.append(td.Series(values=values, observed=observed,
+                                    name=f'col "{i}", x' if i == 1 else f"c{i}"))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    td.save_csv(str(got), collection)
+    csv_writer_reference(str(want), collection)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_load_labels_and_classes(tmp_path):

@@ -481,11 +481,14 @@ def test_frozen_forecast_probe_encodes_once(monkeypatch):
     weights, pairs = _probe_setup("forecast", seed=8)
     calls = []
 
-    def counting_forward(*args, **kwargs):
-        calls.append(np.asarray(args[1]).shape[0])
-        return tm.model_forward(*args, **kwargs)
+    def counting(encoder):
+        def spy(weights, x_norm, plan):
+            calls.append(np.asarray(x_norm).shape[0])
+            return encoder(weights, x_norm, plan)
+        return spy
 
-    monkeypatch.setattr(tp, "model_forward", counting_forward)
+    monkeypatch.setattr(tp, "encode_windows", counting(tm.encode_windows))
+    monkeypatch.setattr(tp, "encode", counting(tm.encode))
     encoded = tp.encode_forecast_pairs(weights, pairs)
     before = tp.evaluate_forecast_mse(weights, encoded)
     tp.linear_probe(weights, "forecast", encoded, epochs=5,
@@ -496,6 +499,22 @@ def test_frozen_forecast_probe_encodes_once(monkeypatch):
                                     weights.config.d_model)
     assert after != before
     assert after == tp.evaluate_forecast_mse(weights, pairs)
+
+
+def test_frozen_reconstruction_probe_runs_the_head_once_a_step(monkeypatch):
+    weights, data = _probe_setup("reconstruction", seed=10)
+    heads = []
+
+    def counting_head(hidden, w):
+        heads.append(hidden.shape[0])
+        return reconstruction_head(hidden, w)
+
+    reconstruction_head = tm.reconstruction_head
+    monkeypatch.setattr(tm, "reconstruction_head", counting_head)
+    monkeypatch.setattr(tp, "reconstruction_head", counting_head)
+    tp.linear_probe(weights, "reconstruction", data, epochs=2,
+                    cfg=tp.PretrainConfig(batch_size=3, seed=0))
+    assert heads == [3, 3, 2] * 2  # 8 series in batches of 3, two epochs
 
 
 def test_encoded_pairs_refuse_an_unfrozen_or_changed_encoder():

@@ -3,6 +3,7 @@ protocol, masked-tail and head-based forecasting, and representation
 classification."""
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,15 +15,20 @@ from tinytsfm.errors import (
     ConfigError,
     EmptySeriesError,
     HorizonError,
+    NumericError,
     ShapeError,
     StratificationError,
 )
 from tinytsfm.model import (
+    ENCODE_CHUNK,
     ModelConfig,
     attach_forecast_head,
+    encode_windows,
     init_weights,
     model_forward,
     named_config,
+    prepare_windows,
+    revin_denormalize,
 )
 from tinytsfm.pretrain import _prepare_series
 from tinytsfm.tasks import (
@@ -60,6 +66,12 @@ def noisy_series(length, seed=0, scale=1.0, name="x"):
                   name=name)
 
 
+def gapped_series(length, seed, name, gap=slice(8, 16)):
+    x = noisy_series(length, seed=seed, name=name)
+    x.observed[gap] = False
+    return x
+
+
 # ------------------------------------------------------------------ specs
 
 
@@ -85,6 +97,26 @@ def test_sample_block_mask_counts_and_alignment():
     assert np.array_equal(mask, again)
     with pytest.raises(ShapeError):
         sample_block_mask(spec, 100)
+
+
+def loop_block_mask(spec, length):
+    """sample_block_mask as a loop over the hidden blocks."""
+    n_blocks = length // spec.block_len
+    n_hidden = max(1, int(spec.ratio * n_blocks))
+    hidden = np.random.default_rng(spec.seed).choice(n_blocks, size=n_hidden, replace=False)
+    observed = np.ones(length, dtype=bool)
+    for b in hidden:
+        observed[b * spec.block_len:(b + 1) * spec.block_len] = False
+    return observed
+
+
+@pytest.mark.parametrize("ratio", IMPUTE_RATIOS)
+def test_sample_block_mask_matches_the_block_loop(ratio):
+    for seed in range(20):
+        for length, block_len in ((512, 8), (768, 8), (96, 3), (10, 10)):
+            spec = ImputationSpec(ratio=ratio, block_len=block_len, seed=seed)
+            want = loop_block_mask(spec, length)
+            assert np.array_equal(sample_block_mask(spec, length), want), (seed, length)
 
 
 def test_sample_block_mask_hides_at_least_one_block():
@@ -175,6 +207,43 @@ def test_detect_scores_every_timestep(small_weights):
     assert result.scores.shape == (150,)
     assert np.all(result.scores >= 0)
     assert np.all(np.isfinite(result.scores))
+
+
+def loop_detect_scores(weights, x, mask_rounds=4):
+    """detect_anomalies' scores with one model_forward per masking round."""
+    cfg = weights.config
+    vs, obs, spans = tasks._window_grid(x.values, x.observed, cfg.seq_len)
+    norm, pobs, stats = prepare_windows(cfg, vs, obs)
+    patch_group = np.arange(cfg.n_patches) % mask_rounds
+    recon_full = np.zeros_like(vs)
+    for j in range(mask_rounds):
+        group = patch_group == j
+        plan = pobs & ~group[None, :].astype(np.uint8)
+        _, recon = model_forward(weights, norm, plan)
+        denorm = revin_denormalize(recon.data, stats)
+        cols = np.repeat(group, cfg.patch_len)
+        recon_full[:, cols] = denorm[:, cols]
+    sq = np.where(obs, np.square(vs - recon_full), np.float32(0.0))
+    scores = np.zeros(len(x), dtype=np.float32)
+    for w, (lo, hi, pad) in enumerate(spans):
+        scores[lo:hi] = sq[w, pad:]
+    return scores
+
+
+def test_detect_stacked_rounds_match_the_per_round_loop(small_weights, monkeypatch):
+    # 11 windows x 4 rounds = 44 rows: the stacked encode spans several chunks
+    x = gapped_series(11 * 64 - 20, seed=13, name="d", gap=slice(100, 110))
+    rows = []
+
+    def counting_encode(w, x_norm, plan):
+        rows.append(len(x_norm))
+        return encode_windows(w, x_norm, plan)
+
+    monkeypatch.setattr(tasks, "encode_windows", counting_encode)
+    got = detect_anomalies(small_weights, x, AnomalySpec(window=64)).scores
+    assert rows == [44]
+    np.testing.assert_allclose(got, loop_detect_scores(small_weights, x),
+                               rtol=1e-6, atol=1e-6)
 
 
 def test_detect_downsamples_long_series(tiny_untrained):
@@ -312,6 +381,62 @@ def test_long_forecast_truncates_to_lookback(small_weights):
     assert np.array_equal(a.values, b.values)
 
 
+# ------------------------------------------------------------------ batches of series
+
+
+LIST_ADAPTERS = {
+    "zero_shot_short_forecast": lambda w, x: zero_shot_short_forecast(w, x, 8),
+    "long_forecast": lambda w, x: long_forecast(w, x, 8),
+    "zero_shot_impute": zero_shot_impute,
+}
+
+
+@pytest.mark.parametrize("adapter", sorted(LIST_ADAPTERS))
+def test_list_forms_match_one_series_at_a_time(small_weights, adapter):
+    weights = attach_forecast_head(clone_weights(small_weights), horizon=8, seed=1)
+    run = LIST_ADAPTERS[adapter]
+    # lengths 40-360: 1-6 windows a series, 144 windows to impute in all
+    batch = [gapped_series(40 + 8 * i, seed=i, name=f"s{i}")
+             for i in range(2 * ENCODE_CHUNK + 9)]
+    batch[5] = noisy_series(70, seed=99, name="complete")
+    got = run(weights, batch)
+    assert isinstance(got, list) and len(got) == len(batch)
+    for x, g in zip(batch, got):
+        one = run(weights, x)
+        assert (g.name, g.freq) == (one.name, one.freq)
+        np.testing.assert_array_equal(g.observed, one.observed)
+        np.testing.assert_allclose(g.values, one.values, rtol=1e-6, atol=1e-6)
+    assert run(weights, []) == []
+
+
+def overflowing(x):
+    """x with its last 56 steps set to finite float32 values whose RevIN
+    normalization overflows: 48 at -3e38, then 8 at +3e38."""
+    values = x.values.copy()
+    values[-56:-8], values[-8:] = -3e38, 3e38
+    return replace(x, values=values)
+
+
+@pytest.mark.parametrize("adapter, length, window", [
+    ("forecast", 100, 0),
+    ("impute", 128, 1),  # two windows a series; the overflow is in the second
+    ("embed", 64, 0),
+])
+def test_numeric_error_names_the_series_and_window(small_weights, adapter, length, window):
+    batch = [gapped_series(length, seed=i, name=f"s{i}") for i in range(5)]
+    batch[2] = overflowing(batch[2])
+    run = {
+        "forecast": lambda: zero_shot_short_forecast(small_weights, batch, 8),
+        "impute": lambda: zero_shot_impute(small_weights, batch),
+        "embed": lambda: embed_series(small_weights, batch),
+    }[adapter]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
+        run()
+    assert str(err.value) == (
+        f"series 's2': window {window}: non-finite activation after layer 0"
+    )
+
+
 # ------------------------------------------------------------------ classification
 
 
@@ -440,10 +565,15 @@ def test_adapters_normalize_with_the_training_revin_eps(monkeypatch, adapter):
         seen.append(np.array(x_norm, copy=True))
         return model_forward(w, x_norm, plan, attn_sink)
 
-    monkeypatch.setattr(tasks, "model_forward", spy)
+    def encode_spy(w, x_norm, plan):
+        seen.append(np.array(x_norm, copy=True))
+        return encode_windows(w, x_norm, plan)
+
+    monkeypatch.setattr(tasks, "encode_windows", encode_spy)
     monkeypatch.setattr(probes, "model_forward", spy)
     series, run = adapter_cases(weights)[adapter]
     run()
     want = _prepare_series([series], cfg)[0][0]
     assert np.abs(want).max() < 0.01  # the eps floor, not the tiny spread, scales it
-    np.testing.assert_array_equal(seen[0].reshape(want.shape), want)
+    for row in seen[0].reshape(-1, want.size):  # detect encodes one row per round
+        np.testing.assert_array_equal(row, want)
