@@ -2,6 +2,7 @@
 window fitting, long-series downsampling, and synthetic sinusoid generators."""
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, replace
@@ -98,40 +99,130 @@ def load_csv(path):
     Empty fields are missing values (observed=0, value 0.0). Ragged rows,
     non-numeric cells and cells that are not finite in float32 (nan, inf,
     1e39) raise ParseError naming the offending line (1-based, counting the
-    header as line 1); a non-finite cell also names its column.
+    header as line 1); a non-finite cell also names its column. A leading
+    UTF-8 byte-order mark is dropped.
+
+    The body is parsed by np.loadtxt in one C-level pass (a second one
+    fills empty cells). A body it refuses, or might read differently from
+    csv and float() (a quote, a blank line, a whitespace-only cell, a token
+    such as `1_000`, a non-finite value), is parsed again row by row, and
+    only that parser raises ParseError for it.
     """
     if not os.path.exists(path):
         raise ParseError(f"csv file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        columns = [[] for _ in names]
-        masks = [[] for _ in names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                row = [""] * len(names)  # a blank line is a fully missing row
-            if len(row) != len(names):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            body = fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    names = [h.strip() for h in header]
+    parsed = _parse_body(body, len(names))
+    values, observed = parsed if parsed is not None else _parse_rows(path, body, names)
+    return [
+        Series(values=v, observed=o, name=name)
+        for name, v, o in zip(names, values, observed)
+    ]
+
+
+def _not_utf8(path):
+    """ParseError naming the line of the first byte in `path` that is not
+    UTF-8 (lines end at \\n, \\r or \\r\\n, as csv reads them)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ParseError(f"{path} line {line}: not UTF-8 text ({exc.reason})")
+    return ParseError(f"{path}: not UTF-8 text")  # it changed between the reads
+
+
+def _parse_body(body, width):
+    """(values [width, T] float32, observed [width, T]) of a CSV body in one
+    C-level pass, or None for any body the row-by-row parser might read
+    otherwise. A body with empty cells is read again with `nan` written into
+    them and masked after: sound, since a body holding an `n` or `N` (every
+    spelling of nan and inf) is refused first."""
+    if not body.strip() or not body.isascii() or any(c in body for c in '"nN'):
+        return None
+    if "\r" in body:
+        body = body.replace("\r\n", "\n")
+        if "\r" in body:
+            return None
+    rows = body.count("\n") + (not body.endswith("\n"))
+    table = _read_table(body)
+    # loadtxt refuses an empty cell, and skips a blank line (an empty cell
+    # of a one-column file)
+    if table is None or table.shape != (rows, width):
+        table = _read_table(_fill_empty(body))
+        if table is None or table.shape != (rows, width):
+            return None
+    with np.errstate(over="ignore"):
+        values = table.T.astype(np.float32, order="C")
+    missing = np.isnan(values)
+    values[missing] = 0.0
+    if not np.isfinite(values).all():
+        return None
+    return values, ~missing
+
+
+def _read_table(body):
+    """The body's rows as a float64 [T, width] table, or None where
+    np.loadtxt refuses it."""
+    try:
+        return np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+                          dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _fill_empty(body):
+    """`body` with `nan` written into every empty cell: the cell before a
+    separator that starts the body or follows another, and a last cell
+    after a trailing comma."""
+    chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    sep = chars == ord(",")
+    sep |= chars == ord("\n")
+    at = np.flatnonzero(sep & np.r_[True, sep[:-1]])
+    if body.endswith(","):
+        at = np.append(at, len(chars))
+    nan = np.frombuffer(b"nan", dtype=np.uint8)
+    filled = np.insert(chars, np.repeat(at, 3), np.tile(nan, len(at)))
+    return str(filled.data, "ascii")
+
+
+def _parse_rows(path, body, names):
+    """(values, observed) of a CSV body, one csv row and one float() at a
+    time; the body starts on line 2."""
+    columns = [[] for _ in names]
+    masks = [[] for _ in names]
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row:
+            row = [""] * len(names)  # a blank line is a fully missing row
+        if len(row) != len(names):
+            raise ParseError(
+                f"{path} line {lineno}: expected {len(names)} fields, got {len(row)}"
+            )
+        for j, cell in enumerate(row):
+            token = cell.strip()
+            if token == "":
+                columns[j].append(0.0)
+                masks[j].append(False)
+                continue
+            try:
+                columns[j].append(float(token))
+            except ValueError:
                 raise ParseError(
-                    f"{path} line {lineno}: expected {len(names)} fields, got {len(row)}"
-                )
-            for j, cell in enumerate(row):
-                token = cell.strip()
-                if token == "":
-                    columns[j].append(0.0)
-                    masks[j].append(False)
-                    continue
-                try:
-                    columns[j].append(float(token))
-                except ValueError:
-                    raise ParseError(
-                        f"{path} line {lineno}: could not parse {token!r} as a number"
-                    ) from None
-                masks[j].append(True)
-    if not columns[0]:
+                    f"{path} line {lineno}: could not parse {token!r} as a number"
+                ) from None
+            masks[j].append(True)
+    if not columns or not columns[0]:
         raise ParseError(f"{path}: no data rows")
     with np.errstate(over="ignore"):  # beyond float32 range becomes inf, refused below
         values = np.array(columns, dtype=np.float32)
@@ -143,10 +234,7 @@ def load_csv(path):
             f"{path} line {row + 2}, column {col + 1} {names[col]!r}: "
             f"{columns[col][row]!r} is not a finite float32"
         )
-    return [
-        Series(values=v, observed=o, name=name)
-        for name, v, o in zip(names, values, observed)
-    ]
+    return values, observed
 
 
 def save_csv(path, collection):
@@ -173,19 +261,33 @@ def save_csv(path, collection):
 
 
 def load_labels(path, n_expected=None):
-    """Read `<name>.labels.csv`: one binary per row, aligned to csv data rows."""
+    """Read `<name>.labels.csv`: one binary per row, aligned to csv data rows.
+
+    Only a row's first field counts. Blank rows are skipped, but the line
+    numbers in errors still count them."""
     if not os.path.exists(path):
         raise ParseError(f"labels file not found: {path}")
-    labels = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            token = row[0].strip()
-            if token not in ("0", "1"):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    if '"' in text:  # a quoted field may span lines: let csv find the rows
+        rows = csv.reader(io.StringIO(text, newline=""))
+        tokens = [row[0] if row else "" for row in rows]
+    else:
+        tokens = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not tokens[-1]:
+            tokens.pop()  # the last line's end
+        if "," in text:
+            tokens = [t.partition(",")[0] for t in tokens]
+    if not set(tokens) <= {"0", "1", ""}:
+        tokens = [t.strip() for t in tokens]
+        for lineno, token in enumerate(tokens, start=1):
+            if token not in ("0", "1", ""):
                 raise ParseError(f"{path} line {lineno}: labels must be 0 or 1, got {token!r}")
-            labels.append(token == "1")
-    arr = np.array(labels, dtype=bool)
+    # blank rows join to nothing
+    arr = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8) == ord("1")
     if n_expected is not None and len(arr) != n_expected:
         raise ParseError(f"{path}: {len(arr)} labels for {n_expected} timesteps")
     return arr
@@ -196,17 +298,20 @@ def load_classes(path):
     if not os.path.exists(path):
         raise ParseError(f"classes file not found: {path}")
     mapping = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            if len(row) < 2:
-                raise ParseError(f"{path} line {lineno}: expected series_name,class")
-            name, cls = row[0].strip(), row[1].strip()
-            try:
-                mapping[name] = int(cls)
-            except ValueError:
-                mapping[name] = cls
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or not row[0].strip():
+                    continue
+                if len(row) < 2:
+                    raise ParseError(f"{path} line {lineno}: expected series_name,class")
+                name, cls = row[0].strip(), row[1].strip()
+                try:
+                    mapping[name] = int(cls)
+                except ValueError:
+                    mapping[name] = cls
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return mapping
 
 

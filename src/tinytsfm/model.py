@@ -14,9 +14,11 @@ All forward functions accept a single series ([T] / [N,P]) or a batch
 tensors flow through the autodiff engine.
 """
 
+import hashlib
 import json
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -535,7 +537,10 @@ def nonpadded_patches(observed, patch_len):
 
 
 def save_checkpoint(weights, path):
-    """Write a JSON manifest at `path` and the f32 blob at `path` + '.bin'."""
+    """Write the f32 blob at `path` + '.bin', then a JSON manifest at `path`
+    holding each parameter's shape, extent and sha256. Each file is written
+    whole under a temporary name beside it and renamed into place, so an
+    interrupted save leaves the old file or the new one, never a torn one."""
     manifest = {"config": asdict(weights.config), "params": {}}
     manifest["config"]["forecast_horizon"] = weights.horizon
     chunks = []
@@ -546,15 +551,28 @@ def save_checkpoint(weights, path):
             "shape": list(p.data.shape),
             "offset": offset,
             "length": len(raw),
+            "sha256": hashlib.sha256(raw).hexdigest(),
         }
         chunks.append(raw)
         offset += len(raw)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(blob_path(path), "wb") as fh:
-        fh.write(b"".join(chunks))
+    _replace_file(blob_path(path), b"".join(chunks))
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _replace_file(path, text.encode("utf-8"))
     return path
+
+
+def _replace_file(path, data):
+    """Write `data` to a temporary file in `path`'s directory, then rename it
+    over `path`. The rename guards against an interrupted process, not a
+    power loss: nothing is fsynced."""
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.unlink(tmp)
 
 
 def blob_path(manifest_path):
@@ -620,5 +638,12 @@ def load_checkpoint(path):
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"checkpoint parameter {name!r} holds non-finite values")
+        digest = entry.get("sha256")  # absent from manifests written before digests
+        if digest is not None and digest != hashlib.sha256(
+                memoryview(blob)[offset:offset + length]).hexdigest():
+            raise ConfigError(
+                f"checkpoint parameter {name!r} fails its sha256 check: "
+                f"{blob_path(path)} does not hold the bytes the manifest lists"
+            )
         params[name] = nc.Tensor(arr.copy(), requires_grad=True)
     return ModelWeights(config, params, horizon=horizon)

@@ -397,6 +397,28 @@ def test_classify_end_to_end(workdir, tmp_path):
     assert len(lines) == 5  # header + 4 test series
 
 
+def test_classify_reads_utf8_bom_files(workdir, tmp_path):
+    # spreadsheet exports start with a byte-order mark; it is not part of
+    # the first series name or of the first class row
+    t = np.arange(512)
+    names, rows = [], []
+    for i, freq in enumerate((32, 4, 32, 4)):
+        names.append(Series(values=np.sin(2 * np.pi * freq * t / 512 + i), name=f"s{i}"))
+        rows.append(f"s{i},{freq}")
+    data, classes = tmp_path / "d.csv", tmp_path / "c.csv"
+    save_csv(str(data), names)
+    data.write_text("\ufeff" + data.read_text(encoding="utf-8"), encoding="utf-8")
+    classes.write_text("\ufeff" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = str(tmp_path / "cls")
+    code = dispatch(["classify", "--ckpt", workdir["ckpt"],
+                     "--train-data", str(data), "--train-classes", str(classes),
+                     "--test-data", str(data), "--test-classes", str(classes),
+                     "--out", out])
+    assert code == 0
+    lines = open(os.path.join(out, "predictions.csv"), encoding="utf-8").read().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["s0", "s1", "s2", "s3"]
+
+
 def test_classify_missing_class_label_fails(workdir, tmp_path, capsys):
     trd = write_sines(str(tmp_path / "tr.csv"), n=2)
     with open(str(tmp_path / "trc.csv"), "w", encoding="utf-8") as fh:
@@ -564,6 +586,15 @@ def _nan_weight(manifest):
     blob.write_bytes(bytes(raw))
 
 
+def _flip_bit(manifest):
+    # the lowest mantissa bit of one weight: still finite, silently wrong
+    entry = json.loads(manifest.read_text())["params"]["layers.0.attn.wq"]
+    blob = manifest.parent / (manifest.name + ".bin")
+    raw = bytearray(blob.read_bytes())
+    raw[entry["offset"] + 8] ^= 0x01
+    blob.write_bytes(bytes(raw))
+
+
 def _drop_offset(manifest):
     raw = json.loads(manifest.read_text())
     del raw["params"]["mask_token"]["offset"]
@@ -582,6 +613,7 @@ def _remove_blob(manifest):
     (_truncate_blob, "truncated"),
     (_drop_params, "params"),
     (_nan_weight, "layers.0.attn.wq"),
+    (_flip_bit, "layers.0.attn.wq"),
     (_drop_offset, "mask_token"),
     (_cut_manifest, "not valid JSON"),
     (_remove_blob, "blob not found"),

@@ -198,6 +198,26 @@ def test_load_labels_and_classes(tmp_path):
     assert mapping == {"s1": 0, "s2": 1, "s3": "walking"}
 
 
+def test_load_csv_strips_utf8_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffsensor,b\n1,2\n3,4\n", encoding="utf-8")
+    series = td.load_csv(str(path))
+    assert [s.name for s in series] == ["sensor", "b"]
+    assert np.array_equal(series[0].values, [1, 3])
+
+
+def test_load_labels_strips_utf8_bom(tmp_path):
+    path = tmp_path / "bom.labels.csv"
+    path.write_text("\ufeff0\n1\n", encoding="utf-8")
+    assert np.array_equal(td.load_labels(str(path)), [False, True])
+
+
+def test_load_classes_strips_utf8_bom(tmp_path):
+    path = tmp_path / "bom.classes.csv"
+    path.write_text("\ufeffs1,0\ns2,1\n", encoding="utf-8")
+    assert td.load_classes(str(path)) == {"s1": 0, "s2": 1}
+
+
 # ------------------------------------------------------------------ splits
 
 

@@ -1,8 +1,10 @@
 """Architecture tests: normalization, patching, positions, encoder invariants,
 heads, checkpoints, and a full-model finite-difference gradient check."""
 
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -664,6 +666,73 @@ def test_checkpoint_detects_missing_param(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ConfigError):
         tm.load_checkpoint(str(path))
+
+
+def test_checkpoint_manifest_holds_each_parameter_digest(tmp_path):
+    w = tm.init_weights(_small_cfg(), seed=16)
+    path = tmp_path / "model.ckpt"
+    tm.save_checkpoint(w, str(path))
+    blob = (tmp_path / "model.ckpt.bin").read_bytes()
+    for entry in json.loads(path.read_text())["params"].values():
+        chunk = blob[entry["offset"]:entry["offset"] + entry["length"]]
+        assert entry["sha256"] == hashlib.sha256(chunk).hexdigest()
+
+
+def test_checkpoint_detects_a_flipped_byte_in_a_finite_weight(tmp_path):
+    w = tm.init_weights(_small_cfg(), seed=17)
+    path = tmp_path / "model.ckpt"
+    tm.save_checkpoint(w, str(path))
+    entry = json.loads(path.read_text())["params"]["patch_embed.weight"]
+    blob = tmp_path / "model.ckpt.bin"
+    raw = bytearray(blob.read_bytes())
+    raw[entry["offset"] + 4] ^= 0x01
+    blob.write_bytes(bytes(raw))
+    assert np.isfinite(np.frombuffer(bytes(raw), dtype="<f4")).all()
+    with pytest.raises(ConfigError, match="'patch_embed.weight'.*sha256"):
+        tm.load_checkpoint(str(path))
+
+
+def test_checkpoint_without_digests_still_loads(tmp_path):
+    w = tm.init_weights(_small_cfg(), seed=18)
+    path = tmp_path / "model.ckpt"
+    tm.save_checkpoint(w, str(path))
+    manifest = json.loads(path.read_text())
+    for entry in manifest["params"].values():
+        del entry["sha256"]
+    path.write_text(json.dumps(manifest))
+    loaded = tm.load_checkpoint(str(path))
+    for name in w.params:
+        assert np.array_equal(loaded.params[name].data, w.params[name].data)
+
+
+def test_checkpoint_save_replaces_files_whole(tmp_path, monkeypatch):
+    w = tm.init_weights(_small_cfg(), seed=19)
+    path = tmp_path / "model.ckpt"
+    tm.save_checkpoint(w, str(path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    replaced = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        # each file is written in full under a temporary name in the same
+        # directory, then renamed over the old one; fail the second rename
+        assert os.path.dirname(src) == os.path.dirname(dst) == str(tmp_path)
+        replaced.append(os.path.basename(dst))
+        if len(replaced) == 2:
+            raise OSError("disk gone")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    w2 = tm.init_weights(_small_cfg(), seed=20)
+    with pytest.raises(OSError):
+        tm.save_checkpoint(w2, str(path))
+    assert replaced == ["model.ckpt.bin", "model.ckpt"]
+    # the old manifest still stands, beside the new blob: a mismatch the
+    # digests catch instead of loading the wrong weights
+    assert (tmp_path / "model.ckpt").read_bytes() == before["model.ckpt"]
+    with pytest.raises(ConfigError, match="sha256"):
+        tm.load_checkpoint(str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.bin"]
 
 
 def test_checkpoint_missing_file_raises(tmp_path):
