@@ -102,11 +102,11 @@ def load_csv(path):
     header as line 1); a non-finite cell also names its column. A leading
     UTF-8 byte-order mark is dropped.
 
-    The body is parsed by np.loadtxt in one C-level pass (a second one
-    fills empty cells). A body it refuses, or might read differently from
-    csv and float() (a quote, a blank line, a whitespace-only cell, a token
-    such as `1_000`, a non-finite value), is parsed again row by row, and
-    only that parser raises ParseError for it.
+    The body is parsed by np.loadtxt in one C-level pass. A body it
+    refuses, or might read differently from csv and float() (an empty or
+    whitespace-only cell, a quote, a blank line, a token such as `1_000`, a
+    non-finite value), is parsed again row by row, and only that parser
+    raises ParseError for it.
     """
     if not os.path.exists(path):
         raise ParseError(f"csv file not found: {path}")
@@ -118,8 +118,8 @@ def load_csv(path):
             except StopIteration:
                 raise ParseError(f"{path}: empty file") from None
             body = fh.read()
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     names = [h.strip() for h in header]
     parsed = _parse_body(body, len(names))
     values, observed = parsed if parsed is not None else _parse_rows(path, body, names)
@@ -129,72 +129,30 @@ def load_csv(path):
     ]
 
 
-def _not_utf8(path):
-    """ParseError naming the line of the first byte in `path` that is not
-    UTF-8 (lines end at \\n, \\r or \\r\\n, as csv reads them)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return ParseError(f"{path} line {line}: not UTF-8 text ({exc.reason})")
-    return ParseError(f"{path}: not UTF-8 text")  # it changed between the reads
-
-
 def _parse_body(body, width):
     """(values [width, T] float32, observed [width, T]) of a CSV body in one
-    C-level pass, or None for any body the row-by-row parser might read
-    otherwise. A body with empty cells is read again with `nan` written into
-    them and masked after: sound, since a body holding an `n` or `N` (every
-    spelling of nan and inf) is refused first."""
-    if not body.strip() or not body.isascii() or any(c in body for c in '"nN'):
+    np.loadtxt pass, or None for any body the row-by-row parser might read
+    otherwise."""
+    if not body.strip() or not body.isascii():
         return None
     if "\r" in body:
         body = body.replace("\r\n", "\n")
         if "\r" in body:
             return None
+    try:
+        table = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+                           dtype=np.float64, ndmin=2)
+    except ValueError:  # an empty cell, a ragged row, a quote, a token it does not read
+        return None
+    # loadtxt skips a blank line
     rows = body.count("\n") + (not body.endswith("\n"))
-    table = _read_table(body)
-    # loadtxt refuses an empty cell, and skips a blank line (an empty cell
-    # of a one-column file)
-    if table is None or table.shape != (rows, width):
-        table = _read_table(_fill_empty(body))
-        if table is None or table.shape != (rows, width):
-            return None
+    if table.shape != (rows, width):
+        return None
     with np.errstate(over="ignore"):
         values = table.T.astype(np.float32, order="C")
-    missing = np.isnan(values)
-    values[missing] = 0.0
     if not np.isfinite(values).all():
         return None
-    return values, ~missing
-
-
-def _read_table(body):
-    """The body's rows as a float64 [T, width] table, or None where
-    np.loadtxt refuses it."""
-    try:
-        return np.loadtxt(body.split("\n"), delimiter=",", comments=None,
-                          dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-
-
-def _fill_empty(body):
-    """`body` with `nan` written into every empty cell: the cell before a
-    separator that starts the body or follows another, and a last cell
-    after a trailing comma."""
-    chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    sep = chars == ord(",")
-    sep |= chars == ord("\n")
-    at = np.flatnonzero(sep & np.r_[True, sep[:-1]])
-    if body.endswith(","):
-        at = np.append(at, len(chars))
-    nan = np.frombuffer(b"nan", dtype=np.uint8)
-    filled = np.insert(chars, np.repeat(at, 3), np.tile(nan, len(at)))
-    return str(filled.data, "ascii")
+    return values, np.ones(values.shape, dtype=bool)
 
 
 def _parse_rows(path, body, names):
@@ -261,33 +219,24 @@ def save_csv(path, collection):
 
 
 def load_labels(path, n_expected=None):
-    """Read `<name>.labels.csv`: one binary per row, aligned to csv data rows.
-
-    Only a row's first field counts. Blank rows are skipped, but the line
-    numbers in errors still count them."""
+    """Read `<name>.labels.csv`: one binary per row, aligned to csv data rows."""
     if not os.path.exists(path):
         raise ParseError(f"labels file not found: {path}")
+    labels = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    if '"' in text:  # a quoted field may span lines: let csv find the rows
-        rows = csv.reader(io.StringIO(text, newline=""))
-        tokens = [row[0] if row else "" for row in rows]
-    else:
-        tokens = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if not tokens[-1]:
-            tokens.pop()  # the last line's end
-        if "," in text:
-            tokens = [t.partition(",")[0] for t in tokens]
-    if not set(tokens) <= {"0", "1", ""}:
-        tokens = [t.strip() for t in tokens]
-        for lineno, token in enumerate(tokens, start=1):
-            if token not in ("0", "1", ""):
-                raise ParseError(f"{path} line {lineno}: labels must be 0 or 1, got {token!r}")
-    # blank rows join to nothing
-    arr = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8) == ord("1")
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or not row[0].strip():
+                    continue
+                token = row[0].strip()
+                if token not in ("0", "1"):
+                    raise ParseError(
+                        f"{path} line {lineno}: labels must be 0 or 1, got {token!r}"
+                    )
+                labels.append(token == "1")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    arr = np.array(labels, dtype=bool)
     if n_expected is not None and len(arr) != n_expected:
         raise ParseError(f"{path}: {len(arr)} labels for {n_expected} timesteps")
     return arr
@@ -310,8 +259,8 @@ def load_classes(path):
                     mapping[name] = int(cls)
                 except ValueError:
                     mapping[name] = cls
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return mapping
 
 
