@@ -311,80 +311,112 @@ def _rbf_kernel(a, b, gamma):
 def _smo_binary(kernel, y, c, tol, max_iter):
     """Sequential minimal optimization on a precomputed kernel matrix.
 
-    Returns (alphas, bias, converged). Deterministic: for each violating
-    index the partner is tried in order of decreasing |E_i - E_j| until one
-    permits progress, so the solver cannot stall on a single blocked pair.
+    Returns (alphas, bias, converged, stall). Deterministic: for each
+    violating index the partner is tried in order of decreasing |E_i - E_j|
+    until one permits progress, so the solver cannot stall on a single
+    blocked pair. It can stall on all of them: a step shorter than 1e-7 is
+    refused, and a sweep that changes nothing ends the run. stall is then
+    the largest KKT violation left above tol, as max_kkt_violation measures
+    it (an alpha within 1e-10 of a bound counts as at it), and 0.0 when
+    there is none or the iteration cap ended the run.
+
+    The loop reads Python floats (list copies of the kernel, labels and
+    alphas), so each step does the same IEEE double operations in the same
+    order as on NumPy scalars. The products kernel[i] @ (alpha * y) behind
+    E_i and E_j come from one matmul over the stacked rows ([n,1,n] @
+    [n,1]), redone only after an alpha changes: NumPy computes each output
+    with the dot it uses for a 1-D @, so they carry the same bits. The
+    partner order keeps its matrix-vector product, whose sums may round
+    differently.
     """
     n = len(y)
-    alpha = np.zeros(n)
+    rows = kernel.tolist()
+    ys = y.tolist()
+    alpha = [0.0] * n
+    ay = 0.0 * y  # alpha * y, updated at each change
+    kernel_rows, ay_col = kernel[:, None, :], ay[:, None]
+    fx = None  # kernel[i] @ ay for every i, None once ay has changed
     bias = 0.0
     iters = 0
-
-    def try_pair(i, j, e_i):
-        nonlocal bias
-        e_j = float(kernel[j] @ (alpha * y) + bias - y[j])
-        a_i_old, a_j_old = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            lo = max(0.0, a_j_old - a_i_old)
-            hi = min(c, c + a_j_old - a_i_old)
-        else:
-            lo = max(0.0, a_i_old + a_j_old - c)
-            hi = min(c, a_i_old + a_j_old)
-        if lo >= hi:
-            return False
-        eta = 2.0 * kernel[i, j] - kernel[i, i] - kernel[j, j]
-        if eta >= 0:
-            return False
-        a_j = float(np.clip(a_j_old - y[j] * (e_i - e_j) / eta, lo, hi))
-        if abs(a_j - a_j_old) < 1e-7:
-            return False
-        a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-        alpha[i], alpha[j] = a_i, a_j
-        b1 = (
-            bias - e_i
-            - y[i] * (a_i - a_i_old) * kernel[i, i]
-            - y[j] * (a_j - a_j_old) * kernel[i, j]
-        )
-        b2 = (
-            bias - e_j
-            - y[i] * (a_i - a_i_old) * kernel[i, j]
-            - y[j] * (a_j - a_j_old) * kernel[j, j]
-        )
-        if 0.0 < a_i < c:
-            bias = b1
-        elif 0.0 < a_j < c:
-            bias = b2
-        else:
-            bias = 0.5 * (b1 + b2)
-        return True
-
-    quiet = False
+    quiet, stall = False, 0.0
     while not quiet and iters < max_iter:
         changed = 0
+        stall = 0.0
         for i in range(n):
-            e_i = float(kernel[i] @ (alpha * y) + bias - y[i])
-            r_i = e_i * y[i]
-            if not ((r_i < -tol and alpha[i] < c) or (r_i > tol and alpha[i] > 0)):
+            y_i, a_i_old = ys[i], alpha[i]
+            if fx is None:
+                fx = (kernel_rows @ ay_col).ravel().tolist()
+            e_i = fx[i] + bias - y_i
+            r_i = e_i * y_i
+            if not ((r_i < -tol and a_i_old < c) or (r_i > tol and a_i_old > 0)):
                 continue
-            errors = kernel @ (alpha * y) + bias - y
-            for j in np.argsort(-np.abs(errors - e_i)):
+            stall = max(stall, -r_i if a_i_old <= 1e-10
+                        else r_i if a_i_old >= c - 1e-10 else abs(r_i))
+            k_i = rows[i]
+            errors = kernel @ ay + bias - y
+            for j in (-np.abs(errors - e_i)).argsort().tolist():
                 if j == i:
                     continue
-                if try_pair(i, int(j), e_i):
-                    changed += 1
-                    iters += 1
-                    break
+                a_j_old, y_j = alpha[j], ys[j]
+                if y_i != y_j:
+                    lo = a_j_old - a_i_old
+                    hi = c + a_j_old - a_i_old
+                else:
+                    lo = a_i_old + a_j_old - c
+                    hi = a_i_old + a_j_old
+                # max(0.0, lo), min(c, hi) and the clip below, with their ties
+                lo = lo if lo > 0.0 else 0.0
+                hi = hi if hi < c else c
+                if lo >= hi:
+                    continue
+                k_j = rows[j]
+                eta = 2.0 * k_i[j] - k_i[i] - k_j[j]
+                if eta >= 0:
+                    continue
+                e_j = fx[j] + bias - y_j
+                a_j = a_j_old - y_j * (e_i - e_j) / eta
+                a_j = a_j if a_j > lo else lo
+                a_j = hi if hi < a_j else a_j
+                if abs(a_j - a_j_old) < 1e-7:
+                    continue
+                a_i = a_i_old + y_i * y_j * (a_j_old - a_j)
+                alpha[i], alpha[j] = a_i, a_j
+                ay[i], ay[j] = a_i * y_i, a_j * y_j
+                fx = None
+                b1 = (
+                    bias - e_i
+                    - y_i * (a_i - a_i_old) * k_i[i]
+                    - y_j * (a_j - a_j_old) * k_i[j]
+                )
+                b2 = (
+                    bias - e_j
+                    - y_i * (a_i - a_i_old) * k_i[j]
+                    - y_j * (a_j - a_j_old) * k_j[j]
+                )
+                if 0.0 < a_i < c:
+                    bias = b1
+                elif 0.0 < a_j < c:
+                    bias = b2
+                else:
+                    bias = 0.5 * (b1 + b2)
+                changed += 1
+                iters += 1
+                break
             if iters >= max_iter:
                 break
         quiet = changed == 0
-    return alpha, bias, iters < max_iter
+    stall = stall if quiet and stall > tol else 0.0
+    return np.array(alpha), bias, iters < max_iter, stall
 
 
 class RbfSvm(Estimator):
     """One-vs-rest RBF-kernel support vector classifier trained by SMO.
 
     gamma=None uses 1/(n_features * var(X)). Dual coefficients satisfy
-    0 <= alpha <= C and the KKT conditions within `tol` at convergence.
+    0 <= alpha <= C. A fit that ends with a KKT violation above `tol` warns:
+    once per class when it hits `max_iter`, and once per fit, naming the
+    classes, C and the worst violation, when its solver stalls (no pair can
+    move an alpha by 1e-7, which happens at small C).
     """
 
     def __init__(self, C=1.0, gamma=None, tol=1e-3, max_iter=100000):
@@ -413,15 +445,18 @@ class RbfSvm(Estimator):
         )
         kernel = _rbf_kernel(X, X, self.gamma_)
         self.binaries_ = []
-        for cls in self.classes_:
+        stalled = {}  # class index -> KKT violation left by a stalled solver
+        for ci, cls in enumerate(self.classes_):
             target = np.where(y == cls, 1.0, -1.0)
-            alpha, bias, converged = _smo_binary(
+            alpha, bias, converged, stall = _smo_binary(
                 kernel, target, float(self.C), self.tol, self.max_iter
             )
             if not converged:
                 warnings.warn(
                     f"svm for class {cls!r} hit the iteration cap; best-effort model"
                 )
+            if stall:
+                stalled[ci] = stall
             sv = alpha > 1e-10
             self.binaries_.append(
                 {
@@ -431,6 +466,13 @@ class RbfSvm(Estimator):
                     "alpha": alpha,
                     "target": target,
                 }
+            )
+        if stalled:
+            warnings.warn(
+                f"svm stalled at C={self.C:g} for classes "
+                f"{self.classes_[list(stalled)].tolist()}: KKT "
+                f"violation up to {max(stalled.values()):.4g} > tol {self.tol:g}; "
+                "best-effort model"
             )
         self._train_kernel = kernel
         return self

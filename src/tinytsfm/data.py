@@ -2,7 +2,6 @@
 window fitting, long-series downsampling, and synthetic sinusoid generators."""
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass, replace
@@ -155,12 +154,27 @@ def _parse_body(body, width):
     return values, np.ones(values.shape, dtype=bool)
 
 
+def _file_lines(text):
+    r"""The lines a file opened with newline="" yields for `text`, each ended
+    by \r\n, \r or \n. str.splitlines also breaks at \v, \f, \x1c-\x1e,
+    \x85, \u2028 and \u2029, so a piece ended by one of those is joined to
+    the next."""
+    line = ""
+    for piece in text.splitlines(keepends=True):
+        line += piece
+        if piece[-1] in "\r\n":
+            yield line
+            line = ""
+    if line:
+        yield line
+
+
 def _parse_rows(path, body, names):
     """(values, observed) of a CSV body, one csv row and one float() at a
     time; the body starts on line 2."""
     columns = [[] for _ in names]
     masks = [[] for _ in names]
-    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+    for lineno, row in enumerate(csv.reader(_file_lines(body)), start=2):
         if not row:
             row = [""] * len(names)  # a blank line is a fully missing row
         if len(row) != len(names):

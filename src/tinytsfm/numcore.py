@@ -312,7 +312,8 @@ def attention(x, wq, wk, wv, wo, rel_bias, idx, n_heads, sink=None):
     # [B*N, 3D] -> three [B,H,N,dh] views
     q, k, v = (xf @ w_qkv).reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     p = q @ k.swapaxes(-1, -2)
-    p += np.ascontiguousarray(rel_bias.data[idx].transpose(2, 0, 1))
+    # [H, N, N] in one gather from the [H, n_buckets] table
+    p += np.take(np.ascontiguousarray(rel_bias.data.T), idx, axis=1)
     _row_softmax(p)
     if sink is not None:
         sink.append(p)

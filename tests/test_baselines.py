@@ -2,6 +2,8 @@
 oracles, forecaster worked examples, SMO-trained SVM sanity and KKT checks,
 and PCA spectral properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,43 @@ def test_svm_dual_coefficients_within_box_and_kkt_tolerance():
         assert np.all(binary["alpha"] >= -1e-12)
         assert np.all(binary["alpha"] <= model.C + 1e-12)
     assert model.max_kkt_violation() <= model.tol + 1e-6
+
+
+# every alpha ends at a bound at C <= 0.1 and no pair step moves one by 1e-7,
+# so the solver stops with its bias far from the KKT conditions
+STALL_X = np.array([[0.0], [0.1], [0.2], [1.0], [1.5], [2.0], [2.5]])
+STALL_Y = np.array([0, 0, 0, 1, 1, 1, 1])
+
+
+def test_svm_stall_warns_once_naming_classes_c_and_violation():
+    with pytest.warns(UserWarning) as record:
+        model = RbfSvm(C=1e-4).fit(STALL_X, STALL_Y)
+    assert len(record) == 1
+    message = str(record[0].message)
+    worst = model.max_kkt_violation()
+    assert worst > 0.99
+    assert "stalled at C=0.0001 for classes [0, 1]" in message
+    assert f"violation up to {worst:.4g}" in message
+
+
+def test_svm_converged_fit_does_not_warn():
+    # the blobs end with alphas within 1e-10 of zero that the solver cannot
+    # move; the KKT check counts them as at zero, so they are no stall
+    rng = np.random.default_rng(5)
+    blobs = np.vstack([rng.normal(size=(20, 2)), rng.normal(size=(20, 2)) + [4, 4]])
+    for x, y, c in ((STALL_X, STALL_Y, 1.0), (blobs, np.repeat([0, 1], 20), 2.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = RbfSvm(C=c).fit(x, y)
+        assert model.max_kkt_violation() <= model.tol + 1e-6
+
+
+def test_svm_iteration_cap_warning_is_not_a_stall_warning():
+    with pytest.warns(UserWarning) as record:
+        RbfSvm(C=10.0, max_iter=1).fit(STALL_X, STALL_Y)
+    messages = [str(r.message) for r in record]
+    assert len(messages) == 2
+    assert all("hit the iteration cap" in m for m in messages)
 
 
 def test_svm_duplicating_training_points_keeps_predictions():

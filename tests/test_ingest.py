@@ -213,6 +213,9 @@ ODD_FILES = [
     ("lone_cr_in_body", "a,b\n1,2\r3,4\n"),
     ("cr_at_end", "a,b\n1,2\n3,4\r"),
     ("semicolons", "a;b\n1;2\n"),
+    # line breaks to str.splitlines but not to a file opened with newline=""
+    ("unicode_line_breaks",
+     "a,b\n1\u2028,2\n3,4\x85\n\x0b5,\x0c6\r\n7,\x1c8\n\x1d9,\u202910\x1e\r"),
 ]
 
 # Odd files the one-pass parse reads itself, as the row-by-row parser does.
