@@ -2,25 +2,14 @@
 
 A from-scratch stack: dense f32 autodiff engine, bias-free pre-norm
 transformer encoder over series patches, masked-patch pre-training,
-zero-shot/linear-probe task adapters, evaluation metrics, statistical
-baselines, and interpretability probes, plus a batch CLI.
+zero-shot/linear-probe task adapters, evaluation metrics, four comparators
+(naive forecaster, nearest-point interpolator, PCA, RBF-SVM) and
+interpretability probes, plus a batch CLI.
 """
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    Pca,
-    RbfSvm,
-    interp_cubic,
-    interp_linear,
-    interp_nearest,
-    knn_anomaly,
-    naive_fill,
-    naive_forecast,
-    random_walk_drift,
-    seasonal_naive,
-    theta_forecast,
-)
+from .baselines import Pca, RbfSvm, interp_nearest, naive_forecast
 from .data import Series, load_csv, save_csv, synth_sine
 from .errors import TsfmError
 from .estimator import MaskedSeriesModel
@@ -81,10 +70,7 @@ __all__ = [
     "embed_series",
     "frequency_error_curve",
     "init_weights",
-    "interp_cubic",
-    "interp_linear",
     "interp_nearest",
-    "knn_anomaly",
     "linear_probe",
     "load_checkpoint",
     "load_csv",
@@ -93,19 +79,15 @@ __all__ = [
     "mask_embedding_stats",
     "masked_mse_loss",
     "mse",
-    "naive_fill",
     "naive_forecast",
     "named_config",
-    "random_walk_drift",
     "roc_auc",
     "save_checkpoint",
     "save_csv",
-    "seasonal_naive",
     "sinusoid_embedding_suite",
     "smape_m4",
     "spearman_rho",
     "synth_sine",
-    "theta_forecast",
     "vus_roc",
     "zero_shot_impute",
     "zero_shot_short_forecast",

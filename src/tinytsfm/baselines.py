@@ -1,8 +1,9 @@
-"""Statistical comparators: gap interpolators, naive forecasters, the classic
-two-line Theta method, k-NN window anomaly scoring, a from-scratch SMO-trained
-RBF-SVM (one-vs-rest), and covariance-eigendecomposition PCA."""
+"""Comparators: a naive last-value forecaster (the forecast report's
+naive_mse), a nearest-point gap interpolator (acceptance A5's imputation
+reference), a from-scratch SMO-trained one-vs-rest RBF-SVM (classification
+over representations) and covariance-eigendecomposition PCA (the embedding
+probe)."""
 
-import math
 import warnings
 from dataclasses import replace
 
@@ -12,29 +13,14 @@ from .base import Estimator, check_fitted
 from .data import Series
 from .errors import ConfigError, ContractError, EmptySeriesError, ShapeError
 
-# ------------------------------------------------------------------ interpolation
-
-
-def _gap_series(x):
-    obs_idx = np.flatnonzero(x.observed)
-    return x.values.astype(np.float64), x.observed.copy(), obs_idx
-
-
-def interp_linear(x):
-    """Straight lines between bracketing observed points; edge gaps take the
-    nearest observed value."""
-    values, observed, obs_idx = _gap_series(x)
-    if len(obs_idx) < 2:
-        raise EmptySeriesError("linear interpolation needs >= 2 observed points")
-    t = np.arange(len(values))
-    filled = np.interp(t, obs_idx, values[obs_idx])
-    filled[observed] = values[observed]
-    return replace(x, values=filled.astype(np.float32), observed=np.ones_like(observed))
+# ------------------------------------------------------------------ comparators
 
 
 def interp_nearest(x):
     """Value of the index-nearest observed point; ties go to the left."""
-    values, observed, obs_idx = _gap_series(x)
+    values = x.values.astype(np.float64)
+    observed = x.observed
+    obs_idx = np.flatnonzero(observed)
     if len(obs_idx) < 2:
         raise EmptySeriesError("nearest interpolation needs >= 2 observed points")
     filled = values.copy()
@@ -51,250 +37,13 @@ def interp_nearest(x):
     return replace(x, values=filled.astype(np.float32), observed=np.ones_like(observed))
 
 
-def _natural_spline_second_derivs(xs, ys):
-    """Second derivatives of the natural cubic spline via the tridiagonal
-    (Thomas) solve; endpoints are zero."""
-    n = len(xs)
-    m = np.zeros(n)
-    if n < 3:
-        return m
-    h = np.diff(xs)
-    # interior system: h[i-1]*M[i-1] + 2(h[i-1]+h[i])*M[i] + h[i]*M[i+1] = rhs[i]
-    diag = 2.0 * (h[:-1] + h[1:])
-    lower = h[:-1].copy()
-    upper = h[1:].copy()
-    rhs = 6.0 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1])
-    k = n - 2
-    cp = np.zeros(k)
-    dp = np.zeros(k)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, k):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-    sol = np.zeros(k)
-    sol[-1] = dp[-1]
-    for i in range(k - 2, -1, -1):
-        sol[i] = dp[i] - cp[i] * sol[i + 1]
-    m[1:-1] = sol
-    return m
-
-
-def _spline_eval(xs, ys, m, t):
-    i = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
-    h = xs[i + 1] - xs[i]
-    a = xs[i + 1] - t
-    b = t - xs[i]
-    return (
-        m[i] * a**3 / (6.0 * h)
-        + m[i + 1] * b**3 / (6.0 * h)
-        + (ys[i] / h - m[i] * h / 6.0) * a
-        + (ys[i + 1] / h - m[i + 1] * h / 6.0) * b
-    )
-
-
-def interp_cubic(x):
-    """Natural cubic spline through the observed points; edge gaps take the
-    nearest observed value rather than extrapolating the spline."""
-    values, observed, obs_idx = _gap_series(x)
-    if len(obs_idx) < 4:
-        raise EmptySeriesError("cubic interpolation needs >= 4 observed points")
-    xs = obs_idx.astype(np.float64)
-    ys = values[obs_idx]
-    m = _natural_spline_second_derivs(xs, ys)
-    filled = values.copy()
-    lo, hi = obs_idx[0], obs_idx[-1]
-    for t in np.flatnonzero(~observed):
-        if t < lo:
-            filled[t] = ys[0]
-        elif t > hi:
-            filled[t] = ys[-1]
-        else:
-            filled[t] = _spline_eval(xs, ys, m, float(t))
-    return replace(x, values=filled.astype(np.float32), observed=np.ones_like(observed))
-
-
-def naive_fill(x):
-    """Forward fill every gap with the last observed value; a leading gap
-    backward-fills from the first observed value."""
-    values, observed, obs_idx = _gap_series(x)
-    if len(obs_idx) < 1:
-        raise EmptySeriesError("naive fill needs at least one observed point")
-    filled = values.copy()
-    last = values[obs_idx[0]]  # leading gap takes the first observed value
-    for t in range(len(values)):
-        if observed[t]:
-            last = values[t]
-        else:
-            filled[t] = last
-    return replace(x, values=filled.astype(np.float32), observed=np.ones_like(observed))
-
-
-# ------------------------------------------------------------------ forecasting
-
-
-def _history_values(history):
-    values = history.values if isinstance(history, Series) else history
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    return arr
-
-
 def naive_forecast(history, horizon):
-    """Repeat the final observation."""
-    y = _history_values(history)
+    """Repeat the final observation of a Series or array."""
+    values = history.values if isinstance(history, Series) else history
+    y = np.asarray(values, dtype=np.float64).ravel()
     if len(y) < 1:
         raise EmptySeriesError("naive forecast needs at least one observation")
     return np.full(horizon, y[-1], dtype=np.float32)
-
-
-def seasonal_naive(history, horizon, season=1):
-    """Repeat the last full season: forecast(h) = y[T - m + ((h-1) mod m)]."""
-    y = _history_values(history)
-    if season < 1:
-        raise ConfigError(f"season must be >= 1, got {season}")
-    if len(y) < season:
-        raise EmptySeriesError(
-            f"seasonal naive needs >= {season} observations, got {len(y)}"
-        )
-    n = len(y)
-    out = [y[n - season + ((h - 1) % season)] for h in range(1, horizon + 1)]
-    return np.asarray(out, dtype=np.float32)
-
-
-def random_walk_drift(history, horizon):
-    """Last value plus h times the average historical increment."""
-    y = _history_values(history)
-    if len(y) < 2:
-        raise EmptySeriesError("drift forecast needs >= 2 observations")
-    slope = (y[-1] - y[0]) / (len(y) - 1)
-    out = y[-1] + np.arange(1, horizon + 1, dtype=np.float64) * slope
-    return out.astype(np.float32)
-
-
-SES_ALPHA_GRID = np.round(np.arange(0.01, 1.00, 0.01), 2)
-
-
-def ses_fit(y):
-    """Simple exponential smoothing with the alpha grid chosen by in-sample
-    one-step SSE; returns (final level, alpha)."""
-    y = np.asarray(y, dtype=np.float64)
-    best = (math.inf, None, None)
-    for alpha in SES_ALPHA_GRID:
-        level = y[0]
-        sse = 0.0
-        for t in range(1, len(y)):
-            sse += (y[t] - level) ** 2
-            level = alpha * y[t] + (1.0 - alpha) * level
-        if sse < best[0]:
-            best = (sse, level, alpha)
-    return best[1], best[2]
-
-
-def _acf(y, max_lag):
-    yc = y - y.mean()
-    denom = float(np.dot(yc, yc))
-    if denom == 0.0:
-        return np.zeros(max_lag)
-    return np.array(
-        [float(np.dot(yc[k:], yc[:-k])) / denom for k in range(1, max_lag + 1)]
-    )
-
-
-def is_seasonal(y, season):
-    """Autocorrelation at the season lag outside the 90% significance band."""
-    y = np.asarray(y, dtype=np.float64)
-    n = len(y)
-    if season <= 1 or n < 2 * season + 1:
-        return False
-    acf = _acf(y, season)
-    band = 1.645 * math.sqrt((1.0 + 2.0 * float(np.sum(np.square(acf[:-1])))) / n)
-    return abs(acf[-1]) > band
-
-
-def seasonal_indices(y, season):
-    """Multiplicative classical-decomposition indices, normalized to mean 1."""
-    y = np.asarray(y, dtype=np.float64)
-    if season % 2 == 0:
-        kernel = np.concatenate([[0.5], np.ones(season - 1), [0.5]]) / season
-    else:
-        kernel = np.ones(season) / season
-    trend = np.convolve(y, kernel, mode="valid")
-    offset = (len(kernel) - 1) // 2
-    ratios = y[offset:offset + len(trend)] / trend
-    indices = np.empty(season)
-    for j in range(season):
-        picks = ratios[(np.arange(len(ratios)) + offset) % season == j]
-        indices[j] = picks.mean()
-    return indices * (season / indices.sum())
-
-
-def theta_forecast(history, horizon, season=1):
-    """Classic two-line Theta method (theta = 0 and 2).
-
-    The theta=0 line is the OLS linear trend; the theta=2 line (2*y - trend)
-    is smoothed by SES with a grid-searched alpha. The h-step forecast
-    averages the SES level with the trend line's final value and then walks
-    forward along the trend slope: 0.5*(level + trend(n-1)) + slope*h.
-    Seasonal histories (multiplicative test at the given season) are
-    deseasonalized first and the forecast is reseasonalized.
-    """
-    y_full = _history_values(history)
-    if len(y_full) < 3:
-        raise EmptySeriesError("theta forecast needs >= 3 observations")
-    n = len(y_full)
-    seasonal = (
-        season > 1
-        and n >= 2 * season
-        and np.all(y_full > 0)
-        and is_seasonal(y_full, season)
-    )
-    if seasonal:
-        idx = seasonal_indices(y_full, season)
-        y = y_full / idx[np.arange(n) % season]
-    else:
-        y = y_full
-    t = np.arange(n, dtype=np.float64)
-    slope, intercept = np.polyfit(t, y, 1)
-    trend = intercept + slope * t
-    theta2 = 2.0 * y - trend
-    level, _ = ses_fit(theta2)
-    h = np.arange(1, horizon + 1, dtype=np.float64)
-    fc = 0.5 * (level + trend[-1]) + slope * h
-    if seasonal:
-        fc = fc * idx[(n + np.arange(horizon)) % season]
-    return fc.astype(np.float32)
-
-
-# ------------------------------------------------------------------ knn anomaly
-
-
-def knn_anomaly(x, window, k=5):
-    """Per-timestep anomaly score from sliding-window k-NN distances.
-
-    Stride-1 windows of the given width are embedded as vectors; each
-    window's score is the Euclidean distance to its k-th nearest other
-    window (k clamped to the window count minus one), and each timestep
-    takes the maximum score over the windows covering it.
-    """
-    values = x.values if isinstance(x, Series) else np.asarray(x, dtype=np.float32)
-    n = len(values)
-    if n < window + 1:
-        raise ShapeError(f"knn scoring needs length >= window+1 ({window + 1}), got {n}")
-    count = n - window + 1
-    wins = np.lib.stride_tricks.sliding_window_view(
-        values.astype(np.float64), window
-    )
-    sq = np.einsum("ij,ij->i", wins, wins)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (wins @ wins.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, np.inf)
-    k_eff = min(k, count - 1)
-    kth = np.sqrt(np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1])
-    scores = np.zeros(n)
-    for w in range(count):
-        np.maximum(scores[w:w + window], kth[w], out=scores[w:w + window])
-    return scores.astype(np.float32)
 
 
 # ------------------------------------------------------------------ rbf svm
@@ -429,6 +178,12 @@ class RbfSvm(Estimator):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ShapeError(f"X must be 2-D, got shape {X.shape}")
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            # one NaN would make gamma and the whole kernel NaN
+            raise ContractError(
+                f"svm input row {int(np.argmin(finite))} holds a non-finite value"
+            )
         y = np.asarray(y)
         if len(y) != len(X):
             raise ShapeError(f"{len(X)} samples but {len(y)} labels")

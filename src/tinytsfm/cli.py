@@ -182,10 +182,34 @@ def _env_seed():
         ) from None
 
 
+def _file_value(key, value, default, kwargs):
+    """A --run-config value held to the type and choices its flag declares:
+    an int option takes a JSON integer, a float option an integer or a
+    float, a store_true flag a bool, an option without a type a string, and
+    null stands for the default only where that default is None."""
+    if value is None:
+        if default is None:
+            return None
+        raise ConfigError(f"run-config key {key!r} may not be null")
+    kind = bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)
+    # JSON gives exact types, so bool is not taken for int here
+    if not (type(value) is kind or (kind is float and type(value) is int)):
+        raise ConfigError(
+            f"run-config key {key!r} must be a JSON {kind.__name__}, got {value!r}"
+        )
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ConfigError(
+            f"run-config key {key!r} must be one of {kwargs['choices']}, got {value!r}"
+        )
+    return kind(value)
+
+
 def resolve_run_config(args):
     """Merge CLI flags over --run-config JSON over defaults; reject unknown
-    keys; fill the seed from MOMENT_MINI_SEED when nothing else sets it."""
-    defaults = {name: default for name, default, _ in COMMAND_OPTIONS[args.command][1]}
+    keys and values the option table does not allow; fill the seed from
+    MOMENT_MINI_SEED when nothing else sets it."""
+    options = COMMAND_OPTIONS[args.command][1]
+    defaults = {name: default for name, default, _ in options}
     file_cfg = {}
     if args.run_config is not None:
         try:
@@ -200,12 +224,16 @@ def resolve_run_config(args):
         unknown = sorted(set(file_cfg) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown run-config keys: {unknown}")
+        file_cfg = {
+            name: _file_value(name, file_cfg[name], default, kwargs)
+            for name, default, kwargs in options if name in file_cfg
+        }
     resolved = {"command": args.command}
     for key, default in defaults.items():
         flag_value = getattr(args, key)
         if flag_value is not None and flag_value is not False:
             resolved[key] = flag_value
-        elif key in file_cfg:
+        elif file_cfg.get(key) is not None:
             resolved[key] = file_cfg[key]
         elif key == "seed":
             resolved[key] = _env_seed()

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +45,12 @@ class ModelConfig:
     revin_eps: float = 1e-5
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # bool is an int subclass, and 8.0 would pass every range check below
+            kinds = (int, float) if field.type is float else int
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{field.name} must be {field.type.__name__}, got {value!r}")
         for field in ("seq_len", "patch_len", "d_model", "n_heads", "d_ff",
                       "n_rel_buckets", "rel_max_distance"):
             if getattr(self, field) <= 0:
@@ -59,8 +65,8 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}"
             )
-        if self.revin_eps <= 0:
-            raise ConfigError("revin_eps must be positive")
+        if not 0 < self.revin_eps < math.inf:
+            raise ConfigError(f"revin_eps must be positive and finite, got {self.revin_eps}")
 
     @property
     def n_patches(self):
@@ -78,9 +84,9 @@ def named_config(name, **overrides):
     """Build one of the desk-scale configs: tiny, small, base."""
     if name not in NAMED_CONFIGS:
         raise ConfigError(f"unknown config {name!r}; choose from {sorted(NAMED_CONFIGS)}")
-    fields = dict(NAMED_CONFIGS[name])
-    fields.update(overrides)
-    return ModelConfig(**fields)
+    sizes = dict(NAMED_CONFIGS[name])
+    sizes.update(overrides)
+    return ModelConfig(**sizes)
 
 
 # ------------------------------------------------------------------ normalization
@@ -597,6 +603,10 @@ def load_checkpoint(path):
         raise ConfigError(f"{path}: checkpoint manifest needs 'config' and 'params' objects")
     cfg_fields = dict(manifest["config"])
     horizon = cfg_fields.pop("forecast_horizon", None)
+    if horizon is not None and (type(horizon) is not int or horizon < 1):
+        raise ConfigError(
+            f"checkpoint forecast_horizon must be a positive integer or null, got {horizon!r}"
+        )
     try:
         config = ModelConfig(**cfg_fields)
     except TypeError as exc:
@@ -621,14 +631,16 @@ def load_checkpoint(path):
             raise ConfigError(
                 f"checkpoint entry for {name!r} needs shape, offset and length"
             ) from None
-        if shape != expected[name]:
+        # JSON numbers compare equal across int and float (8.0 == 8), so the
+        # types are checked too
+        if shape != expected[name] or any(type(d) is not int for d in shape):
             raise ConfigError(
                 f"checkpoint shape for {name!r} is {shape}, expected {expected[name]}"
             )
         count = int(np.prod(shape)) if shape else 1
-        if length != count * 4:
+        if type(length) is not int or length != count * 4:
             raise ConfigError(f"checkpoint byte length for {name!r} inconsistent with shape")
-        if not isinstance(offset, int) or offset < 0:
+        if type(offset) is not int or offset < 0:
             raise ConfigError(f"checkpoint offset for {name!r} must be a non-negative integer")
         if offset + length > len(blob):
             raise ConfigError(

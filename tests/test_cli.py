@@ -1,8 +1,10 @@
 """End-to-end tests for the batch CLI: exit codes, report shape, config
 precedence, and per-command behavior."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -13,7 +15,15 @@ from tinytsfm import __version__
 from tinytsfm import metrics as mx
 from tinytsfm import model as tm
 from tinytsfm import pretrain as tp
-from tinytsfm.cli import _forecast_split, config_hash, dispatch
+from tinytsfm.cli import (
+    COMMAND_OPTIONS,
+    REQUIRED,
+    _forecast_split,
+    _parser,
+    config_hash,
+    dispatch,
+    resolve_run_config,
+)
 from tinytsfm.data import Series, load_csv, save_csv
 from tinytsfm.tasks import (
     ImputationSpec,
@@ -259,6 +269,43 @@ def test_run_config_invalid_json_rejected(workdir, tmp_path, capsys):
     ])
     assert code == 1
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, file_cfg, key", [
+    ("forecast", {"horizon": "16"}, "horizon"),
+    ("forecast", {"horizon": 16.5}, "horizon"),
+    ("forecast", {"horizon": True}, "horizon"),
+    ("forecast", {"workers": "2"}, "workers"),
+    ("forecast", {"mode": "bogus"}, "mode"),
+    ("forecast", {"mode": None}, "mode"),
+    ("forecast", {"seed": "x"}, "seed"),
+    ("forecast", {"out": 3}, "out"),
+    ("impute", {"ratio": "0.5"}, "ratio"),
+    ("impute", {"ckpt": None}, "ckpt"),
+])
+def test_run_config_values_are_held_to_the_option_table(workdir, tmp_path, capsys,
+                                                        command, file_cfg, key):
+    cfg_path = tmp_path / "rc.json"
+    cfg_path.write_text(json.dumps(file_cfg))
+    code = dispatch([command, "--run-config", str(cfg_path), "--ckpt", workdir["ckpt"],
+                     "--data", workdir["data"], "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(key) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_config_null_means_default_and_ints_fill_float_options(tmp_path, monkeypatch):
+    monkeypatch.delenv("MOMENT_MINI_SEED", raising=False)
+    cfg_path = tmp_path / "rc.json"
+    cfg_path.write_text(json.dumps({"seed": None, "ratio": 1, "block_len": 4}))
+    args = _parser().parse_args(["impute", "--run-config", str(cfg_path),
+                                 "--ckpt", "c.json", "--data", "d.csv"])
+    rc = resolve_run_config(args)
+    assert rc["seed"] == 13
+    assert rc["ratio"] == 1.0 and isinstance(rc["ratio"], float)
+    assert rc["block_len"] == 4
 
 
 # ------------------------------------------------------------------ commands
@@ -628,6 +675,154 @@ def test_corrupt_checkpoint_exits_one_with_one_line_error(workdir, tmp_path, cap
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+# ---------------------------------------------------------------- fuzzing
+
+# one value of each JSON type; a mutation picks one its site does not accept
+JSON_VALUES = ("16", 16, 16.5, True, [16], {"v": 16})
+FUZZ_CASES = 40
+
+
+def _accepts(kind, value):
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _wrong_value(rng, kind):
+    return rng.choice([v for v in JSON_VALUES if not _accepts(kind, v)])
+
+
+def _fuzzed_run_config(rng, valid):
+    """One seeded mutation of a valid forecast run config that the option
+    table refuses: (description, JSON text)."""
+    options = COMMAND_OPTIONS["forecast"][1]
+    kinds = {name: kwargs.get("type", str) for name, _, kwargs in options}
+    cfg = dict(valid)
+    how = rng.choice(["type", "float", "choice", "null", "missing", "extra", "truncated"])
+    if how == "type":
+        key = rng.choice(sorted(kinds))
+        cfg[key] = _wrong_value(rng, kinds[key])
+    elif how == "float":
+        key = rng.choice(sorted(k for k, kind in kinds.items() if kind is int))
+        cfg[key] = cfg[key] + rng.choice([0.0, 0.5])
+    elif how == "choice":
+        key, cfg["mode"] = "mode", rng.choice(["zero_shot", "ZERO-SHOT", "", "probed"])
+    elif how == "null":
+        key = rng.choice(sorted(n for n, default, _ in options if default is not None))
+        cfg[key] = None
+    elif how == "missing":
+        key = rng.choice(sorted(n for n, default, _ in options if default is REQUIRED))
+        del cfg[key]
+    elif how == "extra":
+        key, cfg["horizon_steps"] = "horizon_steps", 16
+    else:
+        text = json.dumps(cfg)
+        cut = rng.randrange(len(text))
+        return f"truncated at {cut}", text[:cut]
+    return f"{how} {key}", json.dumps(cfg)
+
+
+def _fuzzed_checkpoint(rng, manifest, blob):
+    """One seeded mutation of a valid checkpoint that load_checkpoint
+    refuses: (description, manifest text, blob bytes)."""
+    doc = copy.deepcopy(manifest)
+    sizes = sorted(k for k, v in doc["config"].items() if type(v) is int)
+    name = rng.choice(sorted(doc["params"]))
+    entry = doc["params"][name]
+    how = rng.choice(["type", "float", "null", "missing", "extra", "truncated"])
+    if how in ("type", "float", "null"):
+        if rng.random() < 0.5:
+            field = rng.choice(sizes if how == "float" else sizes + ["revin_eps"])
+            target, where = doc["config"], f"config.{field}"
+        else:
+            field = rng.choice(["shape", "offset", "length"])
+            target, where = entry, f"{name}.{field}"
+        value = target[field]
+        if how == "type":
+            target[field] = _wrong_value(rng, type(value))
+        elif how == "null":
+            target[field] = None
+        else:
+            target[field] = [float(d) for d in value] if field == "shape" else float(value)
+    elif how == "missing":
+        # config sizes all have defaults, so only structure can go missing
+        where = rng.choice(["config", "params", name, f"{name}.offset"])
+        if where in ("config", "params"):
+            del doc[where]
+        elif where == name:
+            del doc["params"][name]
+        else:
+            del entry["offset"]
+    elif how == "extra":
+        where = rng.choice(["config.d_state", "params.extra.weight"])
+        if where == "config.d_state":
+            doc["config"]["d_state"] = 4
+        else:
+            doc["params"]["extra.weight"] = dict(entry)
+    else:
+        text = json.dumps(doc)
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(text))
+            return f"manifest truncated at {cut}", text[:cut], blob
+        cut = rng.randrange(len(blob))
+        return f"blob truncated at {cut}", text, blob[:cut]
+    return f"{how} {where}", json.dumps(doc), blob
+
+
+def _run_fuzz_case(capsys, argv):
+    """Exit code and stderr of one dispatch; an exception that escapes it
+    (a traceback at the command line) is returned as the stderr text."""
+    capsys.readouterr()
+    try:
+        code = dispatch(argv)
+    except Exception as exc:
+        return None, f"uncaught {exc!r}"
+    return code, capsys.readouterr().err
+
+
+def _one_error_line(code, err):
+    return code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_fuzzed_run_configs_exit_one_with_one_error_line(workdir, tmp_path, capsys):
+    valid = {"ckpt": workdir["ckpt"], "data": workdir["data"],
+             "out": str(tmp_path / "out"), "seed": 3, "horizon": 16,
+             "mode": "zero-shot", "workers": 1}
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps(valid))
+    assert _run_fuzz_case(capsys, ["forecast", "--run-config", str(path)])[0] == 0
+    rng = random.Random(20)
+    bad = []
+    for _ in range(FUZZ_CASES):
+        what, text = _fuzzed_run_config(rng, valid)
+        path.write_text(text)
+        code, err = _run_fuzz_case(capsys, ["forecast", "--run-config", str(path)])
+        if not _one_error_line(code, err):
+            bad.append((what, code, err))
+    assert bad == []
+
+
+def test_fuzzed_checkpoints_exit_one_with_one_error_line(workdir, tmp_path, capsys):
+    with open(workdir["ckpt"], encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    with open(workdir["ckpt"] + ".bin", "rb") as fh:
+        blob = fh.read()
+    path = tmp_path / "ckpt.json"
+    argv = ["forecast", "--ckpt", str(path), "--data", workdir["data"],
+            "--out", str(tmp_path / "out")]
+    path.write_text(json.dumps(manifest))
+    (tmp_path / "ckpt.json.bin").write_bytes(blob)
+    assert _run_fuzz_case(capsys, argv)[0] == 0
+    rng = random.Random(21)
+    bad = []
+    for _ in range(FUZZ_CASES):
+        what, text, cut_blob = _fuzzed_checkpoint(rng, manifest, blob)
+        path.write_text(text)
+        (tmp_path / "ckpt.json.bin").write_bytes(cut_blob)
+        code, err = _run_fuzz_case(capsys, argv)
+        if not _one_error_line(code, err):
+            bad.append((what, code, err))
+    assert bad == []
 
 
 def _recon_finetune(workdir, out, *extra):

@@ -54,6 +54,16 @@ def test_config_validation():
     tm.ModelConfig(n_layers=0)  # an identity encoder is allowed
 
 
+@pytest.mark.parametrize("field, value", [
+    ("patch_len", 8.0), ("seq_len", 512.0), ("n_layers", 1.0),
+    ("n_layers", True), ("n_heads", "4"), ("d_ff", None), ("revin_eps", "1e-5"),
+    ("revin_eps", math.nan), ("revin_eps", math.inf),
+])
+def test_config_refuses_non_integer_sizes_and_bad_eps(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tm.ModelConfig(**{field: value})
+
+
 # ------------------------------------------------------------------ revin
 
 
@@ -733,6 +743,20 @@ def test_checkpoint_save_replaces_files_whole(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="sha256"):
         tm.load_checkpoint(str(path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.bin"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("patch_len", 8.0), ("seq_len", 512.0), ("n_layers", 1.0), ("forecast_horizon", 4.0),
+])
+def test_checkpoint_refuses_non_integer_config_sizes(tmp_path, field, value):
+    w = tm.init_weights(_small_cfg(), seed=0, horizon=4)
+    path = tmp_path / "ckpt.json"
+    tm.save_checkpoint(w, str(path))
+    manifest = json.loads(path.read_text())
+    manifest["config"][field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=field):
+        tm.load_checkpoint(str(path))
 
 
 def test_checkpoint_missing_file_raises(tmp_path):
