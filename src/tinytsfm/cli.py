@@ -401,17 +401,15 @@ def cmd_forecast(rc):
     def group(chunk):
         splits = [_forecast_split(series, horizon) for series in chunk]
         forecasts = adapter(weights, [history for history, _ in splits], horizon)
-        rows = []
-        for series, (history, truth), fc in zip(chunk, splits, forecasts):
-            naive = naive_forecast(history, horizon)
-            rows.append({
-                "name": series.name,
-                "mse": mx.mse(truth, fc.values),
-                "mae": mx.mae(truth, fc.values),
-                "smape": mx.smape_m4(truth, fc.values),
-                "naive_mse": mx.mse(truth, naive),
-            })
-        return rows
+        truths = np.stack([truth for _, truth in splits])
+        scores = mx.pointwise_rows(truths, np.stack([fc.values for fc in forecasts]))
+        naive_mse = mx.pointwise_rows(truths, np.stack(
+            [naive_forecast(history, horizon) for history, _ in splits]))[0]
+        return [
+            {"name": series.name, "mse": float(mse), "mae": float(mae),
+             "smape": float(smape), "naive_mse": float(naive)}
+            for series, mse, mae, smape, naive in zip(chunk, *scores, naive_mse)
+        ]
 
     rows = map_series(group, dataset, rc["workers"])
     metrics = {

@@ -117,15 +117,23 @@ def load_csv(path):
             except StopIteration:
                 raise ParseError(f"{path}: empty file") from None
             body = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    names = [h.strip() for h in header]
-    parsed = _parse_body(body, len(names))
-    values, observed = parsed if parsed is not None else _parse_rows(path, body, names)
+        names = [h.strip() for h in header]
+        parsed = _parse_body(body, len(names))
+        values, observed = parsed if parsed is not None else _parse_rows(path, body, names)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _unreadable(path, exc) from None
     return [
         Series(values=v, observed=o, name=name)
         for name, v, o in zip(names, values, observed)
     ]
+
+
+def _unreadable(path, exc):
+    """The ParseError for bytes that are not UTF-8 or a row the csv module
+    refuses (a field over its 131,072-character limit)."""
+    if isinstance(exc, UnicodeDecodeError):
+        return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
+    return ParseError(f"{path}: unreadable csv ({exc})")
 
 
 def _parse_body(body, width):
@@ -232,24 +240,27 @@ def save_csv(path, collection):
     return path
 
 
-def load_labels(path, n_expected=None):
-    """Read `<name>.labels.csv`: one binary per row, aligned to csv data rows."""
+def _csv_rows(path, kind):
+    """(line number, row) of each row of a UTF-8 csv file whose first cell is not blank."""
     if not os.path.exists(path):
-        raise ParseError(f"labels file not found: {path}")
-    labels = []
+        raise ParseError(f"{kind} file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or not row[0].strip():
-                    continue
-                token = row[0].strip()
-                if token not in ("0", "1"):
-                    raise ParseError(
-                        f"{path} line {lineno}: labels must be 0 or 1, got {token!r}"
-                    )
-                labels.append(token == "1")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+                if row and row[0].strip():
+                    yield lineno, row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _unreadable(path, exc) from None
+
+
+def load_labels(path, n_expected=None):
+    """Read `<name>.labels.csv`: one 0 or 1 per row, aligned to csv data rows."""
+    labels = []
+    for lineno, row in _csv_rows(path, "labels"):
+        token = ",".join(row).strip()
+        if token not in ("0", "1"):
+            raise ParseError(f"{path} line {lineno}: labels must be 0 or 1, got {token!r}")
+        labels.append(token == "1")
     arr = np.array(labels, dtype=bool)
     if n_expected is not None and len(arr) != n_expected:
         raise ParseError(f"{path}: {len(arr)} labels for {n_expected} timesteps")
@@ -257,24 +268,19 @@ def load_labels(path, n_expected=None):
 
 
 def load_classes(path):
-    """Read `<name>.classes.csv` rows of (series_name, class) into a dict."""
-    if not os.path.exists(path):
-        raise ParseError(f"classes file not found: {path}")
+    """Read `<name>.classes.csv` rows of (series_name, class) into a dict. No
+    cell may hold a control or format character (a NUL, a byte-order mark)."""
     mapping = {}
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or not row[0].strip():
-                    continue
-                if len(row) < 2:
-                    raise ParseError(f"{path} line {lineno}: expected series_name,class")
-                name, cls = row[0].strip(), row[1].strip()
-                try:
-                    mapping[name] = int(cls)
-                except ValueError:
-                    mapping[name] = cls
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, row in _csv_rows(path, "classes"):
+        if len(row) != 2:
+            raise ParseError(f"{path} line {lineno}: expected series_name,class")
+        name, cls = row[0].strip(), row[1].strip()
+        if not (name + cls).isprintable():
+            raise ParseError(f"{path} line {lineno}: unprintable character in {name!r},{cls!r}")
+        try:
+            mapping[name] = int(cls)
+        except ValueError:
+            mapping[name] = cls
     return mapping
 
 

@@ -78,11 +78,27 @@ def smape_m4(y, y_hat):
     zero contribute zero.
     """
     a, b = _paired(y, y_hat)
+    return float(200.0 * _smape_terms(a, b).mean())
+
+
+def _smape_terms(a, b):
+    """|a - b| / (|a| + |b|) elementwise, 0 where the denominator is 0."""
     denom = np.abs(a) + np.abs(b)
     terms = np.zeros_like(denom)
     nz = denom > 0
     terms[nz] = np.abs(a - b)[nz] / denom[nz]
-    return float(200.0 * terms.mean())
+    return terms
+
+
+def pointwise_rows(y, y_hat):
+    """Row-wise (mse, mae, smape_m4) of [n, h] truths and forecasts in one
+    pass: three [n] arrays whose entries equal the scalar functions' bits."""
+    a, b = (np.asarray(v, dtype=np.float64) for v in (y, y_hat))
+    if a.ndim != 2 or a.shape != b.shape or a.shape[1] == 0:
+        raise ShapeError(f"pointwise_rows needs equal [n, h>0] arrays, got {a.shape}, {b.shape}")
+    diff = a - b
+    return (np.square(diff).mean(axis=1), np.abs(diff).mean(axis=1),
+            200.0 * _smape_terms(a, b).mean(axis=1))
 
 
 def accuracy(pred, true):

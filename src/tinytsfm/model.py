@@ -57,6 +57,12 @@ class ModelConfig:
                 raise ConfigError(f"{field} must be positive, got {getattr(self, field)}")
         if self.n_layers < 0:
             raise ConfigError(f"n_layers must be >= 0, got {self.n_layers}")
+        # relative_bucket divides by n_rel_buckets // 4 and by log(rel_max_distance / that)
+        if self.n_rel_buckets < 4:
+            raise ConfigError(f"n_rel_buckets must be >= 4, got {self.n_rel_buckets}")
+        if self.rel_max_distance <= self.n_rel_buckets // 4:
+            raise ConfigError(f"rel_max_distance must exceed n_rel_buckets // 4, got "
+                              f"{self.rel_max_distance} for {self.n_rel_buckets} buckets")
         if self.seq_len % self.patch_len != 0:
             raise ConfigError(
                 f"seq_len {self.seq_len} must be divisible by patch_len {self.patch_len}"
@@ -363,8 +369,9 @@ def _plan_array(plan):
     return arr.astype(np.float32)
 
 
-def embed_patches(patches, plan, weights):
-    """Project observed patches linearly; substitute the mask token elsewhere.
+def embed_patches(patches, plan, weights, positions=None):
+    """Project observed patches linearly; substitute the mask token elsewhere;
+    add the constant positions [N,D] when given. One nc.patch_embed node.
 
     patches: [N,P] or [B,N,P]; plan: matching per-patch indicator. The blend
     multiplies the projection by the indicator, so masked rows equal the mask
@@ -374,26 +381,25 @@ def embed_patches(patches, plan, weights):
     single = x.ndim == 2
     if single:
         x = x[None]
-    b, n, p = x.shape
-    plan_f = _plan_array(plan).reshape(b, n, 1)
-    w = weights.params["patch_embed.weight"]
-    bias = weights.params["patch_embed.bias"]
-    mask_tok = weights.params["mask_token"]
-    proj = nc.add(nc.matmul(nc.Tensor(x.reshape(b * n, p)), w), bias)
-    proj = nc.reshape(proj, (b, n, w.data.shape[1]))
-    keep = nc.Tensor(plan_f)
-    drop = nc.Tensor(1.0 - plan_f)
-    out = nc.add(nc.mul(proj, keep), nc.mul(nc.reshape(mask_tok, (1, 1, -1)), drop))
+    b, n, _ = x.shape
+    out = nc.patch_embed(x, _plan_array(plan).reshape(b, n), weights.params["patch_embed.weight"],
+                         weights.params["patch_embed.bias"], weights.params["mask_token"],
+                         positions)
     return nc.reshape(out, (n, -1)) if single else out
+
+
+# per-layer parameters in nc.encoder_block's argument order
+_BLOCK_PARAMS = ("norm1.gamma", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.rel_bias",
+                 "norm2.gamma", "ff.w1", "ff.w2")
 
 
 def encoder_forward(embeddings, weights, attn_sink=None):
     """Pre-norm residual stack: x + Attn(norm(x)), then x + FF(norm(x)).
 
-    Each attention block is one nc.attention node: logits scaled by
-    1/sqrt(d_head) plus a per-head additive relative-position bias, then the
-    softmax. attn_sink, when a list, collects each layer's attention weights
-    as an ndarray.
+    Each layer is one nc.encoder_block node: attention logits scaled by
+    1/sqrt(d_head) plus a per-head additive relative-position bias, the
+    softmax, then the ReLU feed-forward. attn_sink, when a list, collects
+    each layer's [B,H,N,N] attention weights as an ndarray.
     """
     cfg = weights.config
     x = embeddings if isinstance(embeddings, nc.Tensor) else nc.Tensor(embeddings)
@@ -405,16 +411,8 @@ def encoder_forward(embeddings, weights, attn_sink=None):
         raise ShapeError(f"embedding dim {d} != d_model {cfg.d_model}")
     idx = _bucket_index_matrix(n, cfg.n_rel_buckets, cfg.rel_max_distance)
     for i in range(cfg.n_layers):
-        lp = lambda name: weights.params[f"layers.{i}.{name}"]
-        normed = nc.scale_norm(x, lp("norm1.gamma"))
-        attn = nc.attention(
-            normed, lp("attn.wq"), lp("attn.wk"), lp("attn.wv"), lp("attn.wo"),
-            lp("attn.rel_bias"), idx, cfg.n_heads, sink=attn_sink,
-        )
-        x = nc.add(x, attn)
-        normed2 = nc.scale_norm(x, lp("norm2.gamma"))
-        hidden = nc.relu(nc.matmul(nc.reshape(normed2, (b * n, d)), lp("ff.w1")))
-        x = nc.add(x, nc.reshape(nc.matmul(hidden, lp("ff.w2")), (b, n, d)))
+        x = nc.encoder_block(x, *(weights.params[f"layers.{i}.{name}"] for name in _BLOCK_PARAMS),
+                             idx, cfg.n_heads, sink=attn_sink)
         if not np.all(np.isfinite(x.data)):
             finite = np.isfinite(x.data).reshape(b, -1).all(axis=1)
             raise NumericError(f"non-finite activation after layer {i}",
@@ -468,9 +466,8 @@ def encode(weights, x_norm, plan, attn_sink=None):
         plan_arr = plan_arr.reshape(1, -1)
     if plan_arr.shape != patches.shape[:2]:
         raise ShapeError(f"plan shape {plan_arr.shape} != patch grid {patches.shape[:2]}")
-    e = embed_patches(patches, plan_arr, weights)
-    pe = nc.Tensor(sinusoidal_pe(cfg.n_patches, cfg.d_model)[None])
-    h = encoder_forward(nc.add(e, pe), weights, attn_sink=attn_sink)
+    e = embed_patches(patches, plan_arr, weights, sinusoidal_pe(cfg.n_patches, cfg.d_model))
+    h = encoder_forward(e, weights, attn_sink=attn_sink)
     return nc.reshape(h, h.shape[1:]) if single else h
 
 

@@ -5,9 +5,9 @@ Everything is float32 end to end. Ops record onto the innermost Tape the
 calling thread has open (a context manager) whenever any input requires
 gradients; with no tape open in that thread they run forward-only, which is
 the inference path. backward walks the tape exactly once in reverse, so
-recording order doubles as the topological order. The arithmetic, matmul
-and attention backwards return None for an operand that does not require
-gradients (a constant) instead of computing a gradient nobody reads.
+recording order doubles as the topological order. patch_embed and
+encoder_block are model-sized nodes with hand-written backwards, and every
+backward returns None for a constant operand rather than a gradient nobody reads.
 """
 
 import math
@@ -197,11 +197,6 @@ def matmul(a, b):
     return _record(out, (a, b), bwd)
 
 
-def relu(x):
-    out = Tensor(np.maximum(x.data, 0.0))
-    return _record(out, (x,), lambda g: (g * (x.data > 0),))
-
-
 def _row_softmax(z):
     """Softmax over the last axis of the f32 array z, computed in place (z is
     returned): max-subtraction, exp, then one reciprocal multiply per row.
@@ -226,29 +221,6 @@ def softmax_lastdim(x):
         return (p * (g - dot),)
 
     return _record(out, (x,), bwd)
-
-
-def scale_norm(x, gamma, eps=1e-6):
-    """Scale-only normalization: out = gamma * x / sqrt(mean(x^2, last) + eps).
-
-    No mean subtraction and no additive bias; gamma broadcasts over the
-    leading axes.
-    """
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,):
-        raise ShapeError(f"gamma shape {gamma.data.shape} does not match last dim {d}")
-    eps = np.float32(eps)
-    ms = np.mean(np.square(x.data), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + eps)
-    out = Tensor(gamma.data * x.data * inv)
-
-    def bwd(g):
-        gxg = (gamma.data * x.data * g).sum(axis=-1, keepdims=True)
-        gx = gamma.data * inv * g - x.data * (inv**3) * gxg / d
-        ggamma = (x.data * inv * g).reshape(-1, d).sum(axis=0)
-        return gx.astype(np.float32), ggamma.astype(np.float32)
-
-    return _record(out, (x, gamma), bwd)
 
 
 def reshape(x, shape):
@@ -285,19 +257,54 @@ def mean_(x, axis=None, keepdims=False):
     return mul(sum_(x, axis=axis, keepdims=keepdims), Tensor(np.float32(1.0 / count)))
 
 
-def attention(x, wq, wk, wv, wo, rel_bias, idx, n_heads, sink=None):
-    """Multi-head self-attention as one tape node: for x [B,N,D] returns
-    softmax(q k^T / sqrt(D/H) + bias) v, heads merged, times wo (the block
-    output before any residual add).
+def _norm_backward(g_n, gamma, x_hat, inv):
+    """(g_x, g_gamma) of n = gamma * x_hat with x_hat = x * inv, both [rows, D];
+    g_n is a fresh array and is overwritten. g_x = inv * (g - x_hat *
+    mean(g * x_hat)) with g = gamma * g_n."""
+    g_gamma = (g_n * x_hat).sum(axis=0) if gamma.requires_grad else None
+    g_n *= gamma.data
+    g_n -= x_hat * (np.einsum("ij,ij->i", g_n, x_hat)[:, None] / np.float32(x_hat.shape[1]))
+    g_n *= inv
+    return g_n, g_gamma
 
-    q, k and v come from one [D, 3D] product with wq|wk|wv. Head h's additive
-    bias is rel_bias[idx, h]: idx is an [N,N] array of bucket ids into the
-    [n_buckets, H] table. sink, when a list, receives the [B,H,N,N]
-    probabilities. The backward works from the saved probabilities, q, k, v
-    and context, and sums the bias gradient per bucket with one bincount.
-    """
+
+def patch_embed(patches, observed, w, bias, mask_token, positions=None):
+    """Patch embedding as one tape node: patches [B,N,P] whose indicator in
+    observed [B,N] is 1 become patches @ w + bias, the others mask_token
+    bit-exactly (the two are blended by the indicator); then the constant
+    positions [N,D], when given, is added to every row."""
+    b, n, p = patches.shape
+    xf = patches.reshape(b * n, p)
+    keep = np.asarray(observed, dtype=np.float32).reshape(b * n, 1)
+    drop = 1.0 - keep
+    out = xf @ w.data + bias.data
+    out *= keep
+    out += mask_token.data * drop
+    out = out.reshape(b, n, -1)
+    if positions is not None:
+        out += positions
+
+    def bwd(g):
+        gf = g.reshape(b * n, -1)
+        return (xf.T @ (gf * keep) if w.requires_grad else None,
+                (keep.T @ gf)[0] if bias.requires_grad else None,
+                (drop.T @ gf)[0] if mask_token.requires_grad else None)
+
+    return _record(Tensor(out), (w, bias, mask_token), bwd)
+
+
+def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_heads,
+                  sink=None):
+    """A pre-norm transformer layer as one tape node, for x [B,N,D]:
+    y = x + attention(norm(x, gamma1)), out = y + relu(norm(y, gamma2) @ w1) @ w2,
+    where norm(x, gamma) = gamma * x / sqrt(mean(x^2, last) + 1e-6). q, k and v
+    come from one [D, 3D] product; head h adds rel_bias[idx, h] for the [N,N]
+    bucket ids idx. Scores are key-major, [B,H,Nk,Nq], so the softmax reduces
+    over axis -2; a sink list gets a fresh query-major copy of them. The
+    backward reads x_hat = x * inv and inv of both norms, the QKV product, the
+    probabilities, the context and the ReLU output, nothing more."""
     if x.ndim != 3:
-        raise ShapeError(f"attention expects [B,N,D] input, got {x.shape}")
+        raise ShapeError(f"encoder_block expects [B,N,D] input, got {x.shape}")
     b, n, d = x.shape
     if d % n_heads != 0:
         raise ShapeError(f"model dim {d} is not divisible by {n_heads} heads")
@@ -309,49 +316,75 @@ def attention(x, wq, wk, wv, wo, rel_bias, idx, n_heads, sink=None):
     scale = np.float32(1.0 / math.sqrt(dh))
     w_qkv = np.concatenate([wq.data * scale, wk.data, wv.data], axis=1)
     xf = x.data.reshape(b * n, d)
+    eps = np.float32(1e-6)
+    inv1 = 1.0 / np.sqrt(np.mean(np.square(xf), axis=-1, keepdims=True) + eps)
+    x_hat1 = xf * inv1
     # [B*N, 3D] -> three [B,H,N,dh] views
-    q, k, v = (xf @ w_qkv).reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    p = q @ k.swapaxes(-1, -2)
-    # [H, N, N] in one gather from the [H, n_buckets] table
-    p += np.take(np.ascontiguousarray(rel_bias.data.T), idx, axis=1)
-    _row_softmax(p)
+    qkv = (x_hat1 * gamma1.data) @ w_qkv
+    q, k, v = qkv.reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    p = k @ q.swapaxes(-1, -2)
+    # [H, Nk, Nq] in one gather from the [H, n_buckets] table
+    p += np.take(np.ascontiguousarray(rel_bias.data.T), idx.T, axis=1)
+    p -= np.fmax.reduce(p, axis=-2, keepdims=True)
+    np.exp(p, out=p)
+    total = p.sum(axis=-2, keepdims=True)
+    p *= np.reciprocal(total, out=total)
     if sink is not None:
-        sink.append(p)
+        sink.append(p.swapaxes(-1, -2).copy())
     ctx = np.empty((b, n, n_heads, dh), dtype=np.float32)
     ctx_h = ctx.transpose(0, 2, 1, 3)
-    np.matmul(p, v, out=ctx_h)
+    np.matmul(p.swapaxes(-1, -2), v, out=ctx_h)
     ctx = ctx.reshape(b * n, d)
-    out = Tensor((ctx @ wo.data).reshape(b, n, d))
+    y = ctx @ wo.data
+    y += xf
+    inv2 = 1.0 / np.sqrt(np.mean(np.square(y), axis=-1, keepdims=True) + eps)
+    x_hat2 = y * inv2
+    hidden = (x_hat2 * gamma2.data) @ w1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2.data
+    out += y
 
     def bwd(g):
         gf = g.reshape(b * n, d)
-        g_ctx = (gf @ wo.data.T).reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+        g_w2 = hidden.T @ gf if w2.requires_grad else None
+        g_h = gf @ w2.data.T
+        g_h *= hidden > 0
+        g_w1 = (x_hat2 * gamma2.data).T @ g_h if w1.requires_grad else None
+        g_y, g_gamma2 = _norm_backward(g_h @ w1.data.T, gamma2, x_hat2, inv2)
+        del g_h  # the [B*N, F] and [B,H,N,N] gradients go as soon as they are read
+        g_y += gf
+        g_wo = ctx.T @ g_y if wo.requires_grad else None
+        g_ctx = (g_y @ wo.data.T).reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
         g_qkv = np.empty((b, n, 3, n_heads, dh), dtype=np.float32)
         g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(p.swapaxes(-1, -2), g_ctx, out=g_v)
-        # softmax backward p * (dp - rowsum(p * dp)); rowsum(p * dp) equals
-        # rowsum(g_ctx * ctx), which needs no [B,H,N,N] product
-        g_s = g_ctx @ v.swapaxes(-1, -2)
-        g_s -= np.einsum("bhnd,bhnd->bhn", g_ctx, ctx_h)[..., None]
+        np.matmul(p, g_ctx, out=g_v)
+        # softmax backward over keys, p * (dp - colsum(p * dp)); colsum(p * dp)
+        # equals rowsum(g_ctx * ctx) per query, which needs no [B,H,N,N] product
+        g_s = v @ g_ctx.swapaxes(-1, -2)
+        g_s -= np.einsum("bhqd,bhqd->bhq", g_ctx, ctx_h)[..., None, :]
         g_s *= p
         g_bias = None
         if rel_bias.requires_grad:
             n_buckets = rel_bias.data.shape[0]
-            key = idx[None] * n_heads + np.arange(n_heads)[:, None, None]
+            key = idx.T[None] * n_heads + np.arange(n_heads)[:, None, None]
             g_bias = np.bincount(key.ravel(), weights=g_s.sum(axis=0).ravel(),
                                  minlength=n_buckets * n_heads)
             g_bias = g_bias.reshape(n_buckets, n_heads).astype(np.float32)
-        np.matmul(g_s, k, out=g_q)
-        np.matmul(g_s.swapaxes(-1, -2), q, out=g_k)
+        np.matmul(g_s.swapaxes(-1, -2), k, out=g_q)
+        np.matmul(g_s, q, out=g_k)
+        del g_s, g_ctx
         g_qkv = g_qkv.reshape(b * n, 3 * d)
-        g_x = (g_qkv @ w_qkv.T).reshape(b, n, d) if x.requires_grad else None
-        g_w = xf.T @ g_qkv
+        g_w = (x_hat1 * gamma1.data).T @ g_qkv
         g_w[:, :d] *= scale
-        g_wo = ctx.T @ gf if wo.requires_grad else None
-        return (g_x, *(g_w[:, j * d:(j + 1) * d] if w.requires_grad else None
-                       for j, w in enumerate((wq, wk, wv))), g_wo, g_bias)
+        g_x, g_gamma1 = _norm_backward(g_qkv @ w_qkv.T, gamma1, x_hat1, inv1)
+        g_x += g_y
+        return (g_x.reshape(b, n, d) if x.requires_grad else None, g_gamma1,
+                *(g_w[:, j * d:(j + 1) * d] if w.requires_grad else None
+                  for j, w in enumerate((wq, wk, wv))),
+                g_wo, g_bias, g_gamma2, g_w1, g_w2)
 
-    return _record(out, (x, wq, wk, wv, wo, rel_bias), bwd)
+    return _record(Tensor(out.reshape(b, n, d)),
+                   (x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2), bwd)
 
 
 def backward(loss, tape):

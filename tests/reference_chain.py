@@ -1,0 +1,137 @@
+"""The primitive chain that nc.patch_embed and nc.encoder_block replaced,
+kept as their oracle.
+
+relu, scale_norm and attention are verbatim copies of the numcore
+primitives the two nodes took over; reference_block and
+reference_patch_embed are the chains model.encoder_forward and
+model.embed_patches recorded on them. Each takes the arguments of the node
+it stands for, so a test can monkeypatch it over that node.
+"""
+
+import math
+
+import numpy as np
+
+from tinytsfm import numcore as nc
+from tinytsfm.errors import ShapeError
+from tinytsfm.numcore import Tensor, _record, _row_softmax
+
+
+def relu(x):
+    out = Tensor(np.maximum(x.data, 0.0))
+    return _record(out, (x,), lambda g: (g * (x.data > 0),))
+
+
+def scale_norm(x, gamma, eps=1e-6):
+    """Scale-only normalization: out = gamma * x / sqrt(mean(x^2, last) + eps).
+
+    No mean subtraction and no additive bias; gamma broadcasts over the
+    leading axes.
+    """
+    d = x.data.shape[-1]
+    if gamma.data.shape != (d,):
+        raise ShapeError(f"gamma shape {gamma.data.shape} does not match last dim {d}")
+    eps = np.float32(eps)
+    ms = np.mean(np.square(x.data), axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(ms + eps)
+    out = Tensor(gamma.data * x.data * inv)
+
+    def bwd(g):
+        gxg = (gamma.data * x.data * g).sum(axis=-1, keepdims=True)
+        gx = gamma.data * inv * g - x.data * (inv**3) * gxg / d
+        ggamma = (x.data * inv * g).reshape(-1, d).sum(axis=0)
+        return gx.astype(np.float32), ggamma.astype(np.float32)
+
+    return _record(out, (x, gamma), bwd)
+
+
+def attention(x, wq, wk, wv, wo, rel_bias, idx, n_heads, sink=None):
+    """Multi-head self-attention as one tape node: for x [B,N,D] returns
+    softmax(q k^T / sqrt(D/H) + bias) v, heads merged, times wo (the block
+    output before any residual add).
+
+    q, k and v come from one [D, 3D] product with wq|wk|wv. Head h's additive
+    bias is rel_bias[idx, h]: idx is an [N,N] array of bucket ids into the
+    [n_buckets, H] table. sink, when a list, receives the [B,H,N,N]
+    probabilities. The backward works from the saved probabilities, q, k, v
+    and context, and sums the bias gradient per bucket with one bincount.
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"attention expects [B,N,D] input, got {x.shape}")
+    b, n, d = x.shape
+    if d % n_heads != 0:
+        raise ShapeError(f"model dim {d} is not divisible by {n_heads} heads")
+    idx = np.asarray(idx)
+    if idx.shape != (n, n):
+        raise ShapeError(f"bucket index shape {idx.shape} != ({n}, {n})")
+    dh = d // n_heads
+    # the 1/sqrt(dh) logit scale is folded into wq: a [D,D] product, not [B,H,N,N]
+    scale = np.float32(1.0 / math.sqrt(dh))
+    w_qkv = np.concatenate([wq.data * scale, wk.data, wv.data], axis=1)
+    xf = x.data.reshape(b * n, d)
+    # [B*N, 3D] -> three [B,H,N,dh] views
+    q, k, v = (xf @ w_qkv).reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    p = q @ k.swapaxes(-1, -2)
+    # [H, N, N] in one gather from the [H, n_buckets] table
+    p += np.take(np.ascontiguousarray(rel_bias.data.T), idx, axis=1)
+    _row_softmax(p)
+    if sink is not None:
+        sink.append(p)
+    ctx = np.empty((b, n, n_heads, dh), dtype=np.float32)
+    ctx_h = ctx.transpose(0, 2, 1, 3)
+    np.matmul(p, v, out=ctx_h)
+    ctx = ctx.reshape(b * n, d)
+    out = Tensor((ctx @ wo.data).reshape(b, n, d))
+
+    def bwd(g):
+        gf = g.reshape(b * n, d)
+        g_ctx = (gf @ wo.data.T).reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((b, n, 3, n_heads, dh), dtype=np.float32)
+        g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(p.swapaxes(-1, -2), g_ctx, out=g_v)
+        # softmax backward p * (dp - rowsum(p * dp)); rowsum(p * dp) equals
+        # rowsum(g_ctx * ctx), which needs no [B,H,N,N] product
+        g_s = g_ctx @ v.swapaxes(-1, -2)
+        g_s -= np.einsum("bhnd,bhnd->bhn", g_ctx, ctx_h)[..., None]
+        g_s *= p
+        g_bias = None
+        if rel_bias.requires_grad:
+            n_buckets = rel_bias.data.shape[0]
+            key = idx[None] * n_heads + np.arange(n_heads)[:, None, None]
+            g_bias = np.bincount(key.ravel(), weights=g_s.sum(axis=0).ravel(),
+                                 minlength=n_buckets * n_heads)
+            g_bias = g_bias.reshape(n_buckets, n_heads).astype(np.float32)
+        np.matmul(g_s, k, out=g_q)
+        np.matmul(g_s.swapaxes(-1, -2), q, out=g_k)
+        g_qkv = g_qkv.reshape(b * n, 3 * d)
+        g_x = (g_qkv @ w_qkv.T).reshape(b, n, d) if x.requires_grad else None
+        g_w = xf.T @ g_qkv
+        g_w[:, :d] *= scale
+        g_wo = ctx.T @ gf if wo.requires_grad else None
+        return (g_x, *(g_w[:, j * d:(j + 1) * d] if w.requires_grad else None
+                       for j, w in enumerate((wq, wk, wv))), g_wo, g_bias)
+
+    return _record(out, (x, wq, wk, wv, wo, rel_bias), bwd)
+
+
+def reference_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_heads,
+                    sink=None):
+    """nc.encoder_block as the chain of primitives: ten tape nodes."""
+    b, n, d = x.shape
+    attn = attention(scale_norm(x, gamma1), wq, wk, wv, wo, rel_bias, idx, n_heads, sink=sink)
+    x = nc.add(x, attn)
+    hidden = relu(nc.matmul(nc.reshape(scale_norm(x, gamma2), (b * n, d)), w1))
+    return nc.add(x, nc.reshape(nc.matmul(hidden, w2), (b, n, d)))
+
+
+def reference_patch_embed(patches, observed, w, bias, mask_token, positions=None):
+    """nc.patch_embed as the chain of primitives: seven tape nodes, eight with
+    positions."""
+    b, n, p = patches.shape
+    plan_f = np.asarray(observed, dtype=np.float32).reshape(b, n, 1)
+    proj = nc.add(nc.matmul(nc.Tensor(patches.reshape(b * n, p)), w), bias)
+    proj = nc.reshape(proj, (b, n, w.data.shape[1]))
+    keep = nc.Tensor(plan_f)
+    drop = nc.Tensor(1.0 - plan_f)
+    out = nc.add(nc.mul(proj, keep), nc.mul(nc.reshape(mask_token, (1, 1, -1)), drop))
+    return out if positions is None else nc.add(out, nc.Tensor(positions[None]))

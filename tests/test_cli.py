@@ -2,6 +2,7 @@
 precedence, and per-command behavior."""
 
 import copy
+import dataclasses
 import json
 import os
 import random
@@ -24,6 +25,7 @@ from tinytsfm.cli import (
     dispatch,
     resolve_run_config,
 )
+from tinytsfm.baselines import naive_forecast
 from tinytsfm.data import Series, load_csv, save_csv
 from tinytsfm.tasks import (
     ImputationSpec,
@@ -327,6 +329,25 @@ def test_forecast_reports_per_series_and_naive(workdir, tmp_path):
     assert rep["metrics"]["mse"] == pytest.approx(
         np.mean([r["mse"] for r in rep["per_series"]])
     )
+
+
+def test_forecast_rows_equal_the_per_series_metric_calls(workdir, tmp_path):
+    data = write_sines(str(tmp_path / "data.csv"), n=5, length=600, seed=4)
+    out = tmp_path / "fc"
+    assert dispatch(["forecast", "--ckpt", workdir["ckpt"], "--data", data,
+                     "--out", str(out), "--horizon", "12"]) == 0
+    rows = read_report(str(out))["per_series"]
+    collection = load_csv(data)
+    splits = [_forecast_split(series, 12) for series in collection]
+    forecasts = zero_shot_short_forecast(tm.load_checkpoint(workdir["ckpt"]),
+                                         [history for history, _ in splits], 12)
+    want = [{"name": series.name,
+             "mse": mx.mse(truth, fc.values),
+             "mae": mx.mae(truth, fc.values),
+             "smape": mx.smape_m4(truth, fc.values),
+             "naive_mse": mx.mse(truth, naive_forecast(history, 12))}
+            for series, (history, truth), fc in zip(collection, splits, forecasts)]
+    assert rows == want  # the same floats, not close ones
 
 
 K = tm.ENCODE_CHUNK
@@ -861,3 +882,148 @@ def test_repeated_dispatches_parse_independently(workdir, tmp_path, capsys,
     assert a["metrics"]["mse"] != b["metrics"]["mse"]
     del b["config_hash"], c["config_hash"]  # the hash covers --out
     assert b == c
+
+
+def _fuzzed_model_config(rng):
+    """One seeded `--config` model JSON that pretrain must refuse:
+    (description, JSON text)."""
+    cfg = dataclasses.asdict(tm.named_config("tiny", seq_len=64))
+    sizes = sorted(k for k, v in cfg.items() if type(v) is int)
+    key = rng.choice(sizes)
+    how = rng.choice(["non-object", "unknown", "float", "bool", "string", "buckets",
+                      "distance", "truncated"])
+    if how == "non-object":
+        return how, json.dumps(rng.choice([[cfg], [], 16, 16.5, "tiny", None, True]))
+    if how == "unknown":
+        key = rng.choice(["d_state", "n_layer", "dropout"])
+        cfg[key] = 1
+    elif how == "float":
+        cfg[key] += rng.choice([0.0, 0.5])
+    elif how == "bool":
+        cfg[key] = rng.choice([True, False])
+    elif how == "string":
+        cfg[key] = str(cfg[key])
+    elif how == "buckets":
+        key, cfg["n_rel_buckets"] = "n_rel_buckets", rng.randint(1, 3)
+    elif how == "distance":
+        # relative_bucket needs rel_max_distance above n_rel_buckets // 4
+        key, cfg["rel_max_distance"] = "rel_max_distance", rng.randint(
+            1, cfg["n_rel_buckets"] // 4)
+    else:
+        text = json.dumps(cfg)
+        cut = rng.randrange(len(text))
+        return f"truncated at {cut}", text[:cut]
+    return f"{how} {key}", json.dumps(cfg)
+
+
+def test_fuzzed_model_configs_exit_one_with_one_error_line(workdir, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    argv = ["pretrain", "--config", str(path), "--data", workdir["data"],
+            "--out", str(tmp_path / "out"), "--steps", "1", "--batch-size", "2"]
+    path.write_text(json.dumps(dataclasses.asdict(tm.named_config("tiny", seq_len=64))))
+    assert _run_fuzz_case(capsys, argv)[0] == 0
+    rng = random.Random(22)
+    bad = []
+    for _ in range(FUZZ_CASES):
+        what, text = _fuzzed_model_config(rng)
+        path.write_text(text)
+        code, err = _run_fuzz_case(capsys, argv)
+        if not _one_error_line(code, err):
+            bad.append((what, code, err))
+    assert bad == []
+
+
+def _corrupt_line(rng, lines, how, first=0):
+    """Apply one seeded defect to one of lines[first:] in place; returns its
+    description. A byte-order mark at the very start of a file is allowed,
+    so a mark goes anywhere else."""
+    i = rng.randrange(first, len(lines))
+    line = lines[i]
+    pos = rng.randrange(len(line) + 1)
+    if how == "nul":
+        lines[i] = line[:pos] + "\0" + line[pos:]
+    elif how == "bom":
+        pos = max(pos, 1) if i == 0 else pos
+        lines[i] = line[:pos] + "\ufeff" + line[pos:]
+    elif how == "oversized":
+        lines[i] = line + "7" * 200_000
+    return f"{how} on line {i + 1}"
+
+
+def _write_fuzzed(path, rng, lines):
+    """Write lines, with a leading byte-order mark half the time (it must
+    hide no defect)."""
+    mark = "\ufeff" if rng.random() < 0.5 else ""
+    path.write_text(mark + "\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_fuzzed_label_files_exit_one_with_one_error_line(workdir, tmp_path, capsys):
+    data = str(tmp_path / "one.csv")
+    vals = np.ones(512)
+    vals[300] = 9.0
+    save_csv(data, [Series(values=vals, name="m")])
+    path = tmp_path / "x.labels.csv"
+    argv = ["detect", "--ckpt", workdir["ckpt"], "--data", data, "--labels", str(path),
+            "--out", str(tmp_path / "out")]
+    valid = ["1" if 298 <= i < 303 else "0" for i in range(512)]
+    path.write_text("\n".join(valid) + "\n")
+    assert _run_fuzz_case(capsys, argv)[0] == 0
+    rng = random.Random(23)
+    bad = []
+    for _ in range(FUZZ_CASES):
+        lines = list(valid)
+        how = rng.choice(["ragged", "non-binary", "nul", "bom", "oversized"])
+        if how == "ragged":
+            i = rng.randrange(len(lines))
+            lines[i] += rng.choice([",", ",0", ",1,1"])
+            what = f"ragged line {i + 1}"
+        elif how == "non-binary":
+            i = rng.randrange(len(lines))
+            lines[i] = rng.choice(["2", "-1", "0.5", "01", "yes", "true", "nan"])
+            what = f"non-binary line {i + 1}"
+        else:
+            what = _corrupt_line(rng, lines, how)
+        _write_fuzzed(path, rng, lines)
+        code, err = _run_fuzz_case(capsys, argv)
+        if not _one_error_line(code, err):
+            bad.append((what, code, err))
+    assert bad == []
+
+
+def test_fuzzed_class_files_exit_one_with_one_error_line(workdir, tmp_path, capsys):
+    t = np.arange(512)
+    names, valid = [], []
+    for i, freq in enumerate((32, 4, 32, 4)):
+        names.append(Series(values=np.sin(2 * np.pi * freq * t / 512 + i), name=f"s{i}"))
+        valid.append(f"s{i},{freq}")
+    data = tmp_path / "d.csv"
+    save_csv(str(data), names)
+    files = {"train": tmp_path / "train.classes.csv", "test": tmp_path / "test.classes.csv"}
+    argv = ["classify", "--ckpt", workdir["ckpt"], "--train-data", str(data),
+            "--train-classes", str(files["train"]), "--test-data", str(data),
+            "--test-classes", str(files["test"]), "--out", str(tmp_path / "out")]
+    for path in files.values():
+        path.write_text("\n".join(valid) + "\n")
+    assert _run_fuzz_case(capsys, argv)[0] == 0
+    rng = random.Random(24)
+    bad = []
+    for _ in range(FUZZ_CASES):
+        lines = list(valid)
+        which = rng.choice(sorted(files))
+        how = rng.choice(["ragged", "missing", "nul", "bom", "oversized"])
+        if how == "ragged":
+            i = rng.randrange(len(lines))
+            lines[i] = rng.choice([lines[i].split(",")[0], lines[i] + ",extra", lines[i] + ","])
+            what = f"ragged line {i + 1}"
+        elif how == "missing":
+            i = rng.randrange(len(lines))
+            del lines[i]
+            what = f"missing line {i + 1}"
+        else:
+            what = _corrupt_line(rng, lines, how)
+        _write_fuzzed(files[which], rng, lines)
+        code, err = _run_fuzz_case(capsys, argv)
+        files[which].write_text("\n".join(valid) + "\n")
+        if not _one_error_line(code, err):
+            bad.append((which, what, code, err))
+    assert bad == []

@@ -320,6 +320,20 @@ def test_load_labels_counts_blank_lines_in_line_numbers(tmp_path):
         td.load_labels(path)
 
 
+BIG = "x" * 200_000  # over the csv module's 131,072-character field limit
+
+
+@pytest.mark.parametrize("loader, text", [
+    (td.load_csv, f"{BIG}\n1\n"),
+    (td.load_csv, f"a\n1\n\"{BIG}\"\n"),
+    (td.load_labels, f"0\n{BIG}\n"),
+    (td.load_classes, f"s1,{BIG}\n"),
+], ids=["csv_header", "csv_body", "labels", "classes"])
+def test_oversized_field_is_a_parse_error(tmp_path, loader, text):
+    with pytest.raises(ParseError, match=r"big\.csv: .*field larger than field limit"):
+        loader(write(tmp_path, "big.csv", text))
+
+
 # ------------------------------------------------------------------ CLI fuzz
 
 

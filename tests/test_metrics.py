@@ -140,6 +140,31 @@ def test_smape_range_and_scale_invariance():
         assert mx.smape_m4(3.7 * y, 3.7 * p) == pytest.approx(v, rel=1e-9)
 
 
+@pytest.mark.parametrize("h", [1, 2, 7, 8, 9, 16, 64, 129, 300])
+def test_pointwise_rows_equal_the_per_row_calls_bit_for_bit(h):
+    rng = np.random.default_rng(h)
+    y = rng.normal(size=(23, h)) * rng.choice([1e-3, 1.0, 1e3], size=(23, 1))
+    y_hat = (y + rng.normal(size=y.shape)).astype(np.float32)
+    y[3], y_hat[3] = 0.0, 0.0  # every smape term has a zero denominator
+    y[5, ::2], y_hat[5, ::2] = 0.0, 0.0  # some do
+    y_hat[7] = y[7]  # a perfect forecast
+    rows = mx.pointwise_rows(y.astype(np.float32), y_hat)
+    for i in range(len(y)):
+        want = (mx.mse(y[i].astype(np.float32), y_hat[i]),
+                mx.mae(y[i].astype(np.float32), y_hat[i]),
+                mx.smape_m4(y[i].astype(np.float32), y_hat[i]))
+        assert tuple(float(r[i]) for r in rows) == want
+
+
+def test_pointwise_rows_shape_checks():
+    with pytest.raises(ShapeError):
+        mx.pointwise_rows(np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ShapeError):
+        mx.pointwise_rows(np.zeros(3), np.zeros(3))
+    with pytest.raises(ShapeError):
+        mx.pointwise_rows(np.zeros((2, 0)), np.zeros((2, 0)))
+
+
 def test_accuracy_examples():
     assert mx.accuracy([1, 2, 3], [1, 2, 3]) == 1.0
     assert mx.accuracy([1, 1], [2, 2]) == 0.0

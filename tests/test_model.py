@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_grads
+import reference_chain as rc
 from tinytsfm import numcore as nc
 from tinytsfm import model as tm
 from tinytsfm.errors import ConfigError, EmptySeriesError, NumericError, ShapeError
@@ -62,6 +63,26 @@ def test_config_validation():
 def test_config_refuses_non_integer_sizes_and_bad_eps(field, value):
     with pytest.raises(ConfigError, match=field):
         tm.ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("buckets, distance, field", [
+    (1, 128, "n_rel_buckets"), (2, 128, "n_rel_buckets"), (3, 128, "n_rel_buckets"),
+    (32, 8, "rel_max_distance"), (32, 4, "rel_max_distance"), (32, 1, "rel_max_distance"),
+    (4, 1, "rel_max_distance"), (9, 2, "rel_max_distance"),
+])
+def test_config_refuses_buckets_relative_bucket_cannot_fill(buckets, distance, field):
+    # below 4 buckets, or at distance n_rel_buckets // 4, relative_bucket
+    # divided by zero; below that distance it returned negative bucket ids
+    with pytest.raises(ConfigError, match=field):
+        tm.ModelConfig(n_rel_buckets=buckets, rel_max_distance=distance)
+
+
+@pytest.mark.parametrize("buckets, distance", [(4, 2), (5, 2), (32, 9), (32, 128), (8, 3)])
+def test_smallest_accepted_bucket_settings_give_ids_in_range(buckets, distance):
+    cfg = tm.ModelConfig(n_rel_buckets=buckets, rel_max_distance=distance)
+    ids = [tm.relative_bucket(r, cfg.n_rel_buckets, cfg.rel_max_distance)
+           for r in range(-300, 301)]
+    assert min(ids) == 0 and max(ids) < buckets
 
 
 # ------------------------------------------------------------------ revin
@@ -388,36 +409,6 @@ def test_encoder_relative_bias_shifts_attention():
     assert not np.allclose(sink_flat[0], sink_biased[0])
 
 
-def reference_attention(x, wq, wk, wv, wo, rel_bias, idx, n_heads, sink=None):
-    """The primitive chain encoder_forward ran before nc.attention, kept as
-    the oracle for the fused primitive. The bias lookup is a one-hot matmul:
-    exact in f32, and its gradient is the same per-bucket sum."""
-    b, n, d = x.shape
-    dh = d // n_heads
-    scale = nc.Tensor(np.float32(1.0 / math.sqrt(dh)))
-
-    def fold(v):
-        return nc.reshape(v, (b * n, d))
-
-    def unfold(v):
-        return nc.reshape(v, (b, n, d))
-
-    def split_heads(v):
-        return nc.transpose(nc.reshape(v, (b, n, n_heads, dh)), (0, 2, 1, 3))
-
-    q = split_heads(unfold(nc.matmul(fold(x), wq)))
-    k = split_heads(unfold(nc.matmul(fold(x), wk)))
-    v = split_heads(unfold(nc.matmul(fold(x), wv)))
-    scores = nc.mul(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), scale)
-    onehot = np.eye(rel_bias.shape[0], dtype=np.float32)[np.asarray(idx).reshape(-1)]
-    table = nc.reshape(nc.matmul(nc.Tensor(onehot), rel_bias), (n, n, n_heads))
-    attn = nc.softmax_lastdim(nc.add(scores, nc.transpose(table, (2, 0, 1))))
-    if sink is not None:
-        sink.append(attn.data)
-    ctx = nc.reshape(nc.transpose(nc.matmul(attn, v), (0, 2, 1, 3)), (b * n, d))
-    return unfold(nc.matmul(ctx, wo))
-
-
 def _rel_err(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30))
 
@@ -436,20 +427,17 @@ def _encoder_run(w, e, wout):
     return h.data.copy(), sink, grads
 
 
-@pytest.mark.parametrize("name", ["tiny", "small"])
-@pytest.mark.parametrize("batch", [1, 5])
-def test_fused_attention_matches_reference_chain(monkeypatch, name, batch):
+def _biased_weights(name, seed):
     cfg = tm.named_config(name)
-    w = tm.init_weights(cfg, seed=21)
-    rng = rng_for(22)
+    w = tm.init_weights(cfg, seed=seed)
+    rng = rng_for(seed + 1)
     for i in range(cfg.n_layers):  # the init bias is zero; make it matter
         w.params[f"layers.{i}.attn.rel_bias"].data[:] = rng.normal(
             size=(cfg.n_rel_buckets, cfg.n_heads))
-    e = nc.Tensor(rng.normal(size=(batch, cfg.n_patches, cfg.d_model)), requires_grad=True)
-    wout = nc.Tensor(rng.normal(size=e.shape))
-    fused = _encoder_run(w, e, wout)
-    monkeypatch.setattr(nc, "attention", reference_attention)
-    ref = _encoder_run(w, e, wout)
+    return w, rng
+
+
+def _assert_matches_chain(fused, ref, cfg, batch):
     assert _rel_err(fused[0], ref[0]) <= 1e-6
     assert len(fused[1]) == len(ref[1]) == cfg.n_layers
     for got, want in zip(fused[1], ref[1]):
@@ -459,6 +447,46 @@ def test_fused_attention_matches_reference_chain(monkeypatch, name, batch):
     assert "layers.0.attn.rel_bias" in fused[2]
     for key, want in ref[2].items():
         assert _rel_err(fused[2][key], want) <= 1e-5, key
+
+
+@pytest.mark.parametrize("name", ["tiny", "small"])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_fused_attention_matches_reference_chain(monkeypatch, name, batch):
+    w, rng = _biased_weights(name, 21)
+    cfg = w.config
+    e = nc.Tensor(rng.normal(size=(batch, cfg.n_patches, cfg.d_model)), requires_grad=True)
+    wout = nc.Tensor(rng.normal(size=e.shape))
+    fused = _encoder_run(w, e, wout)
+    monkeypatch.setattr(nc, "encoder_block", rc.reference_block)
+    _assert_matches_chain(fused, _encoder_run(w, e, wout), cfg, batch)
+
+
+def _encode_run(w, x, plan, wout):
+    """hidden, attention sink and every parameter gradient of one encode."""
+    nc.zero_grads(w.params)
+    sink = []
+    with nc.Tape() as tape:
+        h = tm.encode(w, x, plan, attn_sink=sink)
+        loss = nc.mean_(nc.mul(h, wout))
+    nc.backward(loss, tape)
+    return h.data.copy(), sink, {name: p.grad.copy() for name, p in w.params.items()
+                                 if p.grad is not None}
+
+
+@pytest.mark.parametrize("name", ["tiny", "small"])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_fused_encode_matches_reference_chain(monkeypatch, name, batch):
+    w, rng = _biased_weights(name, 31)
+    cfg = w.config
+    x = rng.normal(size=(batch, cfg.seq_len)).astype(np.float32)
+    plan = (rng.random((batch, cfg.n_patches)) > 0.3).astype(np.uint8)
+    wout = nc.Tensor(rng.normal(size=(batch, cfg.n_patches, cfg.d_model)))
+    fused = _encode_run(w, x, plan, wout)
+    monkeypatch.setattr(nc, "encoder_block", rc.reference_block)
+    monkeypatch.setattr(nc, "patch_embed", rc.reference_patch_embed)
+    ref = _encode_run(w, x, plan, wout)
+    assert {"patch_embed.weight", "patch_embed.bias", "mask_token"} <= set(ref[2])
+    _assert_matches_chain(fused, ref, cfg, batch)
 
 
 def test_encoder_raises_numeric_error_naming_layer():

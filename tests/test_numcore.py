@@ -1,4 +1,8 @@
-"""Engine tests: primitive forward values, FD gradient oracle, optimizer recipe."""
+"""Engine tests: primitive forward values, FD gradient oracle, optimizer recipe.
+
+The relu, scale_norm and attention tests run on reference_chain's copies of
+those primitives: they are the oracle the fused encoder block is checked
+against, so they keep their own hand values and FD checks."""
 
 import threading
 
@@ -6,6 +10,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_grads, finite_difference_grads, max_rel_err
+import reference_chain as rc
 from tinytsfm import model as tm
 from tinytsfm import numcore as nc
 from tinytsfm.errors import ContractError, ShapeError, TrainingError
@@ -67,24 +72,24 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_scale_norm_rms_example():
-    out = nc.scale_norm(t([3.0, 4.0]), t([1.0, 1.0]), eps=0.0).data
+    out = rc.scale_norm(t([3.0, 4.0]), t([1.0, 1.0]), eps=0.0).data
     np.testing.assert_allclose(out, [0.84853, 1.13137], atol=1e-5)
 
 
 def test_scale_norm_constant_vector():
     for c in (2.5, -2.5):
-        out = nc.scale_norm(t([c] * 6), t(np.ones(6)), eps=0.0).data
+        out = rc.scale_norm(t([c] * 6), t(np.ones(6)), eps=0.0).data
         np.testing.assert_allclose(out, np.sign(c) * np.ones(6), atol=1e-6)
 
 
 def test_scale_norm_zero_gamma():
-    out = nc.scale_norm(t([1.0, 2.0]), t([0.0, 0.0])).data
+    out = rc.scale_norm(t([1.0, 2.0]), t([0.0, 0.0])).data
     np.testing.assert_array_equal(out, [0.0, 0.0])
 
 
 def test_scale_norm_gamma_shape_mismatch():
     with pytest.raises(ShapeError):
-        nc.scale_norm(t([1.0, 2.0]), t([1.0, 2.0, 3.0]))
+        rc.scale_norm(t([1.0, 2.0]), t([1.0, 2.0, 3.0]))
 
 
 def test_forward_determinism_bit_identical():
@@ -219,10 +224,12 @@ def test_model_step_constants_get_no_gradient():
         _, recon = tm.model_forward(weights, x, plan)
         loss = masked_mse_loss(x, recon, plan)
     slots = _gradient_slots(tape)
-    # the patch input, keep/drop masks, positions, targets and mean scale
-    assert slots.count((False, False)) >= 5
+    # the loss's targets and mean weights; the patches, plan and positions
+    # are plain arrays of patch_embed, never tape inputs
+    assert slots.count((False, False)) == 2
     assert (False, True) not in slots and (True, False) not in slots
-    assert len(tape) == 26  # one attention node stands for the whole block
+    # patch_embed, one encoder_block, four for the head and four for the loss
+    assert len(tape) == 10
     nc.backward(loss, tape)
     assert all(p.grad is not None for p in weights.params.values())
 
@@ -276,7 +283,7 @@ def test_fd_scale_norm():
         gamma = t(rng.normal(size=6), grad=True)
         w = t(rng.normal(size=(4, 6)))
         check_grads(
-            lambda: _weighted_mean_loss(nc.scale_norm(x, gamma), w),
+            lambda: _weighted_mean_loss(rc.scale_norm(x, gamma), w),
             {"x": x, "gamma": gamma},
         )
 
@@ -289,7 +296,7 @@ def test_fd_relu():
         vals[np.abs(vals) < 0.05] += 0.1
         x = t(vals, grad=True)
         w = t(rng.normal(size=(3, 4)))
-        check_grads(lambda: _weighted_mean_loss(nc.relu(x), w), {"x": x})
+        check_grads(lambda: _weighted_mean_loss(rc.relu(x), w), {"x": x})
 
 
 def test_fd_add_mul_broadcast():
@@ -337,7 +344,7 @@ def test_fd_attention():
         w = t(rng.normal(size=(b, n, d)))
 
         def loss():
-            out = nc.attention(x, ws["wq"], ws["wk"], ws["wv"], ws["wo"],
+            out = rc.attention(x, ws["wq"], ws["wk"], ws["wv"], ws["wo"],
                                rel_bias, idx, heads)
             return _weighted_mean_loss(out, w)
 
@@ -346,13 +353,116 @@ def test_fd_attention():
 
 def test_attention_rejects_bad_shapes():
     w = t(np.zeros((4, 4)))
+    g = t(np.ones(4))
     bias = t(np.zeros((5, 2)))
+    ff1, ff2 = t(np.zeros((4, 6))), t(np.zeros((6, 4)))
+
+    def block(x, idx, heads):
+        return nc.encoder_block(x, g, w, w, w, w, bias, g, ff1, ff2, idx, heads)
+
     with pytest.raises(ShapeError):
-        nc.attention(t(np.zeros((3, 4))), w, w, w, w, bias, np.zeros((3, 3), int), 2)
+        block(t(np.zeros((3, 4))), np.zeros((3, 3), int), 2)
     with pytest.raises(ShapeError):
-        nc.attention(t(np.zeros((1, 3, 4))), w, w, w, w, bias, np.zeros((3, 3), int), 3)
+        block(t(np.zeros((1, 3, 4))), np.zeros((3, 3), int), 3)
     with pytest.raises(ShapeError):
-        nc.attention(t(np.zeros((1, 3, 4))), w, w, w, w, bias, np.zeros((2, 3), int), 2)
+        block(t(np.zeros((1, 3, 4))), np.zeros((2, 3), int), 2)
+
+
+def _block_inputs(rng, b, n, heads, dh, ff, x_grad=True):
+    """x [b,n,heads*dh], the nine block parameters in encoder_block's order
+    (as a dict) and a bucket index with repeats, which exercise the
+    per-bucket bias sum."""
+    d = heads * dh
+    x = t(rng.normal(size=(b, n, d)), grad=x_grad)
+    params = {
+        "gamma1": t(1.0 + 0.3 * rng.normal(size=d), grad=True),
+        **{name: t(rng.normal(size=(d, d)) * 0.5, grad=True)
+           for name in ("wq", "wk", "wv", "wo")},
+        "rel_bias": t(rng.normal(size=(5, heads)), grad=True),
+        "gamma2": t(1.0 + 0.3 * rng.normal(size=d), grad=True),
+        "w1": t(rng.normal(size=(d, ff)) * 0.5, grad=True),
+        "w2": t(rng.normal(size=(ff, d)) * 0.5, grad=True),
+    }
+    return x, params, rng.integers(0, 5, size=(n, n))
+
+
+def test_fd_encoder_block():
+    rng = np.random.default_rng(23)
+    for trial in range(6):
+        heads = 1 + trial % 2
+        # the last trial's input is a constant
+        x, params, idx = _block_inputs(rng, 1 + trial % 2, 3 + trial % 2, heads, 2, 5,
+                                       x_grad=trial != 5)
+        w = t(rng.normal(size=x.shape))
+
+        def loss():
+            return _weighted_mean_loss(nc.encoder_block(x, *params.values(), idx, heads), w)
+
+        check_grads(loss, {"x": x, **params} if x.requires_grad else params)
+
+
+def test_encoder_block_matches_reference_chain():
+    rng = np.random.default_rng(24)
+    x, params, idx = _block_inputs(rng, 3, 6, 2, 4, 16)
+    w = t(rng.normal(size=x.shape))
+    runs = []
+    for block in (nc.encoder_block, rc.reference_block):
+        nc.zero_grads(params)
+        x.grad = None
+        sink = []
+        with nc.Tape() as tape:
+            out = block(x, *params.values(), idx, 2, sink=sink)
+            loss = _weighted_mean_loss(out, w)
+        nc.backward(loss, tape)
+        runs.append((out.data, sink[0], [x.grad] + [p.grad for p in params.values()]))
+    (out, sink, grads), (want, want_sink, want_grads) = runs
+    np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
+    assert sink.shape == want_sink.shape == (3, 2, 6, 6)  # query-major, as the chain's
+    np.testing.assert_allclose(sink, want_sink, rtol=1e-5, atol=1e-7)
+    for got, ref in zip(grads, want_grads):
+        np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-6)
+
+
+def test_encoder_block_sink_gets_a_fresh_copy():
+    rng = np.random.default_rng(25)
+    x, params, idx = _block_inputs(rng, 2, 4, 2, 2, 6)
+    w = t(rng.normal(size=x.shape))
+    grads = []
+    for scribble in (False, True):
+        nc.zero_grads(params)
+        sink = []
+        with nc.Tape() as tape:
+            loss = _weighted_mean_loss(
+                nc.encoder_block(x, *params.values(), idx, 2, sink=sink), w)
+        assert sink[0].flags.c_contiguous and sink[0].flags.owndata
+        np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, rtol=1e-6)
+        if scribble:  # the backward must not read the caller's array
+            sink[0][:] = 0.0
+        nc.backward(loss, tape)
+        grads.append([p.grad for p in params.values()])
+    for a, b in zip(*grads):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_fd_patch_embed():
+    rng = np.random.default_rng(26)
+    for trial in range(4):
+        b, n, p, d = 1 + trial % 2, 4, 3, 5
+        patches = rng.normal(size=(b, n, p)).astype(np.float32)
+        observed = (rng.random((b, n)) > 0.4).astype(np.uint8)
+        observed[0, 0], observed[-1, -1] = 1, 0  # both sides of the blend
+        params = {"w": t(rng.normal(size=(p, d)), grad=True),
+                  "bias": t(rng.normal(size=d), grad=True),
+                  "mask_token": t(rng.normal(size=d), grad=True)}
+        positions = rng.normal(size=(n, d)).astype(np.float32) if trial % 2 else None
+        w = t(rng.normal(size=(b, n, d)))
+
+        def embed():
+            return nc.patch_embed(patches, observed, *params.values(), positions)
+
+        check_grads(lambda: _weighted_mean_loss(embed(), w), params)
+        want = rc.reference_patch_embed(patches, observed, *params.values(), positions)
+        np.testing.assert_array_equal(embed().data, want.data)
 
 
 def test_fd_two_layer_mlp():
@@ -363,7 +473,7 @@ def test_fd_two_layer_mlp():
     target = t(rng.normal(size=(4, 3)))
 
     def loss():
-        h = nc.relu(nc.matmul(x, w1))
+        h = rc.relu(nc.matmul(x, w1))
         y = nc.matmul(h, w2)
         d = nc.sub(y, target)
         return nc.mean_(nc.mul(d, d))
