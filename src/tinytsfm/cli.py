@@ -28,7 +28,6 @@ from .baselines import naive_forecast
 from .data import Series, load_classes, load_csv, load_labels, save_csv
 from .errors import ConfigError, ParseError, TsfmError, UndefinedMetricError
 from .model import (
-    ENCODE_CHUNK,
     ModelConfig,
     attach_forecast_head,
     init_weights,
@@ -36,6 +35,7 @@ from .model import (
     named_config,
     save_checkpoint,
 )
+from .numcore import CHUNK
 from .pretrain import (
     PretrainConfig,
     encode_forecast_pairs,
@@ -241,6 +241,8 @@ def resolve_run_config(args):
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         else:
             resolved[key] = default
+    if resolved.get("workers", 1) < 1:
+        raise ConfigError(f"--workers must be at least 1, got {resolved['workers']}")
     return resolved
 
 
@@ -289,11 +291,11 @@ def load_series_arg(path):
 
 
 def map_series(fn, items, workers):
-    """fn over consecutive groups of ENCODE_CHUNK items, each group returning
-    one result per item; the results in item order. The groups are fixed, so
+    """fn over consecutive groups of CHUNK items, each group returning one
+    result per item; the results in item order. The groups are fixed, so
     `workers` (threads, each running whole groups) cannot change a result."""
-    groups = [items[lo:lo + ENCODE_CHUNK] for lo in range(0, len(items), ENCODE_CHUNK)]
-    if workers is not None and workers > 1:
+    groups = [items[lo:lo + CHUNK] for lo in range(0, len(items), CHUNK)]
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, groups))
     else:

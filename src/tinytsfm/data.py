@@ -241,13 +241,16 @@ def save_csv(path, collection):
 
 
 def _csv_rows(path, kind):
-    """(line number, row) of each row of a UTF-8 csv file whose first cell is not blank."""
+    """(line number, row) of each row of a UTF-8 csv file with a cell that is
+    not blank; such a row must not start with a blank cell."""
     if not os.path.exists(path):
         raise ParseError(f"{kind} file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
-                if row and row[0].strip():
+                if "".join(row).strip():
+                    if not row[0].strip():
+                        raise ParseError(f"{path} line {lineno}: blank first cell")
                     yield lineno, row
     except (UnicodeDecodeError, csv.Error) as exc:
         raise _unreadable(path, exc) from None

@@ -478,18 +478,9 @@ def model_forward(weights, x_norm, plan, attn_sink=None):
     return h, reconstruction_head(h, weights)
 
 
-# Rows per encode in encode_windows. Fixed, so a window's hidden state never
-# depends on how many windows arrive with it, and peak memory is one chunk's.
-# Not larger: glibc hands freed heap back to the OS once the free top of the
-# heap exceeds twice its largest freed mmap block, and a 32-row tiny chunk's
-# temporaries crossed that line, so every chunk faulted its ~4 MB in afresh
-# (256 tiny windows: 41-54 ms at 32 rows, 30-33 ms at 16).
-ENCODE_CHUNK = 16
-
-
 def encode_windows(weights, x_norm, plan):
     """Hidden states [B,N,D] (an ndarray) of normalized windows x_norm [B,T]
-    under per-patch plans [B,N], encoded ENCODE_CHUNK rows at a time with no
+    under per-patch plans [B,N], encoded nc.CHUNK rows at a time with no
     tape. A NumericError's `row` is the batch row of the first non-finite
     activation found."""
     cfg = weights.config
@@ -502,8 +493,8 @@ def encode_windows(weights, x_norm, plan):
         )
     out = np.empty((len(x), x.shape[1] // cfg.patch_len, cfg.d_model), dtype=np.float32)
     with nc.OffTape():
-        for lo in range(0, len(x), ENCODE_CHUNK):
-            hi = lo + ENCODE_CHUNK
+        for lo in range(0, len(x), nc.CHUNK):
+            hi = lo + nc.CHUNK
             try:
                 out[lo:hi] = encode(weights, x[lo:hi], plan_arr[lo:hi]).data
             except NumericError as exc:

@@ -126,6 +126,16 @@ def _record(out, inputs, backward_fn):
     return out
 
 
+# Windows per chunk, in model.encode_windows' forward-only encode and in
+# encoder_block's backward. Fixed, so a window's results never depend on how
+# many windows arrive with it, and peak memory is one chunk's. Not larger:
+# glibc hands freed heap back to the OS once the free top of the heap exceeds
+# twice its largest freed mmap block, and a 32-row tiny chunk's temporaries
+# crossed that line, so every chunk faulted its ~4 MB in afresh (256 tiny
+# windows: 41-54 ms at 32 rows, 30-33 ms at 16).
+CHUNK = 16
+
+
 def _unbroadcast(grad, shape):
     """Reduce a broadcast gradient back to `shape`."""
     extra = grad.ndim - len(shape)
@@ -197,41 +207,9 @@ def matmul(a, b):
     return _record(out, (a, b), bwd)
 
 
-def _row_softmax(z):
-    """Softmax over the last axis of the f32 array z, computed in place (z is
-    returned): max-subtraction, exp, then one reciprocal multiply per row.
-
-    fmax.reduce gives max's row maxima (a NaN row still ends up all NaN)
-    with a faster loop than max, and einsum sums short rows faster than sum.
-    """
-    z -= np.fmax.reduce(z, axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    total = np.einsum("...i->...", z)[..., None]
-    z *= np.reciprocal(total, out=total)
-    return z
-
-
-def softmax_lastdim(x):
-    """Row-wise softmax over the final axis, computed with max-subtraction."""
-    p = _row_softmax(x.data.copy())
-    out = Tensor(p)
-
-    def bwd(g):
-        dot = (p * g).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return _record(out, (x,), bwd)
-
-
 def reshape(x, shape):
     out = Tensor(x.data.reshape(shape))
     return _record(out, (x,), lambda g: (g.reshape(x.data.shape),))
-
-
-def transpose(x, axes):
-    inv = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(x.data, axes))
-    return _record(out, (x,), lambda g: (np.transpose(g, inv),))
 
 
 def sum_(x, axis=None, keepdims=False):
@@ -300,9 +278,11 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     where norm(x, gamma) = gamma * x / sqrt(mean(x^2, last) + 1e-6). q, k and v
     come from one [D, 3D] product; head h adds rel_bias[idx, h] for the [N,N]
     bucket ids idx. Scores are key-major, [B,H,Nk,Nq], so the softmax reduces
-    over axis -2; a sink list gets a fresh query-major copy of them. The
-    backward reads x_hat = x * inv and inv of both norms, the QKV product, the
-    probabilities, the context and the ReLU output, nothing more."""
+    over axis -2; a sink list gets a fresh query-major copy of them. The node
+    keeps x_hat2 = y * inv2, the inv of both norms, the QKV product, the
+    probabilities and the ReLU output. Its backward works CHUNK windows at a
+    time and recomputes each chunk's x_hat1 = x * inv1 and context, bit for
+    bit, so a batch of at most CHUNK windows takes the unchunked path."""
     if x.ndim != 3:
         raise ShapeError(f"encoder_block expects [B,N,D] input, got {x.shape}")
     b, n, d = x.shape
@@ -318,9 +298,8 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     xf = x.data.reshape(b * n, d)
     eps = np.float32(1e-6)
     inv1 = 1.0 / np.sqrt(np.mean(np.square(xf), axis=-1, keepdims=True) + eps)
-    x_hat1 = xf * inv1
     # [B*N, 3D] -> three [B,H,N,dh] views
-    qkv = (x_hat1 * gamma1.data) @ w_qkv
+    qkv = (xf * inv1 * gamma1.data) @ w_qkv
     q, k, v = qkv.reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     p = k @ q.swapaxes(-1, -2)
     # [H, Nk, Nq] in one gather from the [H, n_buckets] table
@@ -331,11 +310,15 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     p *= np.reciprocal(total, out=total)
     if sink is not None:
         sink.append(p.swapaxes(-1, -2).copy())
-    ctx = np.empty((b, n, n_heads, dh), dtype=np.float32)
-    ctx_h = ctx.transpose(0, 2, 1, 3)
-    np.matmul(p.swapaxes(-1, -2), v, out=ctx_h)
-    ctx = ctx.reshape(b * n, d)
-    y = ctx @ wo.data
+
+    def context(lo, hi):
+        """[rows, D] context of windows lo:hi and its [b,H,N,dh] view."""
+        ctx = np.empty((hi - lo, n, n_heads, dh), dtype=np.float32)
+        ctx_h = ctx.transpose(0, 2, 1, 3)
+        np.matmul(p[lo:hi].swapaxes(-1, -2), v[lo:hi], out=ctx_h)
+        return ctx.reshape(-1, d), ctx_h
+
+    y = context(0, b)[0] @ wo.data
     y += xf
     inv2 = 1.0 / np.sqrt(np.mean(np.square(y), axis=-1, keepdims=True) + eps)
     x_hat2 = y * inv2
@@ -344,25 +327,28 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     out = hidden @ w2.data
     out += y
 
-    def bwd(g):
-        gf = g.reshape(b * n, d)
-        g_w2 = hidden.T @ gf if w2.requires_grad else None
+    def chunk_bwd(lo, hi, gf):
+        """(input gradient rows, weight gradients) of windows lo:hi, for gf,
+        their rows of the output gradient."""
+        r = slice(lo * n, hi * n)
+        g_w2 = hidden[r].T @ gf if w2.requires_grad else None
         g_h = gf @ w2.data.T
-        g_h *= hidden > 0
-        g_w1 = (x_hat2 * gamma2.data).T @ g_h if w1.requires_grad else None
-        g_y, g_gamma2 = _norm_backward(g_h @ w1.data.T, gamma2, x_hat2, inv2)
-        del g_h  # the [B*N, F] and [B,H,N,N] gradients go as soon as they are read
+        g_h *= hidden[r] > 0
+        g_w1 = (x_hat2[r] * gamma2.data).T @ g_h if w1.requires_grad else None
+        g_y, g_gamma2 = _norm_backward(g_h @ w1.data.T, gamma2, x_hat2[r], inv2[r])
+        del g_h  # the [rows, F] and [b,H,N,N] gradients go as soon as they are read
         g_y += gf
+        ctx, ctx_h = context(lo, hi)
         g_wo = ctx.T @ g_y if wo.requires_grad else None
-        g_ctx = (g_y @ wo.data.T).reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
-        g_qkv = np.empty((b, n, 3, n_heads, dh), dtype=np.float32)
+        g_ctx = (g_y @ wo.data.T).reshape(hi - lo, n, n_heads, dh).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((hi - lo, n, 3, n_heads, dh), dtype=np.float32)
         g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(p, g_ctx, out=g_v)
+        np.matmul(p[lo:hi], g_ctx, out=g_v)
         # softmax backward over keys, p * (dp - colsum(p * dp)); colsum(p * dp)
-        # equals rowsum(g_ctx * ctx) per query, which needs no [B,H,N,N] product
-        g_s = v @ g_ctx.swapaxes(-1, -2)
+        # equals rowsum(g_ctx * ctx) per query, which needs no [b,H,N,N] product
+        g_s = v[lo:hi] @ g_ctx.swapaxes(-1, -2)
         g_s -= np.einsum("bhqd,bhqd->bhq", g_ctx, ctx_h)[..., None, :]
-        g_s *= p
+        g_s *= p[lo:hi]
         g_bias = None
         if rel_bias.requires_grad:
             n_buckets = rel_bias.data.shape[0]
@@ -370,15 +356,32 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
             g_bias = np.bincount(key.ravel(), weights=g_s.sum(axis=0).ravel(),
                                  minlength=n_buckets * n_heads)
             g_bias = g_bias.reshape(n_buckets, n_heads).astype(np.float32)
-        np.matmul(g_s.swapaxes(-1, -2), k, out=g_q)
-        np.matmul(g_s, q, out=g_k)
-        del g_s, g_ctx
-        g_qkv = g_qkv.reshape(b * n, 3 * d)
+        np.matmul(g_s.swapaxes(-1, -2), k[lo:hi], out=g_q)
+        np.matmul(g_s, q[lo:hi], out=g_k)
+        del g_s, g_ctx, ctx, ctx_h
+        g_qkv = g_qkv.reshape(-1, 3 * d)
+        x_hat1 = xf[r] * inv1[r]
         g_w = (x_hat1 * gamma1.data).T @ g_qkv
         g_w[:, :d] *= scale
-        g_x, g_gamma1 = _norm_backward(g_qkv @ w_qkv.T, gamma1, x_hat1, inv1)
+        g_x, g_gamma1 = _norm_backward(g_qkv @ w_qkv.T, gamma1, x_hat1, inv1[r])
         g_x += g_y
-        return (g_x.reshape(b, n, d) if x.requires_grad else None, g_gamma1,
+        return g_x, [g_gamma1, g_w, g_wo, g_bias, g_gamma2, g_w1, g_w2]
+
+    def bwd(g):
+        gf = g.reshape(b * n, d)
+        g_x = np.empty((b * n, d), dtype=np.float32) if x.requires_grad else None
+        sums = None
+        # an empty batch still runs one (empty) chunk, so each gradient is defined
+        for lo in range(0, max(b, 1), CHUNK):
+            hi = min(lo + CHUNK, b)
+            g_rows, parts = chunk_bwd(lo, hi, gf[lo * n:hi * n])
+            if g_x is not None:
+                g_x[lo * n:hi * n] = g_rows
+            # weight gradients add up in chunk order
+            sums = parts if sums is None else [
+                s if s is None else s + part for s, part in zip(sums, parts)]
+        g_gamma1, g_w, g_wo, g_bias, g_gamma2, g_w1, g_w2 = sums
+        return (None if g_x is None else g_x.reshape(b, n, d), g_gamma1,
                 *(g_w[:, j * d:(j + 1) * d] if w.requires_grad else None
                   for j, w in enumerate((wq, wk, wv))),
                 g_wo, g_bias, g_gamma2, g_w1, g_w2)

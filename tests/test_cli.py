@@ -27,6 +27,7 @@ from tinytsfm.cli import (
 )
 from tinytsfm.baselines import naive_forecast
 from tinytsfm.data import Series, load_csv, save_csv
+from tinytsfm.numcore import CHUNK
 from tinytsfm.tasks import (
     ImputationSpec,
     apply_block_mask,
@@ -298,6 +299,26 @@ def test_run_config_values_are_held_to_the_option_table(workdir, tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["forecast", "impute"])
+@pytest.mark.parametrize("workers", [0, -2])
+@pytest.mark.parametrize("source", ["flag", "run-config"])
+def test_workers_below_one_is_refused(workdir, tmp_path, capsys, command, workers, source):
+    argv = [command, "--ckpt", workdir["ckpt"], "--data", workdir["data"],
+            "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--workers", str(workers)]
+    else:
+        cfg_path = tmp_path / "rc.json"
+        cfg_path.write_text(json.dumps({"workers": workers}))
+        argv += ["--run-config", str(cfg_path)]
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--workers" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_config_null_means_default_and_ints_fill_float_options(tmp_path, monkeypatch):
     monkeypatch.delenv("MOMENT_MINI_SEED", raising=False)
     cfg_path = tmp_path / "rc.json"
@@ -350,7 +371,7 @@ def test_forecast_rows_equal_the_per_series_metric_calls(workdir, tmp_path):
     assert rows == want  # the same floats, not close ones
 
 
-K = tm.ENCODE_CHUNK
+K = CHUNK
 
 
 @pytest.mark.parametrize("n_series", [1, K - 1, K + 1, 2 * K + 1])
@@ -972,11 +993,15 @@ def test_fuzzed_label_files_exit_one_with_one_error_line(workdir, tmp_path, caps
     bad = []
     for _ in range(FUZZ_CASES):
         lines = list(valid)
-        how = rng.choice(["ragged", "non-binary", "nul", "bom", "oversized"])
+        how = rng.choice(["ragged", "blank-first", "non-binary", "nul", "bom", "oversized"])
         if how == "ragged":
             i = rng.randrange(len(lines))
             lines[i] += rng.choice([",", ",0", ",1,1"])
             what = f"ragged line {i + 1}"
+        elif how == "blank-first":
+            i = rng.randrange(len(lines))
+            lines.insert(i, rng.choice([",0", ",1", " ,1"]))
+            what = f"line {i + 1}: blank first cell"
         elif how == "non-binary":
             i = rng.randrange(len(lines))
             lines[i] = rng.choice(["2", "-1", "0.5", "01", "yes", "true", "nan"])
@@ -985,7 +1010,8 @@ def test_fuzzed_label_files_exit_one_with_one_error_line(workdir, tmp_path, caps
             what = _corrupt_line(rng, lines, how)
         _write_fuzzed(path, rng, lines)
         code, err = _run_fuzz_case(capsys, argv)
-        if not _one_error_line(code, err):
+        # a row with a blank first cell must be named, not dropped
+        if not _one_error_line(code, err) or how == "blank-first" and what not in err:
             bad.append((what, code, err))
     assert bad == []
 
@@ -1010,11 +1036,15 @@ def test_fuzzed_class_files_exit_one_with_one_error_line(workdir, tmp_path, caps
     for _ in range(FUZZ_CASES):
         lines = list(valid)
         which = rng.choice(sorted(files))
-        how = rng.choice(["ragged", "missing", "nul", "bom", "oversized"])
+        how = rng.choice(["ragged", "blank-first", "missing", "nul", "bom", "oversized"])
         if how == "ragged":
             i = rng.randrange(len(lines))
             lines[i] = rng.choice([lines[i].split(",")[0], lines[i] + ",extra", lines[i] + ","])
             what = f"ragged line {i + 1}"
+        elif how == "blank-first":
+            i = rng.randrange(len(lines))
+            lines.insert(i, rng.choice([",4", ",32", " ,7"]))
+            what = f"line {i + 1}: blank first cell"
         elif how == "missing":
             i = rng.randrange(len(lines))
             del lines[i]
@@ -1024,6 +1054,6 @@ def test_fuzzed_class_files_exit_one_with_one_error_line(workdir, tmp_path, caps
         _write_fuzzed(files[which], rng, lines)
         code, err = _run_fuzz_case(capsys, argv)
         files[which].write_text("\n".join(valid) + "\n")
-        if not _one_error_line(code, err):
+        if not _one_error_line(code, err) or how == "blank-first" and what not in err:
             bad.append((which, what, code, err))
     assert bad == []

@@ -320,6 +320,25 @@ def test_load_labels_counts_blank_lines_in_line_numbers(tmp_path):
         td.load_labels(path)
 
 
+@pytest.mark.parametrize("loader, text, line", [
+    (td.load_labels, "0\n,1\n1\n", 2),
+    (td.load_labels, "0\n1\n ,0,\n", 3),
+    (td.load_classes, "s1,1\n,2\ns2,3\n", 2),
+    (td.load_classes, "s1,1\ns2,3\n  ,x\n", 3),
+], ids=["labels", "labels_last", "classes", "classes_last"])
+def test_row_with_blank_first_cell_is_a_parse_error(tmp_path, loader, text, line):
+    # not a blank row: skipping it would drop a label or a class
+    with pytest.raises(ParseError, match=rf"x\.csv line {line}: "):
+        loader(write(tmp_path, "x.csv", text))
+
+
+def test_rows_of_blank_cells_are_skipped(tmp_path):
+    path = write(tmp_path, "x.labels.csv", "0\n,\n \n\n , \n1\n")
+    assert np.array_equal(td.load_labels(path), [False, True])
+    path = write(tmp_path, "x.classes.csv", "s1,1\n,,\n\ns2,3\n")
+    assert td.load_classes(path) == {"s1": 1, "s2": 3}
+
+
 BIG = "x" * 200_000  # over the csv module's 131,072-character field limit
 
 

@@ -474,7 +474,7 @@ def _encode_run(w, x, plan, wout):
 
 
 @pytest.mark.parametrize("name", ["tiny", "small"])
-@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("batch", [1, 5, 2 * nc.CHUNK + 5])  # the last: three backward chunks
 def test_fused_encode_matches_reference_chain(monkeypatch, name, batch):
     w, rng = _biased_weights(name, 31)
     cfg = w.config
@@ -538,14 +538,14 @@ def test_encode_windows_matches_encode_in_chunks_and_records_nothing():
     cfg = _small_cfg()
     w = tm.init_weights(cfg, seed=8)
     rng = rng_for(15)
-    n = 2 * tm.ENCODE_CHUNK + 5
+    n = 2 * nc.CHUNK + 5
     xb = rng.normal(size=(n, 32)).astype(np.float32)
     plan = (rng.random((n, 4)) > 0.3).astype(np.uint8)
     with nc.Tape() as tape:
         hidden = tm.encode_windows(w, xb, plan)
     assert len(tape) == 0
     assert isinstance(hidden, np.ndarray) and hidden.shape == (n, 4, 8)
-    for i in (0, tm.ENCODE_CHUNK - 1, tm.ENCODE_CHUNK, n - 1):
+    for i in (0, nc.CHUNK - 1, nc.CHUNK, n - 1):
         np.testing.assert_allclose(hidden[i], tm.encode(w, xb[i], plan[i]).data,
                                    rtol=1e-6, atol=1e-6)
     h, _ = tm.model_forward(w, xb[:3], plan[:3])
@@ -555,9 +555,9 @@ def test_encode_windows_matches_encode_in_chunks_and_records_nothing():
 def test_encode_windows_numeric_error_carries_the_batch_row():
     cfg = _small_cfg()
     w = tm.init_weights(cfg, seed=9)
-    n = tm.ENCODE_CHUNK + 10
+    n = nc.CHUNK + 10
     xb = rng_for(16).normal(size=(n, 32)).astype(np.float32)
-    bad = tm.ENCODE_CHUNK + 7  # in the second chunk
+    bad = nc.CHUNK + 7  # in the second chunk
     xb[bad, 3] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 0") as err:
         tm.encode_windows(w, xb, np.ones((n, 4), dtype=np.uint8))

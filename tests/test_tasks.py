@@ -20,7 +20,6 @@ from tinytsfm.errors import (
     StratificationError,
 )
 from tinytsfm.model import (
-    ENCODE_CHUNK,
     ModelConfig,
     attach_forecast_head,
     encode_windows,
@@ -30,6 +29,7 @@ from tinytsfm.model import (
     prepare_windows,
     revin_denormalize,
 )
+from tinytsfm.numcore import CHUNK
 from tinytsfm.pretrain import _prepare_series
 from tinytsfm.tasks import (
     IMPUTE_RATIOS,
@@ -397,7 +397,7 @@ def test_list_forms_match_one_series_at_a_time(small_weights, adapter):
     run = LIST_ADAPTERS[adapter]
     # lengths 40-360: 1-6 windows a series, 144 windows to impute in all
     batch = [gapped_series(40 + 8 * i, seed=i, name=f"s{i}")
-             for i in range(2 * ENCODE_CHUNK + 9)]
+             for i in range(2 * CHUNK + 9)]
     batch[5] = noisy_series(70, seed=99, name="complete")
     got = run(weights, batch)
     assert isinstance(got, list) and len(got) == len(batch)
