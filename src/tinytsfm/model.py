@@ -2,16 +2,16 @@
 patch/mask embedding, positional signals, a bias-free pre-norm transformer
 stack with bucketed relative attention bias, and the task heads.
 
-`encode` maps normalized windows to hidden patch states; each head
-(`reconstruction_head`, `forecasting_head`) is a separate call on those
-states, so a caller runs only the head whose output it reads.
-`model_forward` is encode plus the reconstruction head, for training and
-the probes. `encode_windows` is the read path under every task adapter: a
+`encode` maps a batch of normalized windows [B,T] to hidden patch states
+[B,N,D]; each head (`reconstruction_head`, `forecasting_head`) is a separate
+call on those states, so a caller runs only the head whose output it reads.
+`model_forward` is encode plus the reconstruction head, for training.
+`encode_windows` is the read path under every task adapter and probe: a
 chunked, forward-only encode that returns an ndarray.
 
-All forward functions accept a single series ([T] / [N,P]) or a batch
-([B,T] / [B,N,P]); internally everything runs batched. Normalized-space
-tensors flow through the autodiff engine.
+Every forward takes a batch; each layer and each head is one numcore tape
+node, so a training step records one node per encoder layer plus the patch
+embedding, the head and the loss.
 """
 
 import hashlib
@@ -369,23 +369,26 @@ def _plan_array(plan):
     return arr.astype(np.float32)
 
 
+def _tensor(hidden):
+    return hidden if isinstance(hidden, nc.Tensor) else nc.Tensor(hidden)
+
+
 def embed_patches(patches, plan, weights, positions=None):
     """Project observed patches linearly; substitute the mask token elsewhere;
     add the constant positions [N,D] when given. One nc.patch_embed node.
 
-    patches: [N,P] or [B,N,P]; plan: matching per-patch indicator. The blend
+    patches: [B,N,P]; plan: the matching [B,N] per-patch indicator. The blend
     multiplies the projection by the indicator, so masked rows equal the mask
     token bit-exactly and raw values under a mask cannot influence anything.
     """
     x = np.asarray(patches, dtype=np.float32)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    b, n, _ = x.shape
-    out = nc.patch_embed(x, _plan_array(plan).reshape(b, n), weights.params["patch_embed.weight"],
-                         weights.params["patch_embed.bias"], weights.params["mask_token"],
-                         positions)
-    return nc.reshape(out, (n, -1)) if single else out
+    plan_arr = _plan_array(plan)
+    if x.ndim != 3 or plan_arr.shape != x.shape[:2]:
+        raise ShapeError(f"embed_patches needs [B,N,P] patches and a [B,N] plan, got "
+                         f"{x.shape} and {plan_arr.shape}")
+    return nc.patch_embed(x, plan_arr, weights.params["patch_embed.weight"],
+                          weights.params["patch_embed.bias"], weights.params["mask_token"],
+                          positions)
 
 
 # per-layer parameters in nc.encoder_block's argument order
@@ -394,7 +397,8 @@ _BLOCK_PARAMS = ("norm1.gamma", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "att
 
 
 def encoder_forward(embeddings, weights, attn_sink=None):
-    """Pre-norm residual stack: x + Attn(norm(x)), then x + FF(norm(x)).
+    """Pre-norm residual stack on [B,N,D] embeddings: x + Attn(norm(x)), then
+    x + FF(norm(x)).
 
     Each layer is one nc.encoder_block node: attention logits scaled by
     1/sqrt(d_head) plus a per-head additive relative-position bias, the
@@ -402,13 +406,11 @@ def encoder_forward(embeddings, weights, attn_sink=None):
     each layer's [B,H,N,N] attention weights as an ndarray.
     """
     cfg = weights.config
-    x = embeddings if isinstance(embeddings, nc.Tensor) else nc.Tensor(embeddings)
-    single = x.ndim == 2
-    if single:
-        x = nc.reshape(x, (1,) + x.shape)
-    b, n, d = x.shape
-    if d != cfg.d_model:
-        raise ShapeError(f"embedding dim {d} != d_model {cfg.d_model}")
+    x = _tensor(embeddings)
+    if x.ndim != 3 or x.shape[2] != cfg.d_model:
+        raise ShapeError(f"encoder_forward expects [B,N,{cfg.d_model}] embeddings, "
+                         f"got {x.shape}")
+    b, n, _ = x.shape
     idx = _bucket_index_matrix(n, cfg.n_rel_buckets, cfg.rel_max_distance)
     for i in range(cfg.n_layers):
         x = nc.encoder_block(x, *(weights.params[f"layers.{i}.{name}"] for name in _BLOCK_PARAMS),
@@ -417,63 +419,45 @@ def encoder_forward(embeddings, weights, attn_sink=None):
             finite = np.isfinite(x.data).reshape(b, -1).all(axis=1)
             raise NumericError(f"non-finite activation after layer {i}",
                                row=int(np.argmin(finite)))
-    return nc.reshape(x, (n, d)) if single else x
+    return x
 
 
 def reconstruction_head(hidden, weights):
-    """Per-patch linear map D -> P; patches concatenated back to length T."""
-    h = hidden if isinstance(hidden, nc.Tensor) else nc.Tensor(hidden)
-    single = h.ndim == 2
-    if single:
-        h = nc.reshape(h, (1,) + h.shape)
-    b, n, d = h.shape
+    """Per-patch linear map D -> P on [B,N,D]; patches concatenated back to
+    [B,T]. One nc.linear_head node."""
+    h = _tensor(hidden)
     w = weights.params["recon_head.weight"]
-    bias = weights.params["recon_head.bias"]
-    out = nc.add(nc.matmul(nc.reshape(h, (b * n, d)), w), bias)
-    out = nc.reshape(out, (b, n * w.data.shape[1]))
-    return nc.reshape(out, (out.shape[1],)) if single else out
+    if h.ndim != 3 or h.shape[2] != w.data.shape[0]:
+        raise ShapeError(f"reconstruction head expects [B,N,{w.data.shape[0]}], got {h.shape}")
+    return nc.linear_head(h, w, weights.params["recon_head.bias"])
 
 
 def forecasting_head(hidden, weights):
-    """Flatten the N x D patch embeddings row-major and project to horizon H."""
+    """Flatten each window's N x D patch embeddings row-major and project to
+    horizon H: [B,N,D] -> [B,H]. One nc.linear_head node."""
     if weights.horizon is None or "forecast_head.weight" not in weights.params:
         raise ConfigError("forecasting head not attached")
-    h = hidden if isinstance(hidden, nc.Tensor) else nc.Tensor(hidden)
-    single = h.ndim == 2
-    if single:
-        h = nc.reshape(h, (1,) + h.shape)
-    b, n, d = h.shape
+    h = _tensor(hidden)
     w = weights.params["forecast_head.weight"]
-    if n * d != w.data.shape[0]:
+    if h.ndim != 3 or h.shape[1] * h.shape[2] != w.data.shape[0]:
         raise ConfigError(
-            f"forecasting head expects flattened dim {w.data.shape[0]}, got {n * d}"
+            f"forecasting head expects [B,N,D] with N*D = {w.data.shape[0]}, got {h.shape}"
         )
-    out = nc.add(nc.matmul(nc.reshape(h, (b, n * d)), w), weights.params["forecast_head.bias"])
-    return nc.reshape(out, (out.shape[1],)) if single else out
+    return nc.linear_head(h, w, weights.params["forecast_head.bias"])
 
 
 def encode(weights, x_norm, plan, attn_sink=None):
-    """Normalized window(s) -> hidden Tensor ([N,D] or [B,N,D]); no head runs.
-
-    x_norm: [T] or [B,T] in normalized space; plan: per-patch indicator(s).
-    """
+    """Normalized windows [B,T] under per-patch plans [B,N] -> hidden Tensor
+    [B,N,D]; no head runs."""
     cfg = weights.config
-    patches = patchify(x_norm, cfg.patch_len)
-    single = patches.ndim == 2
-    plan_arr = _plan_array(plan)
-    if single:
-        patches = patches[None]
-        plan_arr = plan_arr.reshape(1, -1)
-    if plan_arr.shape != patches.shape[:2]:
-        raise ShapeError(f"plan shape {plan_arr.shape} != patch grid {patches.shape[:2]}")
-    e = embed_patches(patches, plan_arr, weights, sinusoidal_pe(cfg.n_patches, cfg.d_model))
-    h = encoder_forward(e, weights, attn_sink=attn_sink)
-    return nc.reshape(h, h.shape[1:]) if single else h
+    e = embed_patches(patchify(x_norm, cfg.patch_len), plan, weights,
+                      sinusoidal_pe(cfg.n_patches, cfg.d_model))
+    return encoder_forward(e, weights, attn_sink=attn_sink)
 
 
 def model_forward(weights, x_norm, plan, attn_sink=None):
-    """encode plus the reconstruction head: (hidden Tensor, reconstruction
-    Tensor), for training and the probes."""
+    """encode plus the reconstruction head: (hidden Tensor [B,N,D],
+    reconstruction Tensor [B,T]), for training."""
     h = encode(weights, x_norm, plan, attn_sink=attn_sink)
     return h, reconstruction_head(h, weights)
 

@@ -5,9 +5,11 @@ Everything is float32 end to end. Ops record onto the innermost Tape the
 calling thread has open (a context manager) whenever any input requires
 gradients; with no tape open in that thread they run forward-only, which is
 the inference path. backward walks the tape exactly once in reverse, so
-recording order doubles as the topological order. patch_embed and
-encoder_block are model-sized nodes with hand-written backwards, and every
-backward returns None for a constant operand rather than a gradient nobody reads.
+recording order doubles as the topological order. Every op is a
+model-sized node with a hand-written backward: patch_embed, encoder_block,
+linear_head and weighted_sq_error, so a step records one node per layer
+plus three. Every backward returns None for a constant operand rather than
+a gradient nobody reads.
 """
 
 import math
@@ -31,7 +33,7 @@ _TAPES = _TapeStack()
 
 
 class Tape:
-    """Ordered record of primitive applications for one backward pass."""
+    """Ordered record of node applications for one backward pass."""
 
     def __init__(self):
         # each node: (output Tensor, input Tensors, fn(out_grad) -> input grads)
@@ -82,40 +84,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; the named functions below do the real work
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _record(out, inputs, backward_fn):
@@ -134,105 +104,6 @@ def _record(out, inputs, backward_fn):
 # crossed that line, so every chunk faulted its ~4 MB in afresh (256 tiny
 # windows: 41-54 ms at 32 rows, 30-33 ms at 16).
 CHUNK = 16
-
-
-def _unbroadcast(grad, shape):
-    """Reduce a broadcast gradient back to `shape`."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def add(a, b):
-    out = Tensor(a.data + b.data)
-
-    def bwd(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _record(out, (a, b), bwd)
-
-
-def sub(a, b):
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            -_unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _record(out, (a, b), bwd)
-
-
-def neg(a):
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
-
-
-def mul(a, b):
-    out = Tensor(a.data * b.data)
-
-    def bwd(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _record(out, (a, b), bwd)
-
-
-def matmul(a, b):
-    """Matrix product on the last two axes with numpy-style batch broadcasting."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def bwd(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
-        return ga, gb
-
-    return _record(out, (a, b), bwd)
-
-
-def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape))
-    return _record(out, (x,), lambda g: (g.reshape(x.data.shape),))
-
-
-def sum_(x, axis=None, keepdims=False):
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).astype(np.float32),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, x.data.shape).astype(np.float32),)
-
-    return _record(out, (x,), bwd)
-
-
-def mean_(x, axis=None, keepdims=False):
-    if axis is None:
-        count = x.data.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([x.data.shape[a] for a in ax]))
-    return mul(sum_(x, axis=axis, keepdims=keepdims), Tensor(np.float32(1.0 / count)))
 
 
 def _norm_backward(g_n, gamma, x_hat, inv):
@@ -258,7 +129,7 @@ def patch_embed(patches, observed, w, bias, mask_token, positions=None):
     out = xf @ w.data + bias.data
     out *= keep
     out += mask_token.data * drop
-    out = out.reshape(b, n, -1)
+    out = out.reshape(b, n, w.data.shape[1])
     if positions is not None:
         out += positions
 
@@ -388,6 +259,44 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
 
     return _record(Tensor(out.reshape(b, n, d)),
                    (x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2), bwd)
+
+
+def linear_head(h, w, bias):
+    """A linear head as one tape node: rows @ w + bias for hidden states h
+    [B,N,D], whose rows are [B*N, D] when w has D rows (a per-patch head) or
+    [B, N*D] when it has N*D rows (a flatten-and-project head). Returns
+    [B, rows per window * w's columns]."""
+    if h.ndim != 3:
+        raise ShapeError(f"linear_head expects [B,N,D] input, got {h.shape}")
+    b, n, d = h.shape
+    k, m = w.data.shape
+    if k not in (d, n * d):
+        raise ShapeError(f"head weight {w.data.shape} fits neither rows of {d} nor of "
+                         f"{n * d} for input {h.shape}")
+    per = n * d // k
+    rows = h.data.reshape(b * per, k)
+    out = rows @ w.data + bias.data
+
+    def bwd(g):
+        gf = g.reshape(b * per, m)
+        return ((gf @ w.data.T).reshape(b, n, d) if h.requires_grad else None,
+                rows.T @ gf if w.requires_grad else None,
+                gf.sum(axis=0) if bias.requires_grad else None)
+
+    return _record(Tensor(out.reshape(b, per * m)), (h, w, bias), bwd)
+
+
+def weighted_sq_error(pred, target, weight):
+    """sum((d * d) * weight) with d = pred - target, as one tape node. target
+    [pred's shape] and weight (broadcast to it) are constants; the backward
+    is (2 * weight) * d."""
+    target = np.asarray(target, dtype=np.float32)
+    if target.shape != pred.shape:
+        raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
+    weight = np.asarray(weight, dtype=np.float32)
+    d = pred.data - target
+    return _record(Tensor(((d * d) * weight).sum()), (pred,),
+                   lambda g: ((2 * g * weight) * d,))
 
 
 def backward(loss, tape):

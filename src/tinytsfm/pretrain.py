@@ -159,11 +159,9 @@ def masked_mse_loss(x_norm, x_hat, plan, observed=None):
         raise ContractError("masked loss needs at least one masked, real timestep")
     w = (eligible / count).astype(np.float32)
     if isinstance(x_hat, nc.Tensor):
-        if x_hat.shape != xs.shape and not (single and x_hat.shape == (t,)):
+        if x_hat.shape not in (xs.shape, x.shape):
             raise ShapeError(f"prediction shape {x_hat.shape} != values shape {x.shape}")
-        pred = nc.reshape(x_hat, xs.shape) if x_hat.shape != xs.shape else x_hat
-        diff = nc.sub(pred, nc.Tensor(xs))
-        return nc.sum_(nc.mul(nc.mul(diff, diff), nc.Tensor(w)))
+        return nc.weighted_sq_error(x_hat, xs.reshape(x_hat.shape), w.reshape(x_hat.shape))
     pred = np.asarray(x_hat, dtype=np.float32).reshape(xs.shape)
     return float((np.square(pred - xs) * w).sum())
 
@@ -367,8 +365,9 @@ def _forecast_loss(weights, dataset, freeze):
     def batch_loss(idx, rng):
         def loss():
             h = hidden[idx] if freeze else encode(weights, xs[idx], pobs[idx])
-            diff = nc.sub(forecasting_head(h, weights), nc.Tensor(targets[idx]))
-            return nc.mean_(nc.mul(diff, diff))
+            target = targets[idx]
+            return nc.weighted_sq_error(forecasting_head(h, weights), target,
+                                        np.float32(1.0 / target.size))
 
         return loss
 

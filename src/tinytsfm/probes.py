@@ -18,7 +18,7 @@ from .baselines import Pca
 from .data import SINE_KINDS, fit_windows, synth_sine
 from .errors import ConfigError
 from .metrics import spearman_rho
-from .model import model_forward, prepare_windows
+from .model import encode_windows, prepare_windows, reconstruction_head
 from .pretrain import masked_mse_loss, sample_patch_mask
 from .tasks import embed_series
 
@@ -154,6 +154,18 @@ def sinusoid_embedding_suite(weights, kind, grid=None, out_dir=None,
 # ------------------------------------------------------------------ error curve
 
 
+def _sample_plans(n_patches, n_windows, ratio, rng):
+    """[n_windows, n_patches] uniform patch masks, drawn window by window."""
+    return np.stack([sample_patch_mask(n_patches, ratio, rng).observed
+                     for _ in range(n_windows)])
+
+
+def _reconstruct(weights, x_norm, plans):
+    """Reconstructions [B,T] of normalized windows [B,T] under plans [B,N]:
+    encode_windows, then the reconstruction head."""
+    return reconstruction_head(encode_windows(weights, x_norm, plans), weights).data
+
+
 @dataclass
 class CurveResult:
     grid: np.ndarray
@@ -176,12 +188,10 @@ def frequency_error_curve(weights, grid=None, out_dir=None, noise=0.0, seed=0):
     ]
     values, obs = fit_windows(sines, cfg.seq_len)
     xs, pobs, _ = prepare_windows(cfg, values, obs)
-    mses = []
-    for x_norm, po, ob in zip(xs, pobs, obs):
-        plan = po & sample_patch_mask(cfg.n_patches, 0.30, rng).observed
-        _, recon = model_forward(weights, x_norm, plan)
-        mses.append(masked_mse_loss(x_norm, recon.data, plan, ob))
-    mses = np.asarray(mses, dtype=np.float64)
+    plans = pobs & _sample_plans(cfg.n_patches, len(xs), 0.30, rng)
+    recon = _reconstruct(weights, xs, plans)
+    mses = np.asarray([masked_mse_loss(*row) for row in zip(xs, recon, plans, obs)],
+                      dtype=np.float64)
     result = CurveResult(grid=grid, mses=mses, spearman=spearman_rho(grid, mses))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -237,15 +247,16 @@ def zero_vs_mask_probe(weights, dataset, mask_ratio=0.30, seed=0):
     rng = np.random.default_rng(seed)
     values, obs = fit_windows(dataset, cfg.seq_len)
     xs, pobs, _ = prepare_windows(cfg, values, obs)
-    per_series = []
-    for series, x_norm, po, ob in zip(dataset, xs, pobs, obs):
-        plan = po & sample_patch_mask(cfg.n_patches, mask_ratio, rng).observed
-        _, recon_mask = model_forward(weights, x_norm, plan)
-        zero_filled = x_norm * np.repeat(plan, cfg.patch_len).astype(np.float32)
-        _, recon_zero = model_forward(weights, zero_filled, po)
-        mse_mask = masked_mse_loss(x_norm, recon_mask.data, plan, ob)
-        mse_zero = masked_mse_loss(x_norm, recon_zero.data, plan, ob)
-        per_series.append((series.name, float(mse_mask), float(mse_zero)))
+    plans = pobs & _sample_plans(cfg.n_patches, len(xs), mask_ratio, rng)
+    recon_mask = _reconstruct(weights, xs, plans)
+    zero_filled = xs * np.repeat(plans, cfg.patch_len, axis=1).astype(np.float32)
+    recon_zero = _reconstruct(weights, zero_filled, pobs)
+    per_series = [
+        (series.name, masked_mse_loss(x_norm, rm, plan, ob),
+         masked_mse_loss(x_norm, rz, plan, ob))
+        for series, x_norm, rm, rz, plan, ob in zip(dataset, xs, recon_mask, recon_zero,
+                                                     plans, obs)
+    ]
     return ZeroVsMaskReport(
         mask_token_mse=float(np.mean([r[1] for r in per_series])),
         zero_fill_mse=float(np.mean([r[2] for r in per_series])),

@@ -1,11 +1,14 @@
-"""The primitive chain that nc.patch_embed and nc.encoder_block replaced,
-kept as their oracle.
+"""The primitive chain that numcore's model-sized nodes replaced, kept as
+their oracle.
 
-relu, scale_norm and attention are verbatim copies of the numcore
-primitives the two nodes took over, and row_softmax of the softmax that
-attention called; reference_block and
-reference_patch_embed are the chains model.encoder_forward and
-model.embed_patches recorded on them. Each takes the arguments of the node
+add, sub, neg, mul, matmul, reshape, sum_, mean_ and _unbroadcast are
+verbatim copies of the generic numcore primitives the heads and losses ran
+on; relu, scale_norm and attention of the primitives nc.encoder_block took
+over, and row_softmax of the softmax that attention called. They record on
+numcore's tapes, so the tape-semantics tests run on them too.
+reference_block, reference_patch_embed, reference_heads and reference_loss
+are the chains that model.encoder_forward, model.embed_patches, the two
+heads and the losses recorded on them. Each takes the arguments of the node
 it stands for, so a test can monkeypatch it over that node.
 """
 
@@ -13,9 +16,107 @@ import math
 
 import numpy as np
 
-from tinytsfm import numcore as nc
 from tinytsfm.errors import ShapeError
 from tinytsfm.numcore import Tensor, _record
+
+
+def _unbroadcast(grad, shape):
+    """Reduce a broadcast gradient back to `shape`."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, d in enumerate(shape) if d == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def add(a, b):
+    out = Tensor(a.data + b.data)
+
+    def bwd(g):
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return _record(out, (a, b), bwd)
+
+
+def sub(a, b):
+    out = Tensor(a.data - b.data)
+
+    def bwd(g):
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            -_unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return _record(out, (a, b), bwd)
+
+
+def neg(a):
+    out = Tensor(-a.data)
+    return _record(out, (a,), lambda g: (-g,))
+
+
+def mul(a, b):
+    out = Tensor(a.data * b.data)
+
+    def bwd(g):
+        return (
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+        )
+
+    return _record(out, (a, b), bwd)
+
+
+def matmul(a, b):
+    """Matrix product on the last two axes with numpy-style batch broadcasting."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    out = Tensor(a.data @ b.data)
+
+    def bwd(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        return ga, gb
+
+    return _record(out, (a, b), bwd)
+
+
+def reshape(x, shape):
+    out = Tensor(x.data.reshape(shape))
+    return _record(out, (x,), lambda g: (g.reshape(x.data.shape),))
+
+
+def sum_(x, axis=None, keepdims=False):
+    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g, x.data.shape).astype(np.float32),)
+        ax = axis if isinstance(axis, tuple) else (axis,)
+        if not keepdims:
+            g = np.expand_dims(g, ax)
+        return (np.broadcast_to(g, x.data.shape).astype(np.float32),)
+
+    return _record(out, (x,), bwd)
+
+
+def mean_(x, axis=None, keepdims=False):
+    if axis is None:
+        count = x.data.size
+    else:
+        ax = axis if isinstance(axis, tuple) else (axis,)
+        count = int(np.prod([x.data.shape[a] for a in ax]))
+    return mul(sum_(x, axis=axis, keepdims=keepdims), Tensor(np.float32(1.0 / count)))
 
 
 def row_softmax(z):
@@ -134,9 +235,9 @@ def reference_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_
     """nc.encoder_block as the chain of primitives: ten tape nodes."""
     b, n, d = x.shape
     attn = attention(scale_norm(x, gamma1), wq, wk, wv, wo, rel_bias, idx, n_heads, sink=sink)
-    x = nc.add(x, attn)
-    hidden = relu(nc.matmul(nc.reshape(scale_norm(x, gamma2), (b * n, d)), w1))
-    return nc.add(x, nc.reshape(nc.matmul(hidden, w2), (b, n, d)))
+    x = add(x, attn)
+    hidden = relu(matmul(reshape(scale_norm(x, gamma2), (b * n, d)), w1))
+    return add(x, reshape(matmul(hidden, w2), (b, n, d)))
 
 
 def reference_patch_embed(patches, observed, w, bias, mask_token, positions=None):
@@ -144,9 +245,21 @@ def reference_patch_embed(patches, observed, w, bias, mask_token, positions=None
     positions."""
     b, n, p = patches.shape
     plan_f = np.asarray(observed, dtype=np.float32).reshape(b, n, 1)
-    proj = nc.add(nc.matmul(nc.Tensor(patches.reshape(b * n, p)), w), bias)
-    proj = nc.reshape(proj, (b, n, w.data.shape[1]))
-    keep = nc.Tensor(plan_f)
-    drop = nc.Tensor(1.0 - plan_f)
-    out = nc.add(nc.mul(proj, keep), nc.mul(nc.reshape(mask_token, (1, 1, -1)), drop))
-    return out if positions is None else nc.add(out, nc.Tensor(positions[None]))
+    proj = add(matmul(Tensor(patches.reshape(b * n, p)), w), bias)
+    proj = reshape(proj, (b, n, w.data.shape[1]))
+    keep = Tensor(plan_f)
+    drop = Tensor(1.0 - plan_f)
+    out = add(mul(proj, keep), mul(reshape(mask_token, (1, 1, -1)), drop))
+    return out if positions is None else add(out, Tensor(positions[None]))
+
+
+def reference_heads(h, w, bias):
+    """nc.linear_head as the chain of primitives: four tape nodes."""
+    rows = reshape(h, (-1, w.data.shape[0]))
+    return reshape(add(matmul(rows, w), bias), (h.shape[0], -1))
+
+
+def reference_loss(pred, target, weight):
+    """nc.weighted_sq_error as the chain of primitives: four tape nodes."""
+    diff = sub(pred, Tensor(target))
+    return sum_(mul(mul(diff, diff), Tensor(weight)))

@@ -104,24 +104,17 @@ def _block_params(rng, attn_w, idx, inputs, margin=0.01):
         block = {"g1": near_one[0], **attn_w, "rel_bias": _rand(rng, 5, 2),
                  "g2": near_one[1], "w1": _half(rng, 4, 5), "w2": _half(rng, 5, 4)}
         g1, wq, wk, wv, wo, bias, g2, w1, _ = block.values()
-        pre = [rc.scale_norm(nc.add(x, rc.attention(rc.scale_norm(x, g1), wq, wk, wv, wo,
+        pre = [rc.scale_norm(rc.add(x, rc.attention(rc.scale_norm(x, g1), wq, wk, wv, wo,
                                                     bias, idx, 2)), g2).data @ w1.data
                for x in inputs]
         if min(np.abs(p).min() for p in pre) > margin:
             return block
 
 
-def _primitive_trials(trial_seed):
-    """One gradient check per differentiable primitive; returns trial count."""
+def _node_trials(trial_seed):
+    """One gradient check per form of each tape node; returns trial count."""
     rng = np.random.default_rng(trial_seed)
-    r34, r32, r43, r234 = (
-        _const(rng, 3, 4), _const(rng, 3, 2), _const(rng, 4, 3), _const(rng, 2, 3, 4),
-    )
-    a, b = _rand(rng, 3, 4), _rand(rng, 3, 4)
-    m1, m2 = _rand(rng, 3, 4), _rand(rng, 4, 2)
-    rs = _rand(rng, 2, 6)
-    su = _rand(rng, 4, 3)
-    me = _rand(rng, 4, 3)
+    r234 = _const(rng, 2, 3, 4)
     at_x, at_c = _rand(rng, 2, 3, 4), _const(rng, 2, 3, 4)
     # small projections keep the softmax off saturation, where f32 central
     # differences lose the 1e-3 tolerance
@@ -137,37 +130,51 @@ def _primitive_trials(trial_seed):
     observed = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
     positions = rng.standard_normal((3, 4)).astype(np.float32)
     embed = {"w": _rand(rng, 2, 4), "bias": _rand(rng, 4), "mask_token": _rand(rng, 4)}
+    # linear_head on [B,N,D] = [2,3,4]: a per-patch head (rows [B*N, D]) and a
+    # flatten-and-project head (rows [B, N*D])
+    patch_head = {"w": _rand(rng, 4, 5), "bias": _rand(rng, 5)}
+    flat_head = {"w": _rand(rng, 12, 3), "bias": _rand(rng, 3)}
+    r_patch, r_flat = _const(rng, 2, 15), _const(rng, 2, 3)
+    pred, target = _rand(rng, 2, 12), rng.standard_normal((2, 12)).astype(np.float32)
+    # the masked loss's weight: masked, observed steps over their count, with
+    # some steps unobserved; the plain MSE's: one over the element count
+    eligible = rng.random((2, 12)) < 0.5
+    eligible[0, 0], eligible[1, -1] = True, False
+    masked_w = (eligible / eligible.sum()).astype(np.float32)
+    uniform_w = np.float32(1.0 / pred.data.size)
+
+    def head(h, params, r):
+        return lambda: rc.mean_(rc.mul(nc.linear_head(h, *params.values()), r))
 
     cases = [
-        ("add", {"a": a, "b": b},
-         lambda: nc.sum_(nc.mul(nc.add(a, b), r34))),
-        ("sub", {"a": a, "b": b},
-         lambda: nc.sum_(nc.mul(nc.sub(a, b), r34))),
-        ("mul", {"a": a, "b": b},
-         lambda: nc.sum_(nc.mul(nc.mul(a, b), r34))),
-        ("matmul", {"m1": m1, "m2": m2},
-         lambda: nc.sum_(nc.mul(nc.matmul(m1, m2), r32))),
-        ("reshape", {"rs": rs},
-         lambda: nc.sum_(nc.mul(nc.reshape(rs, (3, 4)), r34))),
-        ("sum_", {"su": su},
-         lambda: nc.sum_(nc.mul(nc.sum_(su, axis=0, keepdims=True),
-                                _const(np.random.default_rng(trial_seed + 2),
-                                       1, 3)))),
-        ("mean_", {"me": me},
-         lambda: nc.mean_(nc.mul(me, r43))),
         # the node cases take the mean: a sum of 24 outputs carrying the
         # residual would put f32 roundoff of the loss above the tolerance
         ("encoder_block", {"x": at_x, **block},
-         lambda: nc.mean_(nc.mul(nc.encoder_block(at_x, *block.values(), idx, 2), r234))),
+         lambda: rc.mean_(rc.mul(nc.encoder_block(at_x, *block.values(), idx, 2), r234))),
         ("encoder_block, constant input", block,
-         lambda: nc.mean_(nc.mul(nc.encoder_block(at_c, *block.values(), idx, 2), r234))),
+         lambda: rc.mean_(rc.mul(nc.encoder_block(at_c, *block.values(), idx, 2), r234))),
         ("encoder_block, two chunks", {"x": two_x, **block},
-         lambda: nc.mean_(nc.mul(nc.encoder_block(two_x, *block.values(), idx, 2), r_two))),
+         lambda: rc.mean_(rc.mul(nc.encoder_block(two_x, *block.values(), idx, 2), r_two))),
         ("encoder_block, two chunks, constant input", block,
-         lambda: nc.mean_(nc.mul(nc.encoder_block(two_c, *block.values(), idx, 2), r_two))),
+         lambda: rc.mean_(rc.mul(nc.encoder_block(two_c, *block.values(), idx, 2), r_two))),
         ("patch_embed", embed,
-         lambda: nc.mean_(nc.mul(nc.patch_embed(patches, observed, *embed.values(),
+         lambda: rc.mean_(rc.mul(nc.patch_embed(patches, observed, *embed.values(),
                                                 positions), r234))),
+        ("linear_head, [B,N,D] rows", {"h": at_x, **patch_head},
+         head(at_x, patch_head, r_patch)),
+        ("linear_head, [B,N*D] rows", {"h": at_x, **flat_head},
+         head(at_x, flat_head, r_flat)),
+        ("linear_head, [B,N,D] rows, constant input", patch_head,
+         head(at_c, patch_head, r_patch)),
+        ("linear_head, [B,N*D] rows, constant input", flat_head,
+         head(at_c, flat_head, r_flat)),
+        ("weighted_sq_error, masked weight", {"pred": pred},
+         lambda: nc.weighted_sq_error(pred, target, masked_w)),
+        ("weighted_sq_error, uniform weight", {"pred": pred},
+         lambda: nc.weighted_sq_error(pred, target, uniform_w)),
+        ("weighted_sq_error over linear_head, constant input", flat_head,
+         lambda: nc.weighted_sq_error(nc.linear_head(at_c, *flat_head.values()),
+                                      target[:, :3], masked_w[:, :3])),
     ]
     worst = 0.0
     for _, params, loss_fn in cases:
@@ -219,7 +226,7 @@ def test_a1_gradient_correctness():
     start = time.monotonic()
     n_trials, worst_prim = 0, 0.0
     for trial_seed in range(9):
-        count, worst = _primitive_trials(1000 + trial_seed)
+        count, worst = _node_trials(1000 + trial_seed)
         n_trials += count
         worst_prim = max(worst_prim, worst)
     n_model, worst_model = _full_model_fd_check()
@@ -228,7 +235,7 @@ def test_a1_gradient_correctness():
         and wall < 60.0
     report(
         "A1", ok,
-        f"{n_trials} primitive trials (worst rel err {worst_prim:.1e}) + "
+        f"{n_trials} tape-node trials (worst rel err {worst_prim:.1e}) + "
         f"{n_model} sampled full-model entries (worst {worst_model:.1e}), "
         f"tol 1e-3, wall {wall:.1f}s < 60s",
     )
@@ -266,10 +273,10 @@ def test_a2_architecture_invariants():
     )
 
     # Masked-input independence: values under masked patches cannot matter.
-    x1 = xs[0]
-    p1 = plan[0]
+    x1 = xs[:1]
+    p1 = plan[:1]
     x2 = x1.copy()
-    hidden_steps = np.repeat(p1 == 0, cfg.patch_len)
+    hidden_steps = np.repeat(p1 == 0, cfg.patch_len, axis=1)
     x2[hidden_steps] = 1e6
     h1, r1 = model_forward(weights, x1, p1)
     h2, r2 = model_forward(weights, x2, p1)

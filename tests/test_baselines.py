@@ -59,6 +59,12 @@ def test_naive_forecast_repeats_last():
         naive_forecast([], 2)
 
 
+@pytest.mark.parametrize("horizon", [0, -1, 2.5, True, "3", None])
+def test_naive_forecast_refuses_a_horizon_that_is_not_a_positive_int(horizon):
+    with pytest.raises(ConfigError, match="horizon"):
+        naive_forecast([1.0, 4.0], horizon)
+
+
 def test_forecasters_accept_series():
     series = Series(values=np.array([1, 2, 3, 4], dtype=np.float32))
     assert np.allclose(naive_forecast(series, 2), [4, 4])

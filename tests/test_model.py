@@ -325,8 +325,8 @@ def test_embed_observed_rows_are_linear_projection():
     cfg = _small_cfg()
     w = tm.init_weights(cfg, seed=0)
     rng = rng_for(4)
-    patches = rng.normal(size=(4, 8)).astype(np.float32)
-    out = tm.embed_patches(patches, np.ones(4, dtype=np.uint8), w)
+    patches = rng.normal(size=(1, 4, 8)).astype(np.float32)
+    out = tm.embed_patches(patches, np.ones((1, 4), dtype=np.uint8), w)
     manual = patches @ w.params["patch_embed.weight"].data + w.params["patch_embed.bias"].data
     assert np.allclose(out.data, manual, atol=1e-6)
 
@@ -335,12 +335,12 @@ def test_embed_masked_rows_equal_mask_token_bitwise():
     cfg = _small_cfg()
     w = tm.init_weights(cfg, seed=0)
     rng = rng_for(5)
-    patches = rng.normal(size=(4, 8)).astype(np.float32)
-    plan = np.array([1, 0, 0, 1], dtype=np.uint8)
+    patches = rng.normal(size=(1, 4, 8)).astype(np.float32)
+    plan = np.array([[1, 0, 0, 1]], dtype=np.uint8)
     out = tm.embed_patches(patches, plan, w)
     tok = w.params["mask_token"].data
-    assert np.array_equal(out.data[1], tok)
-    assert np.array_equal(out.data[2], tok)
+    assert np.array_equal(out.data[0, 1], tok)
+    assert np.array_equal(out.data[0, 2], tok)
 
 
 def test_embed_masked_values_cannot_influence_output():
@@ -363,7 +363,7 @@ def test_encoder_zero_layers_is_identity():
     cfg = _small_cfg(n_layers=0)
     w = tm.init_weights(cfg, seed=0)
     rng = rng_for(7)
-    e = rng.normal(size=(4, 8)).astype(np.float32)
+    e = rng.normal(size=(1, 4, 8)).astype(np.float32)
     out = tm.encoder_forward(nc.Tensor(e), w)
     assert np.array_equal(out.data, e)
 
@@ -420,7 +420,7 @@ def _encoder_run(w, e, wout):
     sink = []
     with nc.Tape() as tape:
         h = tm.encoder_forward(e, w, attn_sink=sink)
-        loss = nc.mean_(nc.mul(h, wout))
+        loss = rc.mean_(rc.mul(h, wout))
     nc.backward(loss, tape)
     grads = {name: p.grad.copy() for name, p in w.params.items() if p.grad is not None}
     grads["embeddings"] = e.grad.copy()
@@ -467,7 +467,7 @@ def _encode_run(w, x, plan, wout):
     sink = []
     with nc.Tape() as tape:
         h = tm.encode(w, x, plan, attn_sink=sink)
-        loss = nc.mean_(nc.mul(h, wout))
+        loss = rc.mean_(rc.mul(h, wout))
     nc.backward(loss, tape)
     return h.data.copy(), sink, {name: p.grad.copy() for name, p in w.params.items()
                                  if p.grad is not None}
@@ -503,19 +503,21 @@ def test_encoder_rejects_wrong_embedding_dim():
     cfg = _small_cfg()
     w = tm.init_weights(cfg, seed=0)
     with pytest.raises(ShapeError):
-        tm.encoder_forward(nc.Tensor(np.zeros((4, 16), dtype=np.float32)), w)
+        tm.encoder_forward(nc.Tensor(np.zeros((1, 4, 16), dtype=np.float32)), w)
 
 
 # ------------------------------------------------------------------ full forward
 
 
-def test_model_forward_shapes_single_and_batch():
+def test_model_forward_shapes_and_refuses_unbatched_input():
     cfg = _small_cfg()
     w = tm.init_weights(cfg, seed=5)
     rng = rng_for(12)
     x = rng.normal(size=32).astype(np.float32)
-    h, recon = tm.model_forward(w, x, np.ones(4, dtype=np.uint8))
-    assert h.shape == (4, 8) and recon.shape == (32,)
+    with pytest.raises(ShapeError):
+        tm.model_forward(w, x, np.ones(4, dtype=np.uint8))
+    h, recon = tm.model_forward(w, x[None], np.ones((1, 4), dtype=np.uint8))
+    assert h.shape == (1, 4, 8) and recon.shape == (1, 32)
     xb = rng.normal(size=(3, 32)).astype(np.float32)
     hb, reconb = tm.model_forward(w, xb, np.ones((3, 4), dtype=np.uint8))
     assert hb.shape == (3, 4, 8) and reconb.shape == (3, 32)
@@ -529,9 +531,9 @@ def test_model_forward_batch_matches_single():
     plan = np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0]], dtype=np.uint8)
     hb, reconb = tm.model_forward(w, xb, plan)
     for i in range(3):
-        h, recon = tm.model_forward(w, xb[i], plan[i])
-        assert np.allclose(h.data, hb.data[i], atol=1e-6)
-        assert np.allclose(recon.data, reconb.data[i], atol=1e-6)
+        h, recon = tm.model_forward(w, xb[i:i + 1], plan[i:i + 1])
+        assert np.allclose(h.data[0], hb.data[i], atol=1e-6)
+        assert np.allclose(recon.data[0], reconb.data[i], atol=1e-6)
 
 
 def test_encode_windows_matches_encode_in_chunks_and_records_nothing():
@@ -546,7 +548,7 @@ def test_encode_windows_matches_encode_in_chunks_and_records_nothing():
     assert len(tape) == 0
     assert isinstance(hidden, np.ndarray) and hidden.shape == (n, 4, 8)
     for i in (0, nc.CHUNK - 1, nc.CHUNK, n - 1):
-        np.testing.assert_allclose(hidden[i], tm.encode(w, xb[i], plan[i]).data,
+        np.testing.assert_allclose(hidden[i], tm.encode(w, xb[i:i + 1], plan[i:i + 1]).data[0],
                                    rtol=1e-6, atol=1e-6)
     h, _ = tm.model_forward(w, xb[:3], plan[:3])
     np.testing.assert_allclose(hidden[:3], h.data, rtol=1e-6, atol=1e-6)
@@ -568,6 +570,14 @@ def test_encode_windows_refuses_unbatched_input():
     w = tm.init_weights(_small_cfg(), seed=9)
     with pytest.raises(ShapeError):
         tm.encode_windows(w, np.zeros(32, dtype=np.float32), np.ones(4, dtype=np.uint8))
+
+
+def test_model_forward_takes_an_empty_batch_as_encode_windows_does():
+    w = tm.init_weights(tm.named_config("tiny"), seed=0)
+    x, plan = np.zeros((0, 512), dtype=np.float32), np.ones((0, 64), dtype=np.uint8)
+    h, recon = tm.model_forward(w, x, plan)
+    assert h.shape == tm.encode_windows(w, x, plan).shape == (0, 64, 32)
+    assert recon.shape == (0, 512)
 
 
 def test_model_forward_masked_input_independence_is_bitwise():
@@ -602,7 +612,7 @@ def test_model_forward_rejects_bad_plan_shape():
     cfg = _small_cfg()
     w = tm.init_weights(cfg, seed=9)
     with pytest.raises(ShapeError):
-        tm.model_forward(w, np.zeros(32, dtype=np.float32), np.ones(5, dtype=np.uint8))
+        tm.model_forward(w, np.zeros((1, 32), dtype=np.float32), np.ones((1, 5), dtype=np.uint8))
 
 
 # ------------------------------------------------------------------ heads
@@ -613,24 +623,26 @@ def test_reconstruction_head_zeroed_gives_zero_output():
     w = tm.init_weights(cfg, seed=10)
     w.params["recon_head.weight"].data[:] = 0.0
     rng = rng_for(16)
-    h = rng.normal(size=(4, 8)).astype(np.float32)
+    h = rng.normal(size=(2, 4, 8)).astype(np.float32)
     out = tm.reconstruction_head(nc.Tensor(h), w)
-    assert out.shape == (32,)
+    assert out.shape == (2, 32)
     assert np.all(out.data == 0.0)
+    with pytest.raises(ShapeError):
+        tm.reconstruction_head(nc.Tensor(h[0]), w)
 
 
 def test_forecasting_head_requires_attachment():
     cfg = _small_cfg()
     w = tm.init_weights(cfg, seed=11)
-    h = np.zeros((4, 8), dtype=np.float32)
+    h = np.zeros((1, 4, 8), dtype=np.float32)
     with pytest.raises(ConfigError):
         tm.forecasting_head(nc.Tensor(h), w)
     tm.attach_forecast_head(w, horizon=6, seed=0)
     out = tm.forecasting_head(nc.Tensor(h), w)
-    assert out.shape == (6,)
+    assert out.shape == (1, 6)
     assert w.horizon == 6
     with pytest.raises(ConfigError):
-        tm.forecasting_head(nc.Tensor(np.zeros((5, 8), dtype=np.float32)), w)
+        tm.forecasting_head(nc.Tensor(np.zeros((1, 5, 8), dtype=np.float32)), w)
     with pytest.raises(ConfigError):
         tm.attach_forecast_head(w, horizon=0)
 
@@ -809,7 +821,7 @@ def test_full_model_gradcheck():
     def loss_fn():
         h, recon = tm.model_forward(w, x, plan)
         fc = tm.forecasting_head(h, w)
-        return nc.add(nc.mean_(nc.mul(recon, wr)), nc.mean_(nc.mul(fc, wf)))
+        return rc.add(rc.mean_(rc.mul(recon, wr)), rc.mean_(rc.mul(fc, wf)))
 
     worst = check_grads(loss_fn, w.params, tol=2e-3)
     assert worst < 2e-3

@@ -1,8 +1,11 @@
-"""Engine tests: primitive forward values, FD gradient oracle, optimizer recipe.
+"""Engine tests: tape semantics, node forward values, FD gradient oracle,
+optimizer recipe.
 
-The relu, scale_norm and attention tests run on reference_chain's copies of
-those primitives: they are the oracle the fused encoder block is checked
-against, so they keep their own hand values and FD checks."""
+The generic primitives (matmul, add, mul, ...) and relu, scale_norm and
+attention live in reference_chain: they are the oracle the model-sized
+nodes are checked against, so they keep their own hand values and FD
+checks, and they record on numcore's tapes, so the tape-semantics tests
+(thread-local tapes, accumulation, constant operands) run on them."""
 
 import threading
 
@@ -27,24 +30,24 @@ def t(x, grad=False):
 def test_matmul_identity():
     a = t(np.eye(2))
     b = t([[1, 2], [3, 4]])
-    np.testing.assert_allclose(nc.matmul(a, b).data, [[1, 2], [3, 4]])
+    np.testing.assert_allclose(rc.matmul(a, b).data, [[1, 2], [3, 4]])
 
 
 def test_matmul_zero_annihilator():
     a = t([[1, 2], [3, 4]])
     b = t([[0], [0]])
-    np.testing.assert_array_equal(nc.matmul(a, b).data, [[0], [0]])
+    np.testing.assert_array_equal(rc.matmul(a, b).data, [[0], [0]])
 
 
 def test_matmul_hand_product():
     a = t([[1, 2], [3, 4]])
     b = t([[5, 6], [7, 8]])
-    np.testing.assert_allclose(nc.matmul(a, b).data, [[19, 22], [43, 50]])
+    np.testing.assert_allclose(rc.matmul(a, b).data, [[19, 22], [43, 50]])
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        nc.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+        rc.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
 
 
 def test_softmax_symmetry():
@@ -96,8 +99,8 @@ def test_forward_determinism_bit_identical():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 5)).astype(np.float32)
     w = rng.normal(size=(5, 3)).astype(np.float32)
-    a = nc.matmul(t(x), t(w)).data
-    b = nc.matmul(t(x), t(w)).data
+    a = rc.matmul(t(x), t(w)).data
+    b = rc.matmul(t(x), t(w)).data
     assert np.array_equal(a, b)
 
 
@@ -107,7 +110,7 @@ def test_forward_determinism_bit_identical():
 def test_backward_square_at_three():
     x = t(3.0, grad=True)
     with nc.Tape() as tape:
-        loss = nc.mul(x, x)
+        loss = rc.mul(x, x)
     nc.backward(loss, tape)
     np.testing.assert_allclose(x.grad, 6.0)
 
@@ -115,7 +118,7 @@ def test_backward_square_at_three():
 def test_backward_requires_scalar():
     x = t([1.0, 2.0], grad=True)
     with nc.Tape() as tape:
-        y = nc.mul(x, x)
+        y = rc.mul(x, x)
     with pytest.raises(ContractError):
         nc.backward(y, tape)
 
@@ -123,7 +126,7 @@ def test_backward_requires_scalar():
 def test_backward_accumulates_on_second_call():
     x = t(2.0, grad=True)
     with nc.Tape() as tape:
-        loss = nc.mul(x, x)
+        loss = rc.mul(x, x)
     nc.backward(loss, tape)
     nc.backward(loss, tape)
     np.testing.assert_allclose(x.grad, 8.0)
@@ -134,7 +137,7 @@ def test_backward_shared_input_fan_out():
     x = t(1.5, grad=True)
     three = t(3.0)
     with nc.Tape() as tape:
-        loss = nc.add(nc.mul(x, x), nc.mul(x, three))
+        loss = rc.add(rc.mul(x, x), rc.mul(x, three))
     nc.backward(loss, tape)
     np.testing.assert_allclose(x.grad, 6.0)
 
@@ -142,7 +145,7 @@ def test_backward_shared_input_fan_out():
 def test_no_recording_without_tape():
     x = t([1.0, 2.0], grad=True)
     tape = nc.Tape()
-    nc.mul(x, x)  # outside any tape context
+    rc.mul(x, x)  # outside any tape context
     assert len(tape) == 0
 
 
@@ -151,21 +154,21 @@ def test_tape_records_only_its_own_thread():
     other = {}
 
     def run_elsewhere():
-        other["out"] = nc.mul(x, x)
+        other["out"] = rc.mul(x, x)
 
     with nc.Tape() as tape:
         worker = threading.Thread(target=run_elsewhere)
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive()
-        mine = nc.mul(x, x)
+        mine = rc.mul(x, x)
     assert len(tape) == 1
     assert mine.requires_grad
     assert not other["out"].requires_grad
 
     def open_tape_elsewhere():
         with nc.Tape() as theirs:
-            nc.mul(x, x)
+            rc.mul(x, x)
             other["recorded"] = len(theirs)
 
     worker = threading.Thread(target=open_tape_elsewhere)
@@ -173,7 +176,7 @@ def test_tape_records_only_its_own_thread():
     worker.join(timeout=10)
     assert not worker.is_alive()
     assert other["recorded"] == 1
-    assert not nc.mul(x, x).requires_grad  # no tape open in this thread
+    assert not rc.mul(x, x).requires_grad  # no tape open in this thread
 
 
 def _gradient_slots(tape):
@@ -194,9 +197,9 @@ def test_constant_operands_get_no_backward_work():
     k = t(rng.normal(size=(2, 3)))
     w = t(rng.normal(size=(2, 2)))
     with nc.Tape() as tape:
-        prod = nc.mul(c, nc.mul(a, c))
-        out = nc.matmul(k, nc.matmul(prod, m))
-        loss = nc.sum_(nc.mul(out, w))
+        prod = rc.mul(c, rc.mul(a, c))
+        out = rc.matmul(k, rc.matmul(prod, m))
+        loss = rc.sum_(rc.mul(out, w))
     slots = _gradient_slots(tape)
     assert (False, True) not in slots  # no constant received a gradient
     assert (True, False) not in slots  # every live input did
@@ -216,12 +219,12 @@ def test_model_step_constants_get_no_gradient():
         _, recon = tm.model_forward(weights, x, plan)
         loss = masked_mse_loss(x, recon, plan)
     slots = _gradient_slots(tape)
-    # the loss's targets and mean weights; the patches, plan and positions
-    # are plain arrays of patch_embed, never tape inputs
-    assert slots.count((False, False)) == 2
+    # the patches, plan and positions of patch_embed and the loss's targets
+    # and weights are plain arrays, never tape inputs
+    assert slots.count((False, False)) == 0
     assert (False, True) not in slots and (True, False) not in slots
-    # patch_embed, one encoder_block, four for the head and four for the loss
-    assert len(tape) == 10
+    # patch_embed, one encoder_block, linear_head and weighted_sq_error
+    assert len(tape) == 4
     nc.backward(loss, tape)
     assert all(p.grad is not None for p in weights.params.values())
 
@@ -230,7 +233,7 @@ def test_model_step_constants_get_no_gradient():
 
 
 def _weighted_mean_loss(out, w):
-    return nc.mean_(nc.mul(out, w))
+    return rc.mean_(rc.mul(out, w))
 
 
 def test_fd_matmul():
@@ -240,7 +243,7 @@ def test_fd_matmul():
         a = t(rng.normal(size=(m, k)), grad=True)
         b = t(rng.normal(size=(k, n)), grad=True)
         w = t(rng.normal(size=(m, n)))
-        check_grads(lambda: _weighted_mean_loss(nc.matmul(a, b), w), {"a": a, "b": b})
+        check_grads(lambda: _weighted_mean_loss(rc.matmul(a, b), w), {"a": a, "b": b})
 
 
 def test_fd_matmul_batched():
@@ -249,7 +252,7 @@ def test_fd_matmul_batched():
         a = t(rng.normal(size=(2, 3, 4)), grad=True)
         b = t(rng.normal(size=(2, 4, 5)), grad=True)
         w = t(rng.normal(size=(2, 3, 5)))
-        check_grads(lambda: _weighted_mean_loss(nc.matmul(a, b), w), {"a": a, "b": b})
+        check_grads(lambda: _weighted_mean_loss(rc.matmul(a, b), w), {"a": a, "b": b})
 
 
 def test_fd_matmul_broadcast_rhs():
@@ -257,7 +260,7 @@ def test_fd_matmul_broadcast_rhs():
     a = t(rng.normal(size=(3, 2, 4)), grad=True)
     b = t(rng.normal(size=(4, 5)), grad=True)
     w = t(rng.normal(size=(3, 2, 5)))
-    check_grads(lambda: _weighted_mean_loss(nc.matmul(a, b), w), {"a": a, "b": b})
+    check_grads(lambda: _weighted_mean_loss(rc.matmul(a, b), w), {"a": a, "b": b})
 
 
 def test_fd_scale_norm():
@@ -290,7 +293,7 @@ def test_fd_add_mul_broadcast():
         b = t(rng.normal(size=(3,)), grad=True)
         w = t(rng.normal(size=(4, 3)))
         check_grads(
-            lambda: _weighted_mean_loss(nc.mul(nc.add(a, b), b), w), {"a": a, "b": b}
+            lambda: _weighted_mean_loss(rc.mul(rc.add(a, b), b), w), {"a": a, "b": b}
         )
 
 
@@ -299,14 +302,14 @@ def test_fd_reshape():
     for _ in range(6):
         x = t(rng.normal(size=(2, 3, 4)), grad=True)
         w = t(rng.normal(size=(4, 6)))
-        check_grads(lambda: _weighted_mean_loss(nc.reshape(x, (4, 6)), w), {"x": x})
+        check_grads(lambda: _weighted_mean_loss(rc.reshape(x, (4, 6)), w), {"x": x})
 
 
 def test_fd_sum_axis_keepdims():
     rng = np.random.default_rng(18)
     x = t(rng.normal(size=(3, 4)), grad=True)
     w = t(rng.normal(size=(3, 1)))
-    check_grads(lambda: _weighted_mean_loss(nc.sum_(x, axis=1, keepdims=True), w), {"x": x})
+    check_grads(lambda: _weighted_mean_loss(rc.sum_(x, axis=1, keepdims=True), w), {"x": x})
 
 
 def test_fd_attention():
@@ -414,7 +417,7 @@ def test_encoder_block_chunk_input_gradient_is_the_chunk_run_alone():
         with nc.Tape() as tape:
             # a plain sum: the upstream gradient is w's rows, whatever the batch
             out = nc.encoder_block(xs, *params.values(), idx, 2)
-            loss = nc.sum_(nc.mul(out, t(w[lo:hi])))
+            loss = rc.sum_(rc.mul(out, t(w[lo:hi])))
         nc.backward(loss, tape)
         return xs.grad
 
@@ -428,7 +431,7 @@ def test_encoder_block_empty_batch_gets_zero_gradients():
     rng = np.random.default_rng(28)
     x, params, idx = _block_inputs(rng, 0, 3, 2, 2, 5)
     with nc.Tape() as tape:
-        loss = nc.sum_(nc.encoder_block(x, *params.values(), idx, 2))
+        loss = rc.sum_(nc.encoder_block(x, *params.values(), idx, 2))
     nc.backward(loss, tape)
     assert x.grad.shape == (0, 3, 4)
     for p in params.values():
@@ -477,6 +480,65 @@ def test_fd_patch_embed():
         np.testing.assert_array_equal(embed().data, want.data)
 
 
+def _node_and_chain_runs(node, chain, make_loss, params):
+    """(forward output, every gradient) of make_loss(op) with op the node,
+    then with its reference chain."""
+    runs = []
+    for op in (node, chain):
+        nc.zero_grads(params)
+        with nc.Tape() as tape:
+            out, loss = make_loss(op)
+        nc.backward(loss, tape)
+        runs.append((out.data, [p.grad for p in params.values()]))
+    return runs
+
+
+def test_linear_head_matches_reference_chain_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for rows in (5, 20):  # per-patch [B*N, 5] and flattened [B, 4*5] rows
+        h = t(rng.normal(size=(3, 4, 5)), grad=True)
+        params = {"h": h, "w": t(rng.normal(size=(rows, 6)), grad=True),
+                  "bias": t(rng.normal(size=6), grad=True)}
+        w = t(rng.normal(size=(3, 6 * 20 // rows)))
+
+        def make_loss(op):
+            out = op(*params.values())
+            return out, rc.mean_(rc.mul(out, w))
+
+        (out, grads), (want, want_grads) = _node_and_chain_runs(
+            nc.linear_head, rc.reference_heads, make_loss, params)
+        assert out.shape == want.shape == w.shape
+        np.testing.assert_array_equal(out, want)
+        for got, ref in zip(grads, want_grads):
+            np.testing.assert_array_equal(got, ref)
+        check_grads(lambda: make_loss(nc.linear_head)[1], params)
+
+
+def test_linear_head_rejects_bad_shapes():
+    w, bias = t(np.zeros((5, 2))), t(np.zeros(2))
+    with pytest.raises(ShapeError):
+        nc.linear_head(t(np.zeros((4, 5))), w, bias)
+    with pytest.raises(ShapeError):
+        nc.linear_head(t(np.zeros((1, 4, 6))), w, bias)
+
+
+def test_weighted_sq_error_matches_reference_chain():
+    rng = np.random.default_rng(30)
+    pred = t(rng.normal(size=(3, 8)), grad=True)
+    target = rng.normal(size=(3, 8)).astype(np.float32)
+    eligible = rng.random((3, 8)) < 0.4
+    for weight in ((eligible / eligible.sum()).astype(np.float32), np.float32(1 / 24)):
+        (loss, (grad,)), (want, (want_grad,)) = _node_and_chain_runs(
+            nc.weighted_sq_error, rc.reference_loss,
+            lambda op: 2 * (op(pred, target, weight),), {"pred": pred})
+        assert loss.shape == () and loss == want
+        np.testing.assert_array_equal(grad, want_grad)
+        if weight.ndim:  # steps the weight leaves out get no gradient
+            assert np.all(grad[~eligible] == 0)
+    with pytest.raises(ShapeError):
+        nc.weighted_sq_error(pred, target[:2], np.float32(1.0))
+
+
 def test_fd_two_layer_mlp():
     rng = np.random.default_rng(20)
     x = t(rng.normal(size=(4, 6)))
@@ -485,10 +547,10 @@ def test_fd_two_layer_mlp():
     target = t(rng.normal(size=(4, 3)))
 
     def loss():
-        h = rc.relu(nc.matmul(x, w1))
-        y = nc.matmul(h, w2)
-        d = nc.sub(y, target)
-        return nc.mean_(nc.mul(d, d))
+        h = rc.relu(rc.matmul(x, w1))
+        y = rc.matmul(h, w2)
+        d = rc.sub(y, target)
+        return rc.mean_(rc.mul(d, d))
 
     check_grads(loss, {"w1": w1, "w2": w2})
 
@@ -498,7 +560,7 @@ def test_fd_oracle_detects_wrong_gradient():
     x = t(1.7, grad=True)
 
     def loss():
-        return nc.mul(x, x)
+        return rc.mul(x, x)
 
     fd = finite_difference_grads(loss, {"x": x})
     assert max_rel_err(np.array(2.0 * 1.7), fd["x"]) <= 1e-3

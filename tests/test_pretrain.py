@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import clone_weights
+import reference_chain as rc
 from tinytsfm import data as td
 from tinytsfm import model as tm
 from tinytsfm import numcore as nc
@@ -233,8 +234,49 @@ def test_small_batch64_step_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert len(tape) == 11
+    assert len(tape) == 5
     assert peak < 32 * 2**20, f"a small batch-64 step peaked {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("name, nodes", [("tiny", 4), ("small", 5)])
+def test_training_step_gradients_match_the_head_and_loss_chains(monkeypatch, name, nodes):
+    # nc.linear_head and nc.weighted_sq_error against the primitive chains
+    # the heads and losses recorded before: a pretraining step and a
+    # forecast-head step give the same gradients bit for bit
+    weights = tm.init_weights(tm.named_config(name), seed=4, horizon=6)
+    cfg = weights.config
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(12, cfg.seq_len)).astype(np.float32)
+    obs = rng.random(x.shape) > 0.1
+    plan = np.stack([tp.sample_patch_mask(cfg.n_patches, 0.3, rng).observed
+                     for _ in range(12)])
+    target = rng.normal(size=(12, 6)).astype(np.float32)
+    lengths = []
+
+    def steps():
+        grads = []
+        for loss_fn in (
+                lambda: tp.masked_mse_loss(x, tm.model_forward(weights, x, plan)[1], plan, obs),
+                lambda: nc.weighted_sq_error(
+                    tm.forecasting_head(tm.encode(weights, x, plan), weights), target,
+                    np.float32(1.0 / target.size))):
+            nc.zero_grads(weights.params)
+            with nc.Tape() as tape:
+                nc.backward(loss_fn(), tape)
+            grads.append({k: p.grad for k, p in weights.params.items() if p.grad is not None})
+            lengths.append(len(tape))
+        return grads
+
+    fused = steps()
+    assert lengths == [nodes, nodes]
+    monkeypatch.setattr(nc, "linear_head", rc.reference_heads)
+    monkeypatch.setattr(nc, "weighted_sq_error", rc.reference_loss)
+    chain = steps()
+    assert lengths[2:] == [nodes + 6] * 2  # four nodes each for the head and the loss
+    for got, want in zip(fused, chain):
+        assert set(got) == set(want) and len(got) >= len(weights.params) - 2
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 def test_pretrain_lr_trace_hits_schedule_endpoints():
@@ -464,8 +506,8 @@ def reference_probe(weights, head_kind, dataset, epochs, cfg, freeze=True):
                     loss = tp.masked_mse_loss(xs[idx], recon, plan, obs[idx])
                 else:
                     h, _ = tm.model_forward(weights, xs[idx], pobs[idx])
-                    diff = nc.sub(tm.forecasting_head(h, weights), nc.Tensor(targets[idx]))
-                    loss = nc.mean_(nc.mul(diff, diff))
+                    diff = rc.sub(tm.forecasting_head(h, weights), nc.Tensor(targets[idx]))
+                    loss = rc.mean_(rc.mul(diff, diff))
                 nc.backward(loss, tape)
             grads = {n: p.grad for n, p in trainable.items() if p.grad is not None}
             nc.clip_global_norm(grads, cfg.clip_norm)
