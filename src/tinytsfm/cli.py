@@ -28,20 +28,19 @@ from .baselines import naive_forecast
 from .data import Series, load_classes, load_csv, load_labels, save_csv
 from .errors import ConfigError, ParseError, TsfmError, UndefinedMetricError
 from .model import (
-    ModelConfig,
     attach_forecast_head,
     init_weights,
     load_checkpoint,
-    named_config,
+    resolve_config,
     save_checkpoint,
 )
 from .numcore import CHUNK
 from .pretrain import (
-    PretrainConfig,
     encode_forecast_pairs,
     evaluate_forecast_mse,
     linear_probe,
     pretrain,
+    train_config,
 )
 from .probes import (
     frequency_error_curve,
@@ -303,36 +302,6 @@ def map_series(fn, items, workers):
     return [row for rows in results for row in rows]
 
 
-def _model_config_arg(value):
-    if isinstance(value, ModelConfig):
-        return value
-    if value.endswith(".json"):
-        try:
-            with open(value, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ParseError(f"model config file not found: {value}") from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{value}: invalid JSON ({exc})") from None
-        try:
-            return ModelConfig(**raw)
-        except TypeError as exc:
-            raise ConfigError(f"{value}: {exc}") from None
-    return named_config(value)
-
-
-def _train_config(rc):
-    return PretrainConfig(
-        mask_ratio=rc["mask_ratio"],
-        batch_size=rc["batch_size"],
-        epochs=rc["epochs"],
-        total_steps=rc.get("steps"),
-        seed=rc["seed"],
-        lr_init=rc["lr_init"],
-        lr_final=rc["lr_final"],
-    )
-
-
 def _forecast_split(series, horizon):
     if len(series) <= horizon:
         raise ConfigError(
@@ -348,12 +317,10 @@ def _forecast_split(series, horizon):
 
 
 def cmd_pretrain(rc):
-    config = _model_config_arg(rc["config"])
+    config = resolve_config(rc["config"])
     dataset = load_series_arg(rc["data"])
-    if rc["epochs"] is None and rc.get("steps") is None:
-        raise ConfigError("set --steps or --epochs")
     weights = init_weights(config, seed=rc["seed"])
-    weights, log = pretrain(weights, dataset, _train_config(rc))
+    weights, log = pretrain(weights, dataset, train_config({**rc, "total_steps": rc["steps"]}))
     os.makedirs(rc["out"], exist_ok=True)
     ckpt = save_checkpoint(weights, os.path.join(rc["out"], "checkpoint.json"))
     log.save(os.path.join(rc["out"], "trainlog.csv"))
@@ -368,7 +335,7 @@ def cmd_pretrain(rc):
 def cmd_finetune(rc):
     weights = load_checkpoint(rc["ckpt"])
     dataset = load_series_arg(rc["data"])
-    cfg = _train_config(rc)
+    cfg = train_config(rc)
     freeze = not rc["unfreeze"]
     metrics = {"head": rc["head"], "epochs": rc["epochs"], "frozen_encoder": freeze}
     if rc["head"] == "forecast":

@@ -4,14 +4,13 @@ the task adapters behind one scikit-learn-style object."""
 from .base import Estimator, check_fitted
 from .errors import ConfigError
 from .model import (
-    ModelConfig,
     attach_forecast_head,
     init_weights,
     load_checkpoint,
-    named_config,
+    resolve_config,
     save_checkpoint,
 )
-from .pretrain import PretrainConfig, linear_probe, pretrain
+from .pretrain import linear_probe, pretrain, train_config
 from .tasks import (
     detect_anomalies,
     embed_series,
@@ -53,37 +52,13 @@ class MaskedSeriesModel(Estimator):
         self.clip_norm = clip_norm
         self.weight_decay = weight_decay
 
-    # ------------------------------------------------------------ internals
-
-    def _model_config(self):
-        if isinstance(self.config, ModelConfig):
-            return self.config
-        if isinstance(self.config, str):
-            return named_config(self.config)
-        raise ConfigError(
-            f"config must be a ModelConfig or a named size, got {type(self.config).__name__}"
-        )
-
-    def _train_config(self, lr_scale=1.0):
-        return PretrainConfig(
-            mask_ratio=self.mask_ratio,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            total_steps=self.total_steps,
-            seed=self.seed,
-            lr_init=self.lr_init * lr_scale,
-            lr_final=self.lr_final * lr_scale,
-            clip_norm=self.clip_norm,
-            weight_decay=self.weight_decay,
-        )
-
     # ------------------------------------------------------------ training
 
     def fit(self, X, y=None):
         """Masked pre-training over a list of Series; y is ignored (the
         objective is self-supervised)."""
-        weights = init_weights(self._model_config(), seed=self.seed)
-        self.weights_, self.log_ = pretrain(weights, X, self._train_config())
+        weights = init_weights(resolve_config(self.config), seed=self.seed)
+        self.weights_, self.log_ = pretrain(weights, X, train_config(self.get_params()))
         return self
 
     def probe_forecast_head(self, pairs, horizon, epochs=1, freeze=True, lr_scale=1.0):
@@ -98,7 +73,7 @@ class MaskedSeriesModel(Estimator):
             "forecast",
             pairs,
             epochs=epochs,
-            cfg=self._train_config(lr_scale=lr_scale),
+            cfg=train_config(self.get_params(), lr_scale),
             freeze=freeze,
         )
         return self

@@ -7,11 +7,13 @@ stack with bucketed relative attention bias, and the task heads.
 call on those states, so a caller runs only the head whose output it reads.
 `model_forward` is encode plus the reconstruction head, for training.
 `encode_windows` is the read path under every task adapter and probe: a
-chunked, forward-only encode that returns an ndarray.
+chunked encode, then the head the caller names if any, all off the tape, and
+it returns an ndarray.
 
-Every forward takes a batch; each layer and each head is one numcore tape
-node, so a training step records one node per encoder layer plus the patch
-embedding, the head and the loss.
+Every forward and window helper takes a batch: windows [B,T] and patch plans
+as plain [B,N] uint8 arrays (1 = observed patch, 0 = mask token). Each layer
+and each head is one numcore tape node, so a training step records one node
+per encoder layer plus the patch embedding, the head and the loss.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, EmptySeriesError, NumericError, ShapeError
+from .errors import ConfigError, EmptySeriesError, NumericError, ParseError, ShapeError
 
 # ------------------------------------------------------------------ configuration
 
@@ -95,6 +97,29 @@ def named_config(name, **overrides):
     return ModelConfig(**sizes)
 
 
+def resolve_config(value):
+    """The ModelConfig a CLI option or an estimator names: a ModelConfig as
+    is, a path ending in .json to a file of its fields, or a named size."""
+    if isinstance(value, ModelConfig):
+        return value
+    if not isinstance(value, str):
+        raise ConfigError(f"config must be a ModelConfig, a named size or a .json file, "
+                          f"got {type(value).__name__}")
+    if value.endswith(".json"):
+        try:
+            with open(value, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except FileNotFoundError:
+            raise ParseError(f"model config file not found: {value}") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{value}: invalid JSON ({exc})") from None
+        try:
+            return ModelConfig(**raw)
+        except TypeError as exc:
+            raise ConfigError(f"{value}: {exc}") from None
+    return named_config(value)
+
+
 # ------------------------------------------------------------------ normalization
 
 
@@ -106,29 +131,18 @@ class RevinStats:
     std: np.ndarray
 
 
-def _promote(values, observed=None):
-    v = np.asarray(values, dtype=np.float32)
-    single = v.ndim == 1
-    if single:
-        v = v[None, :]
-    if observed is None:
-        obs = np.ones(v.shape, dtype=bool)
-    else:
-        obs = np.asarray(observed, dtype=bool)
-        if obs.ndim == 1:
-            obs = obs[None, :]
-    if obs.shape != v.shape:
-        raise ShapeError(f"observed mask shape {obs.shape} != values shape {v.shape}")
-    return v, obs, single
-
-
-def revin_normalize(values, observed=None, eps=1e-5):
-    """Center/scale each instance by its observed-timestep statistics.
+def revin_normalize(values, observed, eps=1e-5):
+    """Center/scale each window of a batch [B,T] by its observed-timestep
+    statistics, observed being the [B,T] bool mask of real steps.
 
     Observed entries become (x - mu) / max(sigma, eps) with population sigma;
     unobserved entries pass through as 0. Returns (normalized, RevinStats).
     """
-    v, obs, single = _promote(values, observed)
+    v = np.asarray(values, dtype=np.float32)
+    obs = np.asarray(observed, dtype=bool)
+    if v.ndim != 2 or obs.shape != v.shape:
+        raise ShapeError(f"revin_normalize needs [B,T] values and a mask of their shape, "
+                         f"got {v.shape} and {obs.shape}")
     counts = obs.sum(axis=1)
     if np.any(counts == 0):
         raise EmptySeriesError("revin_normalize needs at least one observed timestep")
@@ -139,21 +153,15 @@ def revin_normalize(values, observed=None, eps=1e-5):
     mu32 = mu.astype(np.float32)
     sg32 = sigma.astype(np.float32)
     out = (v - mu32[:, None]) / sg32[:, None]
-    out = np.where(obs, out, np.float32(0.0))
-    stats = RevinStats(mean=mu32, std=sg32)
-    if single:
-        return out[0], stats
-    return out, stats
+    return np.where(obs, out, np.float32(0.0)), RevinStats(mean=mu32, std=sg32)
 
 
 def revin_denormalize(values, stats):
-    """Inverse transform: y * sigma + mu, elementwise per instance."""
+    """Inverse transform of a batch [B,T]: y * sigma + mu, per window."""
     v = np.asarray(values, dtype=np.float32)
-    single = v.ndim == 1
-    if single:
-        v = v[None, :]
-    out = v * stats.std[:, None] + stats.mean[:, None]
-    return out[0] if single else out
+    if v.ndim != 2:
+        raise ShapeError(f"revin_denormalize needs [B,T] values, got {v.shape}")
+    return v * stats.std[:, None] + stats.mean[:, None]
 
 
 # ------------------------------------------------------------------ patching
@@ -188,25 +196,6 @@ def left_pad(values, target_len, observed=None):
     return out, mask
 
 
-@dataclass
-class PatchMaskPlan:
-    """Per-patch indicator: 1 = observed (linear projection), 0 = masked token."""
-
-    observed: np.ndarray
-
-    def __post_init__(self):
-        self.observed = np.asarray(self.observed).astype(np.uint8)
-        if self.observed.ndim != 1:
-            raise ShapeError("a patch mask plan is a 1-D per-patch indicator")
-
-    @property
-    def n_masked(self):
-        return int((self.observed == 0).sum())
-
-    def __len__(self):
-        return len(self.observed)
-
-
 def patch_observed_indicator(observed, patch_len):
     """uint8 per-patch indicator ([N] or [B,N]): 1 iff all timesteps observed."""
     obs = np.asarray(observed, dtype=bool)
@@ -221,7 +210,7 @@ def prepare_windows(config, values, observed):
     """Raw windows -> model input: the one path every trainer, task adapter
     and probe takes to the encoder.
 
-    values/observed: [B,T] (or one window [T]) of seq_len steps. Returns
+    values/observed: [B,T] windows of seq_len steps. Returns
     (x_norm, plan, RevinStats): RevIN with config.revin_eps over observed
     steps, and the uint8 per-patch plan in which a patch is observed only
     when every one of its steps is.
@@ -324,12 +313,13 @@ def expected_param_shapes(config, horizon=None):
     return shapes
 
 
-def init_weights(config, seed=0, horizon=None):
-    """Fresh weights: fan-in scaled-uniform matrices, unit gammas, zero biases,
-    standard-normal mask token."""
+def init_weights(config, seed=0):
+    """Fresh weights with no forecasting head (attach_forecast_head adds it):
+    fan-in scaled-uniform matrices, unit gammas, zero biases, standard-normal
+    mask token."""
     rng = np.random.default_rng(seed)
     params = {}
-    for name, shape in expected_param_shapes(config, horizon).items():
+    for name, shape in expected_param_shapes(config).items():
         if name == "mask_token":
             arr = rng.standard_normal(shape).astype(np.float32)
         elif name.endswith(("gamma",)):
@@ -340,7 +330,7 @@ def init_weights(config, seed=0, horizon=None):
             bound = 1.0 / math.sqrt(shape[0])
             arr = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         params[name] = nc.Tensor(arr, requires_grad=True)
-    return ModelWeights(config, params, horizon=horizon)
+    return ModelWeights(config, params)
 
 
 def attach_forecast_head(weights, horizon, seed=0):
@@ -364,11 +354,6 @@ def attach_forecast_head(weights, horizon, seed=0):
 # ------------------------------------------------------------------ forward pass
 
 
-def _plan_array(plan):
-    arr = plan.observed if isinstance(plan, PatchMaskPlan) else np.asarray(plan)
-    return arr.astype(np.float32)
-
-
 def _tensor(hidden):
     return hidden if isinstance(hidden, nc.Tensor) else nc.Tensor(hidden)
 
@@ -382,7 +367,7 @@ def embed_patches(patches, plan, weights, positions=None):
     token bit-exactly and raw values under a mask cannot influence anything.
     """
     x = np.asarray(patches, dtype=np.float32)
-    plan_arr = _plan_array(plan)
+    plan_arr = np.asarray(plan, dtype=np.float32)
     if x.ndim != 3 or plan_arr.shape != x.shape[:2]:
         raise ShapeError(f"embed_patches needs [B,N,P] patches and a [B,N] plan, got "
                          f"{x.shape} and {plan_arr.shape}")
@@ -462,14 +447,16 @@ def model_forward(weights, x_norm, plan, attn_sink=None):
     return h, reconstruction_head(h, weights)
 
 
-def encode_windows(weights, x_norm, plan):
+def encode_windows(weights, x_norm, plan, head=None):
     """Hidden states [B,N,D] (an ndarray) of normalized windows x_norm [B,T]
-    under per-patch plans [B,N], encoded nc.CHUNK rows at a time with no
-    tape. A NumericError's `row` is the batch row of the first non-finite
-    activation found."""
+    under per-patch plans [B,N], encoded nc.CHUNK rows at a time, or with a
+    head (reconstruction_head, forecasting_head) that head's output on the
+    whole batch. Nothing is recorded, even inside an open Tape. A
+    NumericError's `row` is the batch row of the first non-finite activation
+    found."""
     cfg = weights.config
     x = np.asarray(x_norm, dtype=np.float32)
-    plan_arr = _plan_array(plan)
+    plan_arr = np.asarray(plan, dtype=np.float32)
     if x.ndim != 2 or plan_arr.ndim != 2 or len(plan_arr) != len(x):
         raise ShapeError(
             f"encode_windows needs [B,T] windows and [B,N] plans, got {x.shape} "
@@ -483,23 +470,22 @@ def encode_windows(weights, x_norm, plan):
                 out[lo:hi] = encode(weights, x[lo:hi], plan_arr[lo:hi]).data
             except NumericError as exc:
                 raise NumericError(str(exc), row=lo + exc.row) from None
-    return out
+        # one head call on the whole batch: per chunk it would round differently
+        return out if head is None else head(out, weights).data
 
 
 def sequence_representation(hidden, include):
-    """Mean of the selected (non-padded) patch rows; [N,D]->[D] or [B,N,D]->[B,D]."""
+    """Mean of each window's selected (non-padded) patch rows: hidden states
+    [B,N,D] and a [B,N] bool selection give [B,D]."""
     h = hidden.data if isinstance(hidden, nc.Tensor) else np.asarray(hidden)
     inc = np.asarray(include, dtype=bool)
-    single = h.ndim == 2
-    if single:
-        h = h[None]
-        inc = inc.reshape(1, -1)
+    if h.ndim != 3 or inc.shape != h.shape[:2]:
+        raise ShapeError(f"sequence_representation needs [B,N,D] states and a [B,N] "
+                         f"selection, got {h.shape} and {inc.shape}")
     counts = inc.sum(axis=1)
     if np.any(counts == 0):
         raise EmptySeriesError("sequence representation needs at least one non-padded patch")
-    rep = (h * inc[:, :, None]).sum(axis=1) / counts[:, None]
-    rep = rep.astype(np.float32)
-    return rep[0] if single else rep
+    return ((h * inc[:, :, None]).sum(axis=1) / counts[:, None]).astype(np.float32)
 
 
 def nonpadded_patches(observed, patch_len):

@@ -3,13 +3,16 @@ AdamW with decoupled weight decay, global-L2 gradient clipping, cosine schedule.
 
 Everything is float32 end to end. Ops record onto the innermost Tape the
 calling thread has open (a context manager) whenever any input requires
-gradients; with no tape open in that thread they run forward-only, which is
-the inference path. backward walks the tape exactly once in reverse, so
+gradients; with no tape open in that thread, or inside OffTape, they run
+forward-only. The whole read path (model.encode_windows and the head it
+runs) is under OffTape, so inference records nothing even inside an open
+Tape. backward walks the tape exactly once in reverse, so
 recording order doubles as the topological order. Every op is a
 model-sized node with a hand-written backward: patch_embed, encoder_block,
 linear_head and weighted_sq_error, so a step records one node per layer
 plus three. Every backward returns None for a constant operand rather than
-a gradient nobody reads.
+a gradient nobody reads. The gradient helpers (zero_grads, global_norm,
+clip_global_norm) take the name -> value dicts the trainers pass.
 """
 
 import math
@@ -333,9 +336,8 @@ def backward(loss, tape):
 
 
 def zero_grads(params):
-    """Clear .grad on a dict or iterable of Tensors."""
-    values = params.values() if isinstance(params, dict) else params
-    for p in values:
+    """Clear .grad on a dict of name -> Tensor."""
+    for p in params.values():
         p.grad = None
 
 
@@ -406,10 +408,9 @@ def adamw_step(params, grads, state, lr):
 
 
 def global_norm(grads):
-    """Global L2 norm across a dict or iterable of gradient arrays."""
-    values = grads.values() if isinstance(grads, dict) else grads
+    """Global L2 norm across a dict of name -> gradient array."""
     total = 0.0
-    for g in values:
+    for g in grads.values():
         total += float(np.sum(np.square(g, dtype=np.float64)))
     return float(np.sqrt(total))
 
@@ -421,7 +422,6 @@ def clip_global_norm(grads, max_norm=5.0):
     norm = global_norm(grads)
     if norm > max_norm:
         scale = np.float32(max_norm / norm)
-        values = grads.values() if isinstance(grads, dict) else grads
-        for g in values:
+        for g in grads.values():
             g *= scale
     return grads

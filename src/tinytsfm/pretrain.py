@@ -5,7 +5,7 @@ head-only linear probing / full fine-tuning."""
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import (
     TrainingError,
 )
 from .model import (
-    PatchMaskPlan,
     encode,
     encode_windows,
     forecasting_head,
@@ -62,6 +61,15 @@ class PretrainConfig:
             raise ConfigError("learning rates must be positive")
         if self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+
+
+def train_config(options, lr_scale=1.0):
+    """The PretrainConfig of a mapping of option values by field name (a CLI
+    run config, an estimator's parameters); fields it lacks keep their
+    defaults, and both learning rates are multiplied by lr_scale."""
+    cfg = PretrainConfig(**{f.name: options[f.name] for f in fields(PretrainConfig)
+                            if f.name in options})
+    return replace(cfg, lr_init=cfg.lr_init * lr_scale, lr_final=cfg.lr_final * lr_scale)
 
 
 @dataclass
@@ -117,19 +125,23 @@ def audit_digest(names):
 # ------------------------------------------------------------------ masking & loss
 
 
-def sample_patch_mask(n_patches, ratio, rng):
-    """Mask exactly max(1, floor(ratio * N)) patches uniformly without
-    replacement; returns the plan (1 = kept observed, 0 = masked)."""
+def sample_patch_mask(rows, n_patches, ratio, rng):
+    """Plans [rows, n_patches] (1 = kept observed, 0 = masked), each row
+    masking exactly max(1, floor(ratio * N)) patches uniformly without
+    replacement; the rows are drawn from rng one after another."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"mask ratio must be in (0, 1), got {ratio}")
     k = max(1, math.floor(ratio * n_patches))
-    indicator = np.ones(n_patches, dtype=np.uint8)
-    indicator[rng.choice(n_patches, size=k, replace=False)] = 0
-    return PatchMaskPlan(indicator)
+    plan = np.ones((rows, n_patches), dtype=np.uint8)
+    for row in plan:
+        row[rng.choice(n_patches, size=k, replace=False)] = 0
+    return plan
 
 
 def masked_mse_loss(x_norm, x_hat, plan, observed=None):
-    """Mean squared error pooled over timesteps of masked patches.
+    """Mean squared error pooled over timesteps of masked patches, for
+    windows x_norm [B,T] under plans [B,N], or one window [T] under its
+    plan [N] (the probes score windows one by one).
 
     A timestep contributes iff its patch is masked under `plan` and the
     timestep itself is real ground truth per `observed` (padded or missing
@@ -139,7 +151,7 @@ def masked_mse_loss(x_norm, x_hat, plan, observed=None):
     x = np.asarray(x_norm, dtype=np.float32)
     single = x.ndim == 1
     xs = x[None] if single else x
-    plan_arr = plan.observed if isinstance(plan, PatchMaskPlan) else np.asarray(plan)
+    plan_arr = np.asarray(plan)
     plan_arr = plan_arr.reshape(1, -1) if plan_arr.ndim == 1 else plan_arr
     b, t = xs.shape
     n = plan_arr.shape[1]
@@ -235,16 +247,13 @@ def _fit_loop(weights, trainable, n_series, cfg, batch_loss, epochs, total_steps
 
 def _reconstruction_loss(weights, dataset, mask_ratio, freeze):
     """(series names, batch_loss) for the masked objective: each row of a
-    batch gets a fresh uniform patch mask, drawn row by row. A frozen encoder
-    is encoded before the tape opens, so only the reconstruction head runs on
-    it, and runs once a step."""
+    batch gets a fresh uniform patch mask. A frozen encoder is encoded before
+    the tape opens, so only the reconstruction head runs on it, and runs once
+    a step."""
     xs, obs, pobs, names = _prepare_series(dataset, weights.config)
 
     def batch_loss(idx, rng):
-        sampled = np.empty((len(idx), pobs.shape[1]), dtype=np.uint8)
-        for r in range(len(idx)):
-            sampled[r] = sample_patch_mask(pobs.shape[1], mask_ratio, rng).observed
-        plan = pobs[idx] & sampled
+        plan = pobs[idx] & sample_patch_mask(len(idx), pobs.shape[1], mask_ratio, rng)
         xb = xs[idx]
         if freeze:
             h = encode(weights, xb, plan)
@@ -349,7 +358,8 @@ def evaluate_forecast_mse(weights, dataset):
     """Mean squared error of the forecasting head in normalized space, over
     (history, target) pairs or their EncodedForecastPairs."""
     encoded = _encoded(weights, dataset)
-    fc = forecasting_head(encoded.hidden, weights)
+    with nc.OffTape():
+        fc = forecasting_head(encoded.hidden, weights)
     return float(np.mean(np.square(fc.data - encoded.targets)))
 
 

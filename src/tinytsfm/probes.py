@@ -154,18 +154,6 @@ def sinusoid_embedding_suite(weights, kind, grid=None, out_dir=None,
 # ------------------------------------------------------------------ error curve
 
 
-def _sample_plans(n_patches, n_windows, ratio, rng):
-    """[n_windows, n_patches] uniform patch masks, drawn window by window."""
-    return np.stack([sample_patch_mask(n_patches, ratio, rng).observed
-                     for _ in range(n_windows)])
-
-
-def _reconstruct(weights, x_norm, plans):
-    """Reconstructions [B,T] of normalized windows [B,T] under plans [B,N]:
-    encode_windows, then the reconstruction head."""
-    return reconstruction_head(encode_windows(weights, x_norm, plans), weights).data
-
-
 @dataclass
 class CurveResult:
     grid: np.ndarray
@@ -188,8 +176,8 @@ def frequency_error_curve(weights, grid=None, out_dir=None, noise=0.0, seed=0):
     ]
     values, obs = fit_windows(sines, cfg.seq_len)
     xs, pobs, _ = prepare_windows(cfg, values, obs)
-    plans = pobs & _sample_plans(cfg.n_patches, len(xs), 0.30, rng)
-    recon = _reconstruct(weights, xs, plans)
+    plans = pobs & sample_patch_mask(len(xs), cfg.n_patches, 0.30, rng)
+    recon = encode_windows(weights, xs, plans, reconstruction_head)
     mses = np.asarray([masked_mse_loss(*row) for row in zip(xs, recon, plans, obs)],
                       dtype=np.float64)
     result = CurveResult(grid=grid, mses=mses, spearman=spearman_rho(grid, mses))
@@ -247,10 +235,10 @@ def zero_vs_mask_probe(weights, dataset, mask_ratio=0.30, seed=0):
     rng = np.random.default_rng(seed)
     values, obs = fit_windows(dataset, cfg.seq_len)
     xs, pobs, _ = prepare_windows(cfg, values, obs)
-    plans = pobs & _sample_plans(cfg.n_patches, len(xs), mask_ratio, rng)
-    recon_mask = _reconstruct(weights, xs, plans)
+    plans = pobs & sample_patch_mask(len(xs), cfg.n_patches, mask_ratio, rng)
+    recon_mask = encode_windows(weights, xs, plans, reconstruction_head)
     zero_filled = xs * np.repeat(plans, cfg.patch_len, axis=1).astype(np.float32)
-    recon_zero = _reconstruct(weights, zero_filled, pobs)
+    recon_zero = encode_windows(weights, zero_filled, pobs, reconstruction_head)
     per_series = [
         (series.name, masked_mse_loss(x_norm, rm, plan, ob),
          masked_mse_loss(x_norm, rz, plan, ob))

@@ -2,8 +2,9 @@
 gap imputation, anomaly scoring, zero-shot and head-based forecasting, and
 SVM classification over sequence representations.
 
-Every adapter encodes through model.encode_windows, in fixed chunks with no
-tape, and then runs only the head whose output it reads. The forecasting and
+Every adapter encodes through model.encode_windows, in fixed chunks, and
+runs there only the head whose output it reads, so nothing an adapter runs
+is recorded, even inside an open Tape. The forecasting and
 imputation adapters take one Series or a list of them and return the same
 shape; a list is encoded in one batch, and each series' result matches its
 batch-1 result up to float rounding. A NumericError names the series and
@@ -123,11 +124,11 @@ def _as_list(x):
     return ([x], True) if isinstance(x, Series) else (list(x), False)
 
 
-def _encode(weights, norm, plan, owners):
+def _encode(weights, norm, plan, owners, head=None):
     """encode_windows, with a NumericError that names the series and window
     of the failing row: owners[row] is (series name, window index)."""
     try:
-        return encode_windows(weights, norm, plan)
+        return encode_windows(weights, norm, plan, head)
     except NumericError as exc:
         name, w = owners[exc.row]
         raise NumericError(f"series {name!r}: window {w}: {exc}", row=exc.row) from None
@@ -164,8 +165,8 @@ def zero_shot_impute(weights, x):
     if not gaps:
         return out[0] if single else out
     norm, pobs, stats = prepare_windows(cfg, np.concatenate(vs), np.concatenate(obs))
-    hidden = _encode(weights, norm, pobs, owners)
-    filled = revin_denormalize(reconstruction_head(hidden, weights).data, stats)
+    filled = revin_denormalize(_encode(weights, norm, pobs, owners, reconstruction_head),
+                               stats)
     row = 0
     for i, spans in gaps:
         s = series[i]
@@ -217,8 +218,8 @@ def detect_anomalies(weights, x, spec=None):
     # every round in one encode: row r * len(vs) + w is window w under round r
     plans = np.concatenate([pobs & ~g[None, :].astype(np.uint8) for g in groups])
     owners = [(x.name, w) for _ in groups for w in range(len(vs))]
-    hidden = _encode(weights, np.tile(norm, (len(groups), 1)), plans, owners)
-    recon = reconstruction_head(hidden, weights).data.reshape(len(groups), len(vs), -1)
+    recon = _encode(weights, np.tile(norm, (len(groups), 1)), plans, owners,
+                    reconstruction_head).reshape(len(groups), len(vs), -1)
     recon_full = np.zeros_like(vs)
     for group, rec in zip(groups, recon):
         denorm = revin_denormalize(rec, stats)
@@ -254,8 +255,9 @@ def zero_shot_short_forecast(weights, history, horizon):
         raise HorizonError(f"masked tail of {n_tail} patches leaves no history context")
     histories, single = _as_list(history)
     norm, plan, stats = _history_windows(cfg, histories, context)
-    hidden = _encode(weights, norm, plan, [(h.name, 0) for h in histories])
-    denorm = revin_denormalize(reconstruction_head(hidden, weights).data, stats)
+    recon = _encode(weights, norm, plan, [(h.name, 0) for h in histories],
+                    reconstruction_head)
+    denorm = revin_denormalize(recon, stats)
     out = [Series(values=denorm[i, context:context + horizon], name=h.name, freq=h.freq)
            for i, h in enumerate(histories)]
     return out[0] if single else out
@@ -274,8 +276,8 @@ def long_forecast(weights, history, horizon):
         )
     histories, single = _as_list(history)
     norm, plan, stats = _history_windows(cfg, histories, cfg.seq_len)
-    hidden = _encode(weights, norm, plan, [(h.name, 0) for h in histories])
-    denorm = revin_denormalize(forecasting_head(hidden, weights).data, stats)
+    fc = _encode(weights, norm, plan, [(h.name, 0) for h in histories], forecasting_head)
+    denorm = revin_denormalize(fc, stats)
     out = [Series(values=denorm[i], name=h.name, freq=h.freq)
            for i, h in enumerate(histories)]
     return out[0] if single else out

@@ -4,6 +4,7 @@ and checkpoint round trips."""
 import numpy as np
 import pytest
 
+from tinytsfm import estimator
 from tinytsfm.data import Series
 from tinytsfm.errors import ConfigError, NotFittedError
 from tinytsfm.estimator import MaskedSeriesModel
@@ -48,6 +49,25 @@ def test_unfitted_methods_raise():
 def test_bad_config_type():
     with pytest.raises(ConfigError):
         MaskedSeriesModel(config=3.5).fit([])
+
+
+def test_clip_norm_and_weight_decay_reach_training(monkeypatch):
+    seen = []
+
+    def fake_pretrain(weights, X, cfg):
+        seen.append(cfg)
+        return weights, None
+
+    monkeypatch.setattr(estimator, "pretrain", fake_pretrain)
+    monkeypatch.setattr(estimator, "linear_probe", lambda *a, cfg, **kw: seen.append(cfg))
+    est = MaskedSeriesModel(config=SMALL, clip_norm=0.5, weight_decay=0.2, lr_init=2e-4,
+                            lr_final=2e-5, epochs=None, total_steps=7)
+    est.fit([]).probe_forecast_head([], horizon=8, lr_scale=0.5)
+    fit_cfg, probe_cfg = seen
+    assert (fit_cfg.clip_norm, fit_cfg.weight_decay) == (0.5, 0.2)
+    assert (fit_cfg.epochs, fit_cfg.total_steps, fit_cfg.lr_init) == (None, 7, 2e-4)
+    assert (probe_cfg.clip_norm, probe_cfg.weight_decay) == (0.5, 0.2)
+    assert (probe_cfg.lr_init, probe_cfg.lr_final) == (1e-4, 1e-5)
 
 
 def test_fit_returns_self_and_logs(fitted):

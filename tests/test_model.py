@@ -88,55 +88,64 @@ def test_smallest_accepted_bucket_settings_give_ids_in_range(buckets, distance):
 # ------------------------------------------------------------------ revin
 
 
+def _revin(values, observed=None):
+    """revin_normalize of one window as a batch of one row, every step observed
+    unless `observed` says otherwise."""
+    v = np.asarray(values, dtype=np.float32)[None]
+    obs = np.ones(v.shape, dtype=bool) if observed is None else np.asarray(observed)[None]
+    return tm.revin_normalize(v, obs)
+
+
 def test_revin_example_one_two_three():
-    out, stats = tm.revin_normalize(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(out, [-1.2247449, 0.0, 1.2247449], atol=1e-4)
+    out, stats = _revin([1.0, 2.0, 3.0])
+    assert np.allclose(out, [[-1.2247449, 0.0, 1.2247449]], atol=1e-4)
     assert np.isclose(stats.mean[0], 2.0)
     assert np.isclose(stats.std[0], math.sqrt(2.0 / 3.0), atol=1e-6)
 
 
 def test_revin_uses_population_variance():
-    out, stats = tm.revin_normalize(np.array([0.0, 2.0]))
-    assert np.allclose(out, [-1.0, 1.0], atol=1e-6)
+    out, stats = _revin([0.0, 2.0])
+    assert np.allclose(out, [[-1.0, 1.0]], atol=1e-6)
     assert np.isclose(stats.std[0], 1.0)
 
 
 def test_revin_round_trip_within_1e5():
     rng = rng_for(0)
     v = rng.normal(3.0, 7.0, size=512).astype(np.float32)
-    out, stats = tm.revin_normalize(v)
+    out, stats = _revin(v)
     back = tm.revin_denormalize(out, stats)
-    assert np.max(np.abs(back - v)) <= 1e-5
+    assert back.shape == (1, 512)
+    assert np.max(np.abs(back[0] - v)) <= 1e-5
 
 
 def test_revin_stats_ignore_unobserved():
     v = np.array([1.0, 2.0, 3.0, 100.0], dtype=np.float32)
     obs = np.array([True, True, True, False])
-    out, stats = tm.revin_normalize(v, obs)
+    out, stats = _revin(v, obs)
     assert np.isclose(stats.mean[0], 2.0)
-    assert out[3] == 0.0
-    assert np.allclose(out[:3], [-1.2247449, 0.0, 1.2247449], atol=1e-4)
+    assert out[0, 3] == 0.0
+    assert np.allclose(out[0, :3], [-1.2247449, 0.0, 1.2247449], atol=1e-4)
 
 
 def test_revin_constant_series_uses_eps_floor():
     v = np.full(8, 5.0, dtype=np.float32)
-    out, stats = tm.revin_normalize(v)
+    out, stats = _revin(v)
     assert np.all(out == 0.0)
     assert stats.std[0] == np.float32(1e-5)
-    assert np.allclose(tm.revin_denormalize(out, stats), v)
+    assert np.allclose(tm.revin_denormalize(out, stats), v[None])
 
 
 def test_revin_garbage_under_unobserved_cannot_poison_stats():
     v = np.array([1.0, np.inf, 2.0, np.nan], dtype=np.float32)
     obs = np.array([True, False, True, False])
-    out, stats = tm.revin_normalize(v, obs)
+    out, stats = _revin(v, obs)
     assert np.all(np.isfinite(out))
     assert np.isclose(stats.mean[0], 1.5)
 
 
 def test_revin_all_unobserved_raises():
     with pytest.raises(EmptySeriesError):
-        tm.revin_normalize(np.zeros(4), np.zeros(4, dtype=bool))
+        tm.revin_normalize(np.zeros((1, 4)), np.zeros((1, 4), dtype=bool))
 
 
 def test_revin_batch_matches_per_series():
@@ -146,8 +155,8 @@ def test_revin_batch_matches_per_series():
     obs[:, 0] = True
     batch_out, batch_stats = tm.revin_normalize(v, obs)
     for i in range(4):
-        row, stats = tm.revin_normalize(v[i], obs[i])
-        assert np.allclose(batch_out[i], row, atol=1e-6)
+        row, stats = tm.revin_normalize(v[i:i + 1], obs[i:i + 1])
+        assert np.allclose(batch_out[i], row[0], atol=1e-6)
         assert np.isclose(batch_stats.mean[i], stats.mean[0])
         assert np.isclose(batch_stats.std[i], stats.std[0])
 
@@ -155,9 +164,19 @@ def test_revin_batch_matches_per_series():
 def test_revin_affine_invariance():
     rng = rng_for(2)
     y = rng.normal(0, 1, size=256).astype(np.float32)
-    ny, _ = tm.revin_normalize(y)
-    nz, _ = tm.revin_normalize(3.7 * y - 11.0)
+    ny, _ = _revin(y)
+    nz, _ = _revin(3.7 * y - 11.0)
     assert np.max(np.abs(ny - nz)) <= 1e-4
+
+
+def test_window_helpers_refuse_a_single_window():
+    with pytest.raises(ShapeError):
+        tm.revin_normalize(np.arange(8.0), np.ones(8, dtype=bool))
+    with pytest.raises(ShapeError):
+        tm.revin_denormalize(np.arange(8.0), tm.RevinStats(np.zeros(1, np.float32),
+                                                           np.ones(1, np.float32)))
+    with pytest.raises(ShapeError):
+        tm.sequence_representation(np.ones((3, 4)), [True, False, True])
 
 
 # ------------------------------------------------------------------ patching
@@ -649,15 +668,16 @@ def test_forecasting_head_requires_attachment():
 
 def test_sequence_representation_mean_of_selected_rows():
     h = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], dtype=np.float32)
-    rep = tm.sequence_representation(h, [True, False, True])
-    assert np.allclose(rep, [3.0, 4.0])
+    rep = tm.sequence_representation(h[None], [[True, False, True]])
+    assert rep.shape == (1, 2)
+    assert np.allclose(rep, [[3.0, 4.0]])
     batch = tm.sequence_representation(
         np.stack([h, h]), np.array([[True, True, True], [False, True, False]])
     )
     assert np.allclose(batch[0], [3.0, 4.0])
     assert np.allclose(batch[1], [3.0, 4.0])
     with pytest.raises(EmptySeriesError):
-        tm.sequence_representation(h, [False, False, False])
+        tm.sequence_representation(h[None], [[False, False, False]])
 
 
 # ------------------------------------------------------------------ checkpoints
@@ -665,7 +685,7 @@ def test_sequence_representation_mean_of_selected_rows():
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     cfg = _small_cfg(n_layers=2)
-    w = tm.init_weights(cfg, seed=12, horizon=None)
+    w = tm.init_weights(cfg, seed=12)
     tm.attach_forecast_head(w, horizon=8, seed=1)
     path = tmp_path / "model.ckpt"
     tm.save_checkpoint(w, str(path))
@@ -789,7 +809,7 @@ def test_checkpoint_save_replaces_files_whole(tmp_path, monkeypatch):
     ("patch_len", 8.0), ("seq_len", 512.0), ("n_layers", 1.0), ("forecast_horizon", 4.0),
 ])
 def test_checkpoint_refuses_non_integer_config_sizes(tmp_path, field, value):
-    w = tm.init_weights(_small_cfg(), seed=0, horizon=4)
+    w = tm.attach_forecast_head(tm.init_weights(_small_cfg(), seed=0), horizon=4)
     path = tmp_path / "ckpt.json"
     tm.save_checkpoint(w, str(path))
     manifest = json.loads(path.read_text())
@@ -809,7 +829,7 @@ def test_checkpoint_missing_file_raises(tmp_path):
 
 def test_full_model_gradcheck():
     cfg = _small_cfg()
-    w = tm.init_weights(cfg, seed=16, horizon=4)
+    w = tm.attach_forecast_head(tm.init_weights(cfg, seed=16), horizon=4, seed=16)
     rng = rng_for(17)
     x = rng.normal(size=(3, 32)).astype(np.float32)
     plan = rng.integers(0, 2, size=(3, 4)).astype(np.uint8)

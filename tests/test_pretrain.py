@@ -83,28 +83,30 @@ def test_audit_digest_is_order_independent():
 
 def test_sample_patch_mask_counts():
     rng = np.random.default_rng(0)
-    assert tp.sample_patch_mask(64, 0.3, rng).n_masked == 19
-    assert tp.sample_patch_mask(10, 0.3, rng).n_masked == 3
-    assert tp.sample_patch_mask(2, 0.3, rng).n_masked == 1  # floor clamps to >= 1
+    for n_patches, masked in ((64, 19), (10, 3), (2, 1)):  # floor clamps to >= 1
+        plan = tp.sample_patch_mask(3, n_patches, 0.3, rng)
+        assert plan.shape == (3, n_patches) and plan.dtype == np.uint8
+        assert (plan == 0).sum(axis=1).tolist() == [masked] * 3
 
 
 def test_sample_patch_mask_deterministic_and_uniform_coverage():
-    a = tp.sample_patch_mask(64, 0.3, np.random.default_rng(7))
-    b = tp.sample_patch_mask(64, 0.3, np.random.default_rng(7))
-    assert np.array_equal(a.observed, b.observed)
-    rng = np.random.default_rng(1)
-    ever_masked = np.zeros(16, dtype=bool)
-    for _ in range(200):
-        ever_masked |= tp.sample_patch_mask(16, 0.3, rng).observed == 0
+    a = tp.sample_patch_mask(5, 64, 0.3, np.random.default_rng(7))
+    b = tp.sample_patch_mask(5, 64, 0.3, np.random.default_rng(7))
+    assert np.array_equal(a, b)
+    # the rows are the stream of one-row draws, in order
+    rng = np.random.default_rng(7)
+    rows = [tp.sample_patch_mask(1, 64, 0.3, rng)[0] for _ in range(5)]
+    assert np.array_equal(a, np.stack(rows))
+    ever_masked = (tp.sample_patch_mask(200, 16, 0.3, np.random.default_rng(1)) == 0).any(axis=0)
     assert ever_masked.all()
 
 
 def test_sample_patch_mask_ratio_bounds():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        tp.sample_patch_mask(10, 0.0, rng)
+        tp.sample_patch_mask(1, 10, 0.0, rng)
     with pytest.raises(ConfigError):
-        tp.sample_patch_mask(10, 1.0, rng)
+        tp.sample_patch_mask(1, 10, 1.0, rng)
 
 
 # ------------------------------------------------------------------ masked loss
@@ -219,8 +221,7 @@ def test_small_batch64_step_memory_stays_bounded():
     weights = tm.init_weights(cfg, seed=0)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(64, cfg.seq_len)).astype(np.float32)
-    plan = np.stack([tp.sample_patch_mask(cfg.n_patches, 0.3, rng).observed
-                     for _ in range(64)])
+    plan = tp.sample_patch_mask(64, cfg.n_patches, 0.3, rng)
     opt = nc.AdamWState(weights.params)
     tracemalloc.start()
     try:
@@ -243,13 +244,12 @@ def test_training_step_gradients_match_the_head_and_loss_chains(monkeypatch, nam
     # nc.linear_head and nc.weighted_sq_error against the primitive chains
     # the heads and losses recorded before: a pretraining step and a
     # forecast-head step give the same gradients bit for bit
-    weights = tm.init_weights(tm.named_config(name), seed=4, horizon=6)
+    weights = tm.attach_forecast_head(tm.init_weights(tm.named_config(name), seed=4), 6, seed=4)
     cfg = weights.config
     rng = np.random.default_rng(5)
     x = rng.normal(size=(12, cfg.seq_len)).astype(np.float32)
     obs = rng.random(x.shape) > 0.1
-    plan = np.stack([tp.sample_patch_mask(cfg.n_patches, 0.3, rng).observed
-                     for _ in range(12)])
+    plan = tp.sample_patch_mask(12, cfg.n_patches, 0.3, rng)
     target = rng.normal(size=(12, 6)).astype(np.float32)
     lengths = []
 
@@ -454,7 +454,7 @@ def reference_pretrain(weights, dataset, cfg):
             xb, ob, po = xs[idx], obs[idx], pobs[idx]
             sampled = np.empty((len(idx), n_patches), dtype=np.uint8)
             for r in range(len(idx)):
-                sampled[r] = tp.sample_patch_mask(n_patches, cfg.mask_ratio, rng).observed
+                sampled[r] = tp.sample_patch_mask(1, n_patches, cfg.mask_ratio, rng)[0]
             input_plan = po & sampled
             lr = nc.cosine_lr(min(step, sched.total_steps), sched)
             nc.zero_grads(weights.params)
@@ -498,7 +498,7 @@ def reference_probe(weights, head_kind, dataset, epochs, cfg, freeze=True):
             with nc.Tape() as tape:
                 if head_kind == "reconstruction":
                     sampled = np.stack([
-                        tp.sample_patch_mask(mcfg.n_patches, cfg.mask_ratio, rng).observed
+                        tp.sample_patch_mask(1, mcfg.n_patches, cfg.mask_ratio, rng)[0]
                         for _ in idx
                     ])
                     plan = pobs[idx] & sampled

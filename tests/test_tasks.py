@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import clone_weights
+from tinytsfm import numcore as nc
 from tinytsfm import probes, tasks
 from tinytsfm.data import Series, synth_sine
 from tinytsfm.errors import (
@@ -30,7 +31,7 @@ from tinytsfm.model import (
     revin_denormalize,
 )
 from tinytsfm.numcore import CHUNK
-from tinytsfm.pretrain import _prepare_series
+from tinytsfm.pretrain import _prepare_series, evaluate_forecast_mse
 from tinytsfm.tasks import (
     IMPUTE_RATIOS,
     SVM_C_GRID,
@@ -235,9 +236,9 @@ def test_detect_stacked_rounds_match_the_per_round_loop(small_weights, monkeypat
     x = gapped_series(11 * 64 - 20, seed=13, name="d", gap=slice(100, 110))
     rows = []
 
-    def counting_encode(w, x_norm, plan):
+    def counting_encode(w, x_norm, plan, head=None):
         rows.append(len(x_norm))
-        return encode_windows(w, x_norm, plan)
+        return encode_windows(w, x_norm, plan, head)
 
     monkeypatch.setattr(tasks, "encode_windows", counting_encode)
     got = detect_anomalies(small_weights, x, AnomalySpec(window=64)).scores
@@ -561,9 +562,9 @@ def test_adapters_normalize_with_the_training_revin_eps(monkeypatch, adapter):
     weights = attach_forecast_head(init_weights(cfg, seed=3), horizon=8)
     seen = []
 
-    def encode_spy(w, x_norm, plan):
+    def encode_spy(w, x_norm, plan, head=None):
         seen.append(np.array(x_norm, copy=True))
-        return encode_windows(w, x_norm, plan)
+        return encode_windows(w, x_norm, plan, head)
 
     monkeypatch.setattr(tasks, "encode_windows", encode_spy)
     monkeypatch.setattr(probes, "encode_windows", encode_spy)
@@ -576,3 +577,33 @@ def test_adapters_normalize_with_the_training_revin_eps(monkeypatch, adapter):
         rows = rows[:1]  # the curve encodes its whole grid at once; row 0 is the flat sine
     for row in rows:
         np.testing.assert_array_equal(row, want)
+
+
+def test_read_path_records_nothing_on_an_open_tape():
+    # every adapter and probe runs its encode and its head off the tape, so
+    # inside a caller's open Tape none of them leaves a node (and the batch's
+    # hidden states it would hold)
+    cfg = ModelConfig(seq_len=64, patch_len=8, d_model=16, n_layers=1,
+                      n_heads=2, d_ff=32)
+    weights = attach_forecast_head(init_weights(cfg, seed=3), horizon=8)
+    series = [noisy_series(80, seed=i, name=f"s{i}") for i in range(3)]
+    gappy = gapped_series(64, seed=4, name="g")
+    pairs = [(s.slice(0, 72), s.values[72:]) for s in series]
+    calls = {
+        "zero_shot_short_forecast": lambda: zero_shot_short_forecast(weights, series, 8),
+        "long_forecast": lambda: long_forecast(weights, series, 8),
+        "zero_shot_impute": lambda: zero_shot_impute(weights, gappy),
+        "detect_anomalies": lambda: detect_anomalies(weights, series[0]),
+        "embed_series": lambda: embed_series(weights, series),
+        "frequency_error_curve": lambda: probes.frequency_error_curve(
+            weights, grid=[1.0, 2.0, 3.0]),
+        "zero_vs_mask_probe": lambda: probes.zero_vs_mask_probe(
+            weights, [s.slice(0, 64) for s in series]),
+        "evaluate_forecast_mse": lambda: evaluate_forecast_mse(weights, pairs),
+    }
+    nodes = {}
+    for name, call in calls.items():
+        with nc.Tape() as tape:
+            call()
+        nodes[name] = len(tape)
+    assert nodes == dict.fromkeys(calls, 0)
