@@ -12,6 +12,7 @@ domain error, 2 on a usage error.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -333,9 +334,12 @@ def cmd_pretrain(rc):
 
 
 def cmd_finetune(rc):
+    if rc["epochs"] < 0:  # refused before any compute; 0 epochs is a no-op
+        raise ConfigError(f"epochs must be >= 0, got {rc['epochs']}")
     weights = load_checkpoint(rc["ckpt"])
     dataset = load_series_arg(rc["data"])
-    cfg = train_config(rc)
+    # the probe's budget is --epochs, which linear_probe takes on its own
+    cfg = train_config({k: v for k, v in rc.items() if k != "epochs"})
     freeze = not rc["unfreeze"]
     metrics = {"head": rc["head"], "epochs": rc["epochs"], "frozen_encoder": freeze}
     if rc["head"] == "forecast":
@@ -472,11 +476,11 @@ def cmd_classify(rc):
         seed=rc["seed"],
     )
     os.makedirs(rc["out"], exist_ok=True)
-    with open(os.path.join(rc["out"], "predictions.csv"), "w",
+    with open(os.path.join(rc["out"], "predictions.csv"), "w", newline="",
               encoding="utf-8") as fh:
-        fh.write("name,predicted\n")
-        for s, pred in zip(test, result.predictions):
-            fh.write(f"{s.name},{pred}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["name", "predicted"])
+        writer.writerows(zip([s.name for s in test], result.predictions))
     metrics = {
         "accuracy": result.accuracy,
         "best_c": result.best_c,

@@ -206,15 +206,20 @@ def patch_observed_indicator(observed, patch_len):
     return grouped.all(axis=-1).astype(np.uint8)
 
 
-def prepare_windows(config, values, observed):
+def prepare_windows(config, values, observed, names=None):
     """Raw windows -> model input: the one path every trainer, task adapter
     and probe takes to the encoder.
 
     values/observed: [B,T] windows of seq_len steps. Returns
     (x_norm, plan, RevinStats): RevIN with config.revin_eps over observed
     steps, and the uint8 per-patch plan in which a patch is observed only
-    when every one of its steps is.
+    when every one of its steps is. Given the rows' series names, a window
+    with no observed step is an EmptySeriesError naming its series.
     """
+    empty = [] if names is None else np.flatnonzero(~np.any(observed, axis=-1))
+    if len(empty):
+        raise EmptySeriesError(f"series {names[empty[0]]!r} has no observed step "
+                               f"in its {config.seq_len}-step window")
     x_norm, stats = revin_normalize(values, observed, eps=config.revin_eps)
     return x_norm, patch_observed_indicator(observed, config.patch_len), stats
 
@@ -269,19 +274,28 @@ def _bucket_index_matrix(n_patches, n_buckets, max_distance):
 # ------------------------------------------------------------------ weights
 
 
+# head kind -> the name prefix of its parameters; all others are the encoder's
+HEAD_PREFIXES = {"reconstruction": "recon_head.", "forecast": "forecast_head."}
+
+
 class ModelWeights:
     """Named parameter tensors plus the config they were built for."""
 
-    def __init__(self, config, params, horizon=None):
+    def __init__(self, config, params):
         self.config = config
         self.params = params
-        self.horizon = horizon
+
+    @property
+    def horizon(self):
+        """The attached forecasting head's horizon H, or None without one."""
+        bias = self.params.get("forecast_head.bias")
+        return None if bias is None else bias.shape[0]
 
     def parameters(self, head_only=None):
         """Dict of parameters; head_only='reconstruction'/'forecast' filters."""
         if head_only is None:
             return dict(self.params)
-        prefix = {"reconstruction": "recon_head.", "forecast": "forecast_head."}.get(head_only)
+        prefix = HEAD_PREFIXES.get(head_only)
         if prefix is None:
             raise ConfigError(f"unknown head kind {head_only!r}")
         return {k: v for k, v in self.params.items() if k.startswith(prefix)}
@@ -347,7 +361,6 @@ def attach_forecast_head(weights, horizon, seed=0):
     weights.params["forecast_head.bias"] = nc.Tensor(
         np.zeros(horizon, dtype=np.float32), requires_grad=True
     )
-    weights.horizon = int(horizon)
     return weights
 
 
@@ -420,7 +433,7 @@ def reconstruction_head(hidden, weights):
 def forecasting_head(hidden, weights):
     """Flatten each window's N x D patch embeddings row-major and project to
     horizon H: [B,N,D] -> [B,H]. One nc.linear_head node."""
-    if weights.horizon is None or "forecast_head.weight" not in weights.params:
+    if weights.horizon is None:
         raise ConfigError("forecasting head not attached")
     h = _tensor(hidden)
     w = weights.params["forecast_head.weight"]
@@ -616,4 +629,4 @@ def load_checkpoint(path):
                 f"{blob_path(path)} does not hold the bytes the manifest lists"
             )
         params[name] = nc.Tensor(arr.copy(), requires_grad=True)
-    return ModelWeights(config, params, horizon=horizon)
+    return ModelWeights(config, params)

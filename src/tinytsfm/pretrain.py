@@ -1,6 +1,7 @@
 """Masked-patch pre-training: mask sampling, the masked reconstruction
 objective, the optimizer loop with cosine decay and gradient clipping, and
-head-only linear probing / full fine-tuning."""
+head-only linear probing / full fine-tuning, all run by one loop that builds
+each batch's loss on the open tape (a frozen encoder under nc.OffTape)."""
 
 import csv
 import hashlib
@@ -19,6 +20,7 @@ from .errors import (
     TrainingError,
 )
 from .model import (
+    HEAD_PREFIXES,
     encode,
     encode_windows,
     forecasting_head,
@@ -194,25 +196,19 @@ def _prepare_series(dataset, config):
     return xs, obs, pobs, [s.name for s in dataset]
 
 
-def _planned_steps(n_series, batch_size, epochs, total_steps):
-    """Optimizer steps under two budget caps, whichever binds first; a cap
-    of None is off."""
-    by_epochs = None if epochs is None else epochs * math.ceil(n_series / batch_size)
-    return min(c for c in (by_epochs, total_steps) if c is not None)
-
-
-def _fit_loop(weights, trainable, n_series, cfg, batch_loss, epochs, total_steps):
+def _fit_loop(weights, trainable, n_series, cfg, batch_loss):
     """The optimizer loop under pretraining and probing; returns the
     (step, lr, loss) records and which series were drawn into a batch.
 
-    Each step draws the next batch of a fresh per-epoch permutation and calls
-    batch_loss(idx, rng) before the tape opens: it draws masks from rng and
-    runs a frozen encoder there, and returns the function that builds the
-    batch's scalar loss on the tape. The loss is checked, backpropagated,
-    clipped by global norm and applied by AdamW to the tensors in trainable,
-    at the cosine lr. Every logged loss is measured before that step's update.
+    Until cfg's step budget runs out, each step draws the next batch of a
+    fresh per-epoch permutation, opens the tape and calls batch_loss(idx,
+    rng): it draws masks from rng and returns the batch's scalar loss built
+    on the tape. The loss is checked, backpropagated, clipped by global norm
+    and applied by AdamW to the tensors in trainable, at the cosine lr.
+    Every logged loss is measured before that step's update.
     """
-    planned = _planned_steps(n_series, cfg.batch_size, epochs, total_steps)
+    by_epochs = None if cfg.epochs is None else cfg.epochs * math.ceil(n_series / cfg.batch_size)
+    planned = min(c for c in (by_epochs, cfg.total_steps) if c is not None)
     sched = nc.CosineSchedule(cfg.lr_init, cfg.lr_final, max(1, planned - 1))
     rng = np.random.default_rng(cfg.seed)
     opt = nc.AdamWState(trainable, weight_decay=cfg.weight_decay)
@@ -225,11 +221,10 @@ def _fit_loop(weights, trainable, n_series, cfg, batch_loss, epochs, total_steps
             if step >= planned:
                 break
             idx = order[lo:lo + cfg.batch_size]
-            loss_fn = batch_loss(idx, rng)
-            lr = nc.cosine_lr(min(step, sched.total_steps), sched)
+            lr = nc.cosine_lr(step, sched)
             nc.zero_grads(weights.params)
             with nc.Tape() as tape:
-                loss = loss_fn()
+                loss = batch_loss(idx, rng)
                 loss_val = float(loss.data)
                 if not np.isfinite(loss_val):
                     raise TrainingError(f"non-finite loss at step {step}")
@@ -247,25 +242,20 @@ def _fit_loop(weights, trainable, n_series, cfg, batch_loss, epochs, total_steps
 
 def _reconstruction_loss(weights, dataset, mask_ratio, freeze):
     """(series names, batch_loss) for the masked objective: each row of a
-    batch gets a fresh uniform patch mask. A frozen encoder is encoded before
-    the tape opens, so only the reconstruction head runs on it, and runs once
-    a step."""
+    batch gets a fresh uniform patch mask. A frozen encoder runs under
+    nc.OffTape, once a step, so only the reconstruction head is recorded."""
     xs, obs, pobs, names = _prepare_series(dataset, weights.config)
 
     def batch_loss(idx, rng):
         plan = pobs[idx] & sample_patch_mask(len(idx), pobs.shape[1], mask_ratio, rng)
         xb = xs[idx]
         if freeze:
-            h = encode(weights, xb, plan)
-
-        def loss():
-            if freeze:
-                recon = reconstruction_head(h, weights)
-            else:
-                _, recon = model_forward(weights, xb, plan)
-            return masked_mse_loss(xb, recon, plan, obs[idx])
-
-        return loss
+            with nc.OffTape():
+                h = encode(weights, xb, plan)
+            recon = reconstruction_head(h, weights)
+        else:
+            _, recon = model_forward(weights, xb, plan)
+        return masked_mse_loss(xb, recon, plan, obs[idx])
 
     return names, batch_loss
 
@@ -280,9 +270,7 @@ def pretrain(weights, dataset, cfg=None):
     """
     cfg = cfg or PretrainConfig()
     names, batch_loss = _reconstruction_loss(weights, dataset, cfg.mask_ratio, freeze=False)
-    records, drawn = _fit_loop(
-        weights, weights.params, len(names), cfg, batch_loss, cfg.epochs, cfg.total_steps
-    )
+    records, drawn = _fit_loop(weights, weights.params, len(names), cfg, batch_loss)
     consumed = {names[i] for i in np.flatnonzero(drawn)}
     log = TrainLog(
         records=records,
@@ -295,9 +283,6 @@ def pretrain(weights, dataset, cfg=None):
 # ------------------------------------------------------------------ probing
 
 
-HEAD_KINDS = ("reconstruction", "forecast")
-
-
 def _prepare_forecast_pairs(weights, dataset):
     """Normalize (history, target) pairs with history-only statistics."""
     horizon = weights.horizon
@@ -307,8 +292,9 @@ def _prepare_forecast_pairs(weights, dataset):
             raise ShapeError(
                 f"forecast target shape {target.shape} != horizon ({horizon},)"
             )
-    values, obs = fit_windows([history for history, _ in dataset], weights.config.seq_len)
-    xs, plans, stats = prepare_windows(weights.config, values, obs)
+    histories = [history for history, _ in dataset]
+    values, obs = fit_windows(histories, weights.config.seq_len)
+    xs, plans, stats = prepare_windows(weights.config, values, obs, [h.name for h in histories])
     targets = (np.stack(targets) - stats.mean[:, None]) / stats.std[:, None]
     return xs, plans, targets
 
@@ -328,7 +314,7 @@ def _encoder_digest(weights):
     """sha256 of every parameter outside the task heads."""
     h = hashlib.sha256()
     for name, p in weights.params.items():
-        if not name.startswith(("recon_head.", "forecast_head.")):
+        if not name.startswith(tuple(HEAD_PREFIXES.values())):
             h.update(name.encode("utf-8"))
             h.update(p.data.tobytes())
     return h.hexdigest()
@@ -373,13 +359,10 @@ def _forecast_loss(weights, dataset, freeze):
         xs, pobs, targets = _prepare_forecast_pairs(weights, dataset)
 
     def batch_loss(idx, rng):
-        def loss():
-            h = hidden[idx] if freeze else encode(weights, xs[idx], pobs[idx])
-            target = targets[idx]
-            return nc.weighted_sq_error(forecasting_head(h, weights), target,
-                                        np.float32(1.0 / target.size))
-
-        return loss
+        h = hidden[idx] if freeze else encode(weights, xs[idx], pobs[idx])
+        target = targets[idx]
+        return nc.weighted_sq_error(forecasting_head(h, weights), target,
+                                    np.float32(1.0 / target.size))
 
     return len(targets), batch_loss
 
@@ -393,15 +376,15 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
     pairs, or with freeze their EncodedForecastPairs, trained with plain MSE
     in normalized space.
 
-    A frozen encoder runs with no tape open, so only the head is recorded
+    A frozen encoder runs under nc.OffTape, so only the head is recorded
     and differentiated: the forecast probe encodes every window once, the
     reconstruction probe once per step (its masks change every step).
 
     The step budget is `epochs` alone, epochs x ceil(n / cfg.batch_size)
-    steps: cfg.epochs and cfg.total_steps are ignored.
+    steps: cfg.epochs and cfg.total_steps are ignored; 0 epochs is a no-op.
     """
-    if head_kind not in HEAD_KINDS:
-        raise ConfigError(f"unknown head kind {head_kind!r}; choose from {HEAD_KINDS}")
+    if head_kind not in HEAD_PREFIXES:
+        raise ConfigError(f"unknown head kind {head_kind!r}; choose from {tuple(HEAD_PREFIXES)}")
     if head_kind == "forecast" and weights.horizon is None:
         raise ConfigError("attach a forecasting head before probing it")
     if isinstance(dataset, EncodedForecastPairs) and not freeze:
@@ -412,12 +395,12 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
         return weights
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    cfg = cfg or PretrainConfig()
+    cfg = replace(cfg or PretrainConfig(), epochs=epochs, total_steps=None)
     trainable = weights.parameters(head_only=head_kind) if freeze else dict(weights.params)
     if head_kind == "reconstruction":
         names, batch_loss = _reconstruction_loss(weights, dataset, cfg.mask_ratio, freeze)
         n_series = len(names)
     else:
         n_series, batch_loss = _forecast_loss(weights, dataset, freeze)
-    _fit_loop(weights, trainable, n_series, cfg, batch_loss, epochs, None)
+    _fit_loop(weights, trainable, n_series, cfg, batch_loss)
     return weights

@@ -234,7 +234,7 @@ def zero_vs_mask_probe(weights, dataset, mask_ratio=0.30, seed=0):
     cfg = weights.config
     rng = np.random.default_rng(seed)
     values, obs = fit_windows(dataset, cfg.seq_len)
-    xs, pobs, _ = prepare_windows(cfg, values, obs)
+    xs, pobs, _ = prepare_windows(cfg, values, obs, [s.name for s in dataset])
     plans = pobs & sample_patch_mask(len(xs), cfg.n_patches, mask_ratio, rng)
     recon_mask = encode_windows(weights, xs, plans, reconstruction_head)
     zero_filled = xs * np.repeat(plans, cfg.patch_len, axis=1).astype(np.float32)

@@ -292,7 +292,7 @@ def _history_windows(cfg, histories, context):
         values[i, :context], observed[i, :context] = left_pad(
             h.values[-context:], context, h.observed[-context:]
         )
-    return prepare_windows(cfg, values, observed)
+    return prepare_windows(cfg, values, observed, [h.name for h in histories])
 
 
 # ------------------------------------------------------------------ classification
@@ -305,13 +305,7 @@ def embed_series(weights, collection):
     labels never enter the embedding stage."""
     cfg = weights.config
     vals, obs = fit_windows(collection, cfg.seq_len)
-    empty = np.flatnonzero(~obs.any(axis=1))
-    if empty.size:
-        raise EmptySeriesError(
-            f"series {collection[empty[0]].name!r} has no observed step "
-            f"in its {cfg.seq_len}-step window"
-        )
-    norm, plan, _ = prepare_windows(cfg, vals, obs)
+    norm, plan, _ = prepare_windows(cfg, vals, obs, [s.name for s in collection])
     hidden = _encode(weights, norm, plan, [(s.name, 0) for s in collection])
     return sequence_representation(hidden, nonpadded_patches(obs, cfg.patch_len))
 

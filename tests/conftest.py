@@ -27,7 +27,7 @@ def clone_weights(weights):
         name: nc.Tensor(p.data.copy(), requires_grad=p.requires_grad)
         for name, p in weights.params.items()
     }
-    return ModelWeights(config=weights.config, params=params, horizon=weights.horizon)
+    return ModelWeights(config=weights.config, params=params)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 precedence, and per-command behavior."""
 
 import copy
+import csv
 import dataclasses
 import json
 import os
@@ -352,6 +353,18 @@ def test_forecast_reports_per_series_and_naive(workdir, tmp_path):
     )
 
 
+def test_forecast_error_names_a_series_with_an_empty_window(workdir, tmp_path, capsys):
+    # 'blank' has values only in the held-out horizon, none in its history
+    rows = [f"{np.sin(i):.3f}," for i in range(72)]
+    rows += [f"{np.sin(i):.3f},1.0" for i in range(72, 80)]
+    data = tmp_path / "gappy.csv"
+    data.write_text("ok,blank\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code = dispatch(["forecast", "--ckpt", workdir["ckpt"], "--data", str(data),
+                     "--out", str(tmp_path / "fc"), "--horizon", "8"])
+    assert code == 1
+    assert "series 'blank' has no observed step" in capsys.readouterr().err
+
+
 def test_forecast_rows_equal_the_per_series_metric_calls(workdir, tmp_path):
     data = write_sines(str(tmp_path / "data.csv"), n=5, length=600, seed=4)
     out = tmp_path / "fc"
@@ -508,6 +521,31 @@ def test_classify_reads_utf8_bom_files(workdir, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["s0", "s1", "s2", "s3"]
 
 
+def test_classify_predictions_keep_each_name_in_one_field(workdir, tmp_path):
+    # a name holding a comma or a quote is quoted, so it reads back whole
+    t = np.arange(512)
+    cols, rows = [], []
+    for i, (label, freq) in enumerate((("fast", 32), ("slow", 4)) * 2):
+        name = ("a,1", 'say "hi"', "plain", "b")[i]
+        cols.append(Series(values=np.sin(2 * np.pi * freq * t / 512 + i), name=name))
+        rows.append([name, label])
+    data, classes = tmp_path / "d.csv", tmp_path / "c.csv"
+    save_csv(str(data), cols)
+    with open(classes, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    out = str(tmp_path / "cls")
+    code = dispatch(["classify", "--ckpt", workdir["ckpt"],
+                     "--train-data", str(data), "--train-classes", str(classes),
+                     "--test-data", str(data), "--test-classes", str(classes),
+                     "--out", out])
+    assert code == 0
+    with open(os.path.join(out, "predictions.csv"), newline="", encoding="utf-8") as fh:
+        read = list(csv.reader(fh))
+    assert read[0] == ["name", "predicted"]
+    assert [row[0] for row in read[1:]] == ["a,1", 'say "hi"', "plain", "b"]
+    assert all(len(row) == 2 for row in read)
+
+
 def test_classify_missing_class_label_fails(workdir, tmp_path, capsys):
     trd = write_sines(str(tmp_path / "tr.csv"), n=2)
     with open(str(tmp_path / "trc.csv"), "w", encoding="utf-8") as fh:
@@ -601,6 +639,34 @@ def test_finetune_trains_forecast_head(workdir, tmp_path):
     assert np.isfinite(rep["metrics"]["mse_before"])
     assert np.isfinite(rep["metrics"]["mse_after"])
     assert os.path.exists(os.path.join(out, "checkpoint.json"))
+
+
+@pytest.mark.parametrize("head", ["forecast", "reconstruction"])
+def test_finetune_zero_epochs_writes_the_checkpoint_it_was_given(workdir, tmp_path, head):
+    out = str(tmp_path / "ft")
+    code = dispatch(["finetune", "--ckpt", workdir["ckpt"], "--data", workdir["data"],
+                     "--out", out, "--head", head, "--horizon", "8", "--epochs", "0",
+                     "--seed", "5"])
+    assert code == 0
+    given = tm.load_checkpoint(workdir["ckpt"])
+    if head == "forecast":
+        metrics = read_report(out)["metrics"]
+        assert metrics["mse_before"] == metrics["mse_after"]
+        tm.attach_forecast_head(given, 8, seed=5)
+    written = tm.load_checkpoint(os.path.join(out, "checkpoint.json"))
+    assert list(written.params) == list(given.params)
+    for name, p in given.params.items():
+        assert np.array_equal(written.params[name].data, p.data), name
+
+
+@pytest.mark.parametrize("head", ["forecast", "reconstruction"])
+def test_finetune_negative_epochs_exits_one_naming_epochs(workdir, tmp_path, capsys, head):
+    code = dispatch(["finetune", "--ckpt", workdir["ckpt"], "--data", workdir["data"],
+                     "--out", str(tmp_path / "ft"), "--head", head, "--horizon", "8",
+                     "--epochs", "-1"])
+    assert code == 1
+    assert "epochs" in capsys.readouterr().err
+    assert not (tmp_path / "ft").exists()
 
 
 def test_pretrain_accepts_directory_of_csvs(tmp_path):

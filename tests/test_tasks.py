@@ -31,7 +31,7 @@ from tinytsfm.model import (
     revin_denormalize,
 )
 from tinytsfm.numcore import CHUNK
-from tinytsfm.pretrain import _prepare_series, evaluate_forecast_mse
+from tinytsfm.pretrain import _prepare_series, encode_forecast_pairs, evaluate_forecast_mse
 from tinytsfm.tasks import (
     IMPUTE_RATIOS,
     SVM_C_GRID,
@@ -471,6 +471,24 @@ def test_embed_series_names_an_all_unobserved_series(small_weights):
                    observed=np.zeros(80, dtype=bool), name="blank")
     with pytest.raises(EmptySeriesError, match="series 'blank' has no observed step"):
         embed_series(small_weights, [noisy_series(80), blank])
+
+
+@pytest.mark.parametrize("path", ["short_forecast", "long_forecast", "forecast_pairs",
+                                  "zero_vs_mask"])
+def test_forecast_paths_name_a_series_with_an_empty_window(small_weights, path):
+    blank = Series(values=np.zeros(80, dtype=np.float32),
+                   observed=np.zeros(80, dtype=bool), name="blank")
+    series = [noisy_series(80), blank]
+    weights = attach_forecast_head(clone_weights(small_weights), horizon=8, seed=1)
+    run = {
+        "short_forecast": lambda: zero_shot_short_forecast(weights, series, 8),
+        "long_forecast": lambda: long_forecast(weights, series, 8),
+        "forecast_pairs": lambda: encode_forecast_pairs(
+            weights, [(s, np.zeros(8, dtype=np.float32)) for s in series]),
+        "zero_vs_mask": lambda: probes.zero_vs_mask_probe(weights, series),
+    }[path]
+    with pytest.raises(EmptySeriesError, match="series 'blank' has no observed step"):
+        run()
 
 
 def test_embedding_stage_never_sees_labels():
