@@ -344,10 +344,7 @@ def cmd_finetune(rc):
     metrics = {"head": rc["head"], "epochs": rc["epochs"], "frozen_encoder": freeze}
     if rc["head"] == "forecast":
         horizon = rc["horizon"]
-        pairs = []
-        for s in dataset:
-            history, truth = _forecast_split(s, horizon)
-            pairs.append((history, truth))
+        pairs = [_forecast_split(s, horizon) for s in dataset]
         if weights.horizon != horizon:
             attach_forecast_head(weights, horizon, seed=rc["seed"])
         # a frozen encoder is a pure function of the windows: encode them once

@@ -69,6 +69,8 @@ class ModelConfig:
             raise ConfigError(
                 f"seq_len {self.seq_len} must be divisible by patch_len {self.patch_len}"
             )
+        if self.d_model % 2:
+            raise ConfigError(f"sinusoidal positions need an even d_model, got {self.d_model}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}"
@@ -291,14 +293,14 @@ class ModelWeights:
         bias = self.params.get("forecast_head.bias")
         return None if bias is None else bias.shape[0]
 
-    def parameters(self, head_only=None):
-        """Dict of parameters; head_only='reconstruction'/'forecast' filters."""
-        if head_only is None:
-            return dict(self.params)
-        prefix = HEAD_PREFIXES.get(head_only)
-        if prefix is None:
+    def parameters(self, head_only, freeze=True):
+        """The tensors its loss gives a gradient when the head_only head trains:
+        that head alone over a frozen encoder, else all but the other head."""
+        if head_only not in HEAD_PREFIXES:
             raise ConfigError(f"unknown head kind {head_only!r}")
-        return {k: v for k, v in self.params.items() if k.startswith(prefix)}
+        other = tuple(p for kind, p in HEAD_PREFIXES.items() if kind != head_only)
+        return {k: v for k, v in self.params.items()
+                if k.startswith(HEAD_PREFIXES[head_only]) or not (freeze or k.startswith(other))}
 
 
 def expected_param_shapes(config, horizon=None):

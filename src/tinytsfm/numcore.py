@@ -1,5 +1,5 @@
 """Minimal dense-tensor engine: f32 arrays, tape-based reverse-mode autodiff,
-AdamW with decoupled weight decay, global-L2 gradient clipping, cosine schedule.
+cosine schedule, AdamW with global-L2 clipping over one packed vector.
 
 Everything is float32 end to end. Ops record onto the innermost Tape the
 calling thread has open (a context manager) whenever any input requires
@@ -11,8 +11,7 @@ recording order doubles as the topological order. Every op is a
 model-sized node with a hand-written backward: patch_embed, encoder_block,
 linear_head and weighted_sq_error, so a step records one node per layer
 plus three. Every backward returns None for a constant operand rather than
-a gradient nobody reads. The gradient helpers (zero_grads, global_norm,
-clip_global_norm) take the name -> value dicts the trainers pass.
+a gradient nobody reads.
 """
 
 import math
@@ -366,62 +365,65 @@ def cosine_lr(step, sched):
     return sched.lr_final + 0.5 * span * (1.0 + np.cos(np.pi * step / sched.total_steps))
 
 
-class AdamWState:
-    """First/second moments per parameter plus the shared step count."""
-
-    def __init__(self, params, weight_decay=0.05, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.step_count = 0
-        self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+# MOMENT's fixed AdamW recipe. The update runs BLOCK elements at a time: a
+# full-length scratch re-faulted 2 MB each base step (2 vCPUs: 4.8 -> 7.4 ms)
+BETA1, BETA2, EPS, BLOCK = 0.9, 0.999, 1e-8, 1 << 15
 
 
-def adamw_step(params, grads, state, lr):
-    """One bias-corrected Adam update with decoupled decay th <- th - lr*lambda*th.
+class AdamW:
+    """AdamW with decoupled weight decay. The tensors of params (name -> Tensor)
+    are packed once into one float32 vector, flat, and their .data become its
+    views; the moments m and v share its layout."""
 
-    params: dict name -> Tensor, grads: dict name -> ndarray (same shapes).
-    Parameters are updated in place; the dicts are returned for convenience.
-    """
-    if lr <= 0:
-        raise ContractError(f"lr must be positive, got {lr}")
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
+    def __init__(self, params, weight_decay=0.05):
+        self.weight_decay, self.step_count = float(weight_decay), 0
+        ends = np.cumsum([0] + [p.data.size for p in params.values()])
+        self._slots = [(name, p, slice(lo, hi))
+                       for (name, p), lo, hi in zip(params.items(), ends, ends[1:])]
+        self.flat = np.empty(ends[-1], dtype=np.float32)
+        for _, p, part in self._slots:
+            self.flat[part] = p.data.ravel()
+            p.data = self.flat[part].reshape(p.data.shape)
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+
+    def clipped_gradient(self, max_norm):
+        """(g, norm): the tensors' .grad in one vector, scaled by max_norm / norm
+        when their global L2 norm (one float64 sum per tensor, in order) exceeds
+        it. The norm is finite iff every gradient is: the one finite check."""
+        g = np.empty_like(self.flat)
+        total = 0.0
+        for name, p, part in self._slots:
+            if p.grad is None:
+                raise ContractError(f"trained parameter {name!r} has no gradient")
+            g[part] = p.grad.ravel()
+            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
+        norm = math.sqrt(total)
+        if not math.isfinite(norm):
+            name = next(n for n, _, part in self._slots if not np.isfinite(g[part]).all())
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p.data -= np.float32(lr) * (update + state.weight_decay * p.data)
-    return params, state
+        if norm > max_norm:
+            g *= np.float32(max_norm / norm)
+        return g, norm
 
-
-def global_norm(grads):
-    """Global L2 norm across a dict of name -> gradient array."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.square(g, dtype=np.float64)))
-    return float(np.sqrt(total))
-
-
-def clip_global_norm(grads, max_norm=5.0):
-    """Scale all gradients by max_norm/norm when the global L2 norm exceeds it."""
-    if max_norm <= 0:
-        raise ContractError(f"max_norm must be positive, got {max_norm}")
-    norm = global_norm(grads)
-    if norm > max_norm:
-        scale = np.float32(max_norm / norm)
-        for g in grads.values():
-            g *= scale
-    return grads
+    def step(self, lr, max_norm):
+        """th -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * th) from the
+        gradients clipped at max_norm, in place in g and a block's scratch with
+        a per-tensor update's float32 operations; returns the pre-clip norm."""
+        if not min(lr, max_norm) > 0:
+            raise ContractError(f"lr and max_norm must be positive, got {lr} and {max_norm}")
+        g, norm = self.clipped_gradient(max_norm)
+        self.step_count += 1
+        bc1, bc2 = 1.0 - BETA1**self.step_count, 1.0 - BETA2**self.step_count
+        for lo in range(0, g.size, BLOCK):
+            gb, m, v, th = (a[lo:lo + BLOCK] for a in (g, self.m, self.v, self.flat))
+            m *= BETA1
+            m += (scratch := np.multiply(gb, 1.0 - BETA1))
+            v *= BETA2
+            v += np.multiply(np.square(gb, out=gb), 1.0 - BETA2, out=gb)
+            np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+            scratch += EPS
+            np.divide(np.divide(m, bc1, out=gb), scratch, out=gb)
+            gb += np.multiply(th, self.weight_decay, out=scratch)
+            gb *= np.float32(lr)
+            th -= gb
+        return norm

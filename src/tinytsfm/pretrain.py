@@ -111,10 +111,13 @@ class TrainLog:
             header = next(reader, None)
             if header != ["step", "lr", "loss"]:
                 raise ParseError(f"{path}: expected header step,lr,loss")
-            for row in reader:
-                if not row:
-                    continue
-                records.append((int(row[0]), float(row[1]), float(row[2])))
+            for row in filter(None, reader):  # blank lines are skipped
+                try:
+                    step, lr, loss = row
+                    records.append((int(step), float(lr), float(loss)))
+                except ValueError:
+                    raise ParseError(f"{path}: line {reader.line_num}: expected an int step, "
+                                     f"a float lr and a float loss, got {row}") from None
         return cls(records=records)
 
 
@@ -203,15 +206,15 @@ def _fit_loop(weights, trainable, n_series, cfg, batch_loss):
     Until cfg's step budget runs out, each step draws the next batch of a
     fresh per-epoch permutation, opens the tape and calls batch_loss(idx,
     rng): it draws masks from rng and returns the batch's scalar loss built
-    on the tape. The loss is checked, backpropagated, clipped by global norm
-    and applied by AdamW to the tensors in trainable, at the cosine lr.
-    Every logged loss is measured before that step's update.
+    on the tape. The loss is checked and backpropagated, and nc.AdamW clips
+    and applies the gradients of the tensors in trainable, packed into one
+    vector, at the cosine lr. Every logged loss precedes that step's update.
     """
     by_epochs = None if cfg.epochs is None else cfg.epochs * math.ceil(n_series / cfg.batch_size)
     planned = min(c for c in (by_epochs, cfg.total_steps) if c is not None)
     sched = nc.CosineSchedule(cfg.lr_init, cfg.lr_final, max(1, planned - 1))
     rng = np.random.default_rng(cfg.seed)
-    opt = nc.AdamWState(trainable, weight_decay=cfg.weight_decay)
+    opt = nc.AdamW(trainable, cfg.weight_decay)
     records = []
     drawn = np.zeros(n_series, dtype=bool)
     step = 0
@@ -229,11 +232,7 @@ def _fit_loop(weights, trainable, n_series, cfg, batch_loss):
                 if not np.isfinite(loss_val):
                     raise TrainingError(f"non-finite loss at step {step}")
                 nc.backward(loss, tape)
-            grads = {
-                name: p.grad for name, p in trainable.items() if p.grad is not None
-            }
-            nc.clip_global_norm(grads, cfg.clip_norm)
-            nc.adamw_step({name: trainable[name] for name in grads}, grads, opt, lr)
+            opt.step(lr, cfg.clip_norm)
             records.append((step, lr, loss_val))
             drawn[idx] = True
             step += 1
@@ -265,12 +264,13 @@ def pretrain(weights, dataset, cfg=None):
 
     Each step: draw a fresh uniform patch mask per series, blend mask tokens,
     encode, reconstruct, take the masked MSE, clip the global gradient norm,
-    and apply a decoupled-weight-decay Adam update on the cosine schedule.
-    Every logged loss is measured before that step's update.
+    and apply a decoupled-weight-decay Adam update on the cosine schedule to
+    all but a forecasting head. Every logged loss precedes that step's update.
     """
     cfg = cfg or PretrainConfig()
     names, batch_loss = _reconstruction_loss(weights, dataset, cfg.mask_ratio, freeze=False)
-    records, drawn = _fit_loop(weights, weights.params, len(names), cfg, batch_loss)
+    trainable = weights.parameters("reconstruction", freeze=False)
+    records, drawn = _fit_loop(weights, trainable, len(names), cfg, batch_loss)
     consumed = {names[i] for i in np.flatnonzero(drawn)}
     log = TrainLog(
         records=records,
@@ -396,11 +396,10 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     cfg = replace(cfg or PretrainConfig(), epochs=epochs, total_steps=None)
-    trainable = weights.parameters(head_only=head_kind) if freeze else dict(weights.params)
     if head_kind == "reconstruction":
         names, batch_loss = _reconstruction_loss(weights, dataset, cfg.mask_ratio, freeze)
         n_series = len(names)
     else:
         n_series, batch_loss = _forecast_loss(weights, dataset, freeze)
-    _fit_loop(weights, trainable, n_series, cfg, batch_loss)
+    _fit_loop(weights, weights.parameters(head_kind, freeze), n_series, cfg, batch_loss)
     return weights

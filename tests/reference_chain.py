@@ -10,13 +10,17 @@ reference_block, reference_patch_embed, reference_heads and reference_loss
 are the chains that model.encoder_forward, model.embed_patches, the two
 heads and the losses recorded on them. Each takes the arguments of the node
 it stands for, so a test can monkeypatch it over that node.
+
+AdamWState, adamw_step, global_norm and clip_global_norm are verbatim copies
+of the per-tensor optimizer over {name: array} dicts that nc.AdamW's packed
+vector replaced, kept as its oracle.
 """
 
 import math
 
 import numpy as np
 
-from tinytsfm.errors import ShapeError
+from tinytsfm.errors import ContractError, ShapeError, TrainingError
 from tinytsfm.numcore import Tensor, _record
 
 
@@ -263,3 +267,64 @@ def reference_loss(pred, target, weight):
     """nc.weighted_sq_error as the chain of primitives: four tape nodes."""
     diff = sub(pred, Tensor(target))
     return sum_(mul(mul(diff, diff), Tensor(weight)))
+
+
+class AdamWState:
+    """First/second moments per parameter plus the shared step count."""
+
+    def __init__(self, params, weight_decay=0.05, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.step_count = 0
+        self.weight_decay = weight_decay
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+
+def adamw_step(params, grads, state, lr):
+    """One bias-corrected Adam update with decoupled decay th <- th - lr*lambda*th.
+
+    params: dict name -> Tensor, grads: dict name -> ndarray (same shapes).
+    Parameters are updated in place; the dicts are returned for convenience.
+    """
+    if lr <= 0:
+        raise ContractError(f"lr must be positive, got {lr}")
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name, p in params.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data -= np.float32(lr) * (update + state.weight_decay * p.data)
+    return params, state
+
+
+def global_norm(grads):
+    """Global L2 norm across a dict of name -> gradient array."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(np.square(g, dtype=np.float64)))
+    return float(np.sqrt(total))
+
+
+def clip_global_norm(grads, max_norm=5.0):
+    """Scale all gradients by max_norm/norm when the global L2 norm exceeds it."""
+    if max_norm <= 0:
+        raise ContractError(f"max_norm must be positive, got {max_norm}")
+    norm = global_norm(grads)
+    if norm > max_norm:
+        scale = np.float32(max_norm / norm)
+        for g in grads.values():
+            g *= scale
+    return grads

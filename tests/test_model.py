@@ -55,6 +55,25 @@ def test_config_validation():
     tm.ModelConfig(n_layers=0)  # an identity encoder is allowed
 
 
+def test_config_refuses_odd_d_model():
+    # the sinusoidal positions need an even d_model: refuse it before any
+    # weights are built or data is loaded, not at the first encode
+    with pytest.raises(ConfigError, match="even d_model, got 9"):
+        tm.ModelConfig(d_model=9, n_heads=3)
+    with pytest.raises(ConfigError, match="even d_model"):
+        tm.named_config("tiny", d_model=33, n_heads=3)
+
+
+def test_checkpoint_refuses_odd_d_model(tmp_path):
+    path = tmp_path / "ckpt.json"
+    tm.save_checkpoint(tm.init_weights(_small_cfg(), seed=0), str(path))
+    manifest = json.loads(path.read_text())
+    manifest["config"].update(d_model=9, n_heads=3)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="even d_model"):
+        tm.load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("field, value", [
     ("patch_len", 8.0), ("seq_len", 512.0), ("n_layers", 1.0),
     ("n_layers", True), ("n_heads", "4"), ("d_ff", None), ("revin_eps", "1e-5"),

@@ -7,6 +7,7 @@ nodes are checked against, so they keep their own hand values and FD
 checks, and they record on numcore's tapes, so the tape-semantics tests
 (thread-local tapes, accumulation, constant operands) run on them."""
 
+import math
 import threading
 
 import numpy as np
@@ -570,26 +571,36 @@ def test_fd_oracle_detects_wrong_gradient():
 # ---------------------------------------------------------------- optimizer
 
 
+def _grads(params, grads):
+    """Set each tensor's .grad as backward would: a float32 array of its shape."""
+    for name, g in grads.items():
+        params[name].grad = np.asarray(g, dtype=np.float32).reshape(params[name].shape)
+    return params
+
+
 def test_adamw_first_step_hand_example():
     p = {"w": t(0.0, grad=True)}
-    state = nc.AdamWState(p, weight_decay=0.0)
-    nc.adamw_step(p, {"w": np.float32(1.0)}, state, lr=0.1)
+    opt = nc.AdamW(p, weight_decay=0.0)
+    _grads(p, {"w": 1.0})
+    opt.step(0.1, 5.0)
     np.testing.assert_allclose(p["w"].data, -0.1, atol=1e-7)
-    assert state.step_count == 1
+    assert opt.step_count == 1
 
 
 def test_adamw_zero_grad_no_decay_keeps_params():
     p = {"w": t([1.0, -2.0], grad=True)}
-    state = nc.AdamWState(p, weight_decay=0.0)
+    opt = nc.AdamW(p, weight_decay=0.0)
     for _ in range(5):
-        nc.adamw_step(p, {"w": np.zeros(2, dtype=np.float32)}, state, lr=0.1)
+        _grads(p, {"w": np.zeros(2)})
+        opt.step(0.1, 5.0)
     np.testing.assert_array_equal(p["w"].data, [1.0, -2.0])
 
 
 def test_adamw_pure_decay_term():
     p = {"w": t(1.0, grad=True)}
-    state = nc.AdamWState(p, weight_decay=0.05)
-    nc.adamw_step(p, {"w": np.float32(0.0)}, state, lr=0.1)
+    opt = nc.AdamW(p, weight_decay=0.05)
+    _grads(p, {"w": 0.0})
+    opt.step(0.1, 5.0)
     np.testing.assert_allclose(p["w"].data, 0.995, rtol=1e-6)
 
 
@@ -598,7 +609,7 @@ def test_adamw_matches_reference_loop():
     rng = np.random.default_rng(21)
     theta = rng.normal(size=4)
     gs = [rng.normal(size=4) for _ in range(7)]
-    lr, wd, b1, b2, eps = 0.01, 0.05, 0.9, 0.999, 1e-8
+    lr, wd, b1, b2, eps = 0.01, 0.05, nc.BETA1, nc.BETA2, nc.EPS
 
     ref = theta.copy()
     m = np.zeros(4)
@@ -611,46 +622,82 @@ def test_adamw_matches_reference_loop():
         ref = ref - lr * (mhat / (np.sqrt(vhat) + eps) + wd * ref)
 
     p = {"w": t(theta, grad=True)}
-    state = nc.AdamWState(p, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    opt = nc.AdamW(p, weight_decay=wd)
     for g in gs:
-        nc.adamw_step(p, {"w": g.astype(np.float32)}, state, lr=lr)
+        _grads(p, {"w": g})
+        opt.step(lr, math.inf)
     np.testing.assert_allclose(p["w"].data, ref, rtol=1e-4, atol=1e-6)
 
 
 def test_adamw_nan_grad_names_parameter():
     p = {"bad_param": t(1.0, grad=True)}
-    state = nc.AdamWState(p)
+    opt = nc.AdamW(p)
+    _grads(p, {"bad_param": np.nan})
     with pytest.raises(TrainingError, match="bad_param"):
-        nc.adamw_step(p, {"bad_param": np.float32(np.nan)}, state, lr=0.1)
+        opt.step(0.1, 5.0)
+
+
+def test_adamw_non_finite_grad_names_the_tensor_and_updates_nothing():
+    # a per-tensor loop stepped every tensor before the bad one; the packed
+    # update checks the whole gradient first
+    rng = np.random.default_rng(23)
+    p = {f"p{i}": t(rng.normal(size=(3, 2)), grad=True) for i in range(4)}
+    opt = nc.AdamW(p)
+    for bad in (np.nan, np.inf):
+        _grads(p, {n: rng.normal(size=(3, 2)) for n in p})
+        p["p2"].grad[1, 0] = bad
+        before = {n: x.data.tobytes() for n, x in p.items()}
+        with pytest.raises(TrainingError, match="'p2'"):
+            opt.step(0.1, 5.0)
+        assert {n: x.data.tobytes() for n, x in p.items()} == before
+        assert opt.step_count == 0
+        assert not opt.m.any() and not opt.v.any()
+
+
+def test_adamw_packs_its_tensors_into_one_vector():
+    p = {"a": t([[1.0, 2.0], [3.0, 4.0]], grad=True), "b": t(5.0, grad=True)}
+    opt = nc.AdamW(p)
+    np.testing.assert_array_equal(opt.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert p["a"].shape == (2, 2) and p["b"].shape == ()
+    assert all(np.shares_memory(x.data, opt.flat) for x in p.values())
+    _grads(p, {"a": np.ones(4), "b": 1.0})
+    opt.step(0.1, 5.0)
+    np.testing.assert_array_equal(p["a"].data.ravel(), opt.flat[:4])
+    p["b"].grad = None
+    with pytest.raises(ContractError, match="'b'"):
+        opt.step(0.1, 5.0)
+
+
+def _clipped(grads, max_norm=5.0):
+    """(gradient vector, pre-clip norm) of an optimizer over tensors with grads."""
+    p = _grads({n: t(np.zeros(len(g)), grad=True) for n, g in grads.items()}, grads)
+    return nc.AdamW(p).clipped_gradient(max_norm)
 
 
 def test_clip_boundary_norm_unchanged():
-    g = {"a": np.array([3.0], dtype=np.float32), "b": np.array([4.0], dtype=np.float32)}
-    nc.clip_global_norm(g, max_norm=5.0)
-    np.testing.assert_array_equal(g["a"], [3.0])
-    np.testing.assert_array_equal(g["b"], [4.0])
+    g, norm = _clipped({"a": [3.0], "b": [4.0]})
+    np.testing.assert_array_equal(g, [3.0, 4.0])
+    assert norm == 5.0
 
 
 def test_clip_scales_above_max():
-    g = {"a": np.array([6.0], dtype=np.float32), "b": np.array([8.0], dtype=np.float32)}
-    nc.clip_global_norm(g, max_norm=5.0)
-    np.testing.assert_allclose(g["a"], [3.0], rtol=1e-6)
-    np.testing.assert_allclose(g["b"], [4.0], rtol=1e-6)
+    g, norm = _clipped({"a": [6.0], "b": [8.0]})
+    np.testing.assert_allclose(g, [3.0, 4.0], rtol=1e-6)
+    assert norm == 10.0
 
 
 def test_clip_zero_grads_unchanged():
-    g = {"a": np.zeros(3, dtype=np.float32)}
-    nc.clip_global_norm(g, max_norm=5.0)
-    np.testing.assert_array_equal(g["a"], np.zeros(3))
+    g, _ = _clipped({"a": np.zeros(3)})
+    np.testing.assert_array_equal(g, np.zeros(3))
 
 
 def test_clip_never_increases_norm():
     rng = np.random.default_rng(22)
     for _ in range(25):
-        g = {f"p{i}": rng.normal(size=rng.integers(1, 5)).astype(np.float32) * 10 for i in range(3)}
-        before = nc.global_norm(g)
-        nc.clip_global_norm(g, max_norm=5.0)
-        after = nc.global_norm(g)
+        grads = {f"p{i}": rng.normal(size=rng.integers(1, 5)).astype(np.float32) * 10
+                 for i in range(3)}
+        g, before = _clipped(grads)
+        after = float(np.sqrt(np.sum(np.square(g, dtype=np.float64))))
         assert after <= min(before, 5.0) + 1e-6
 
 

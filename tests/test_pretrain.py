@@ -16,6 +16,7 @@ from tinytsfm.errors import (
     ConfigError,
     ContractError,
     EmptySeriesError,
+    ParseError,
     ShapeError,
     TrainingError,
 )
@@ -69,6 +70,17 @@ def test_train_log_csv_round_trip(tmp_path):
     loaded = tp.TrainLog.load(str(path))
     assert loaded.records == log.records
     assert loaded.initial_loss == 2.5 and loaded.final_loss == 2.0
+
+
+@pytest.mark.parametrize("row", ["0,1e-4", "1,abc,2.0", "1,2e-4,0.5,7", "1.5,1e-4,2.0"])
+def test_train_log_load_names_the_bad_line(tmp_path, row):
+    # a short or long row was a bare IndexError or went through, a
+    # non-numeric cell a bare ValueError; neither named the line
+    path = tmp_path / "log.csv"
+    path.write_text(f"step,lr,loss\n0,1e-4,2.5\n\n{row}\n")
+    with pytest.raises(ParseError, match="line 4: expected an int step") as err:
+        tp.TrainLog.load(str(path))
+    assert str(row.split(",")) in str(err.value)
 
 
 def test_audit_digest_is_order_independent():
@@ -222,16 +234,14 @@ def test_small_batch64_step_memory_stays_bounded():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(64, cfg.seq_len)).astype(np.float32)
     plan = tp.sample_patch_mask(64, cfg.n_patches, 0.3, rng)
-    opt = nc.AdamWState(weights.params)
+    opt = nc.AdamW(weights.params)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         with nc.Tape() as tape:
             _, recon = tm.model_forward(weights, x, plan)
             nc.backward(tp.masked_mse_loss(x, recon, plan), tape)
-        grads = {name: p.grad for name, p in weights.params.items()}
-        nc.clip_global_norm(grads, 5.0)
-        nc.adamw_step(weights.params, grads, opt, 1e-4)
+        opt.step(1e-4, 5.0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -441,7 +451,7 @@ def reference_pretrain(weights, dataset, cfg):
     planned = min(c for c in (by_epochs, cfg.total_steps) if c is not None)
     sched = nc.CosineSchedule(cfg.lr_init, cfg.lr_final, max(1, planned - 1))
     rng = np.random.default_rng(cfg.seed)
-    opt = nc.AdamWState(weights.params, weight_decay=cfg.weight_decay)
+    opt = rc.AdamWState(weights.params, weight_decay=cfg.weight_decay)
     records = []
     consumed = set()
     step = 0
@@ -464,8 +474,8 @@ def reference_pretrain(weights, dataset, cfg):
                 loss_val = float(loss.data)
                 nc.backward(loss, tape)
             grads = {n: p.grad for n, p in weights.params.items() if p.grad is not None}
-            nc.clip_global_norm(grads, cfg.clip_norm)
-            nc.adamw_step({n: weights.params[n] for n in grads}, grads, opt, lr)
+            rc.clip_global_norm(grads, cfg.clip_norm)
+            rc.adamw_step({n: weights.params[n] for n in grads}, grads, opt, lr)
             records.append((step, lr, loss_val))
             consumed.update(names[i] for i in idx)
             step += 1
@@ -487,7 +497,7 @@ def reference_probe(weights, head_kind, dataset, epochs, cfg, freeze=True):
     planned = epochs * int(np.ceil(n_series / cfg.batch_size))
     sched = nc.CosineSchedule(cfg.lr_init, cfg.lr_final, max(1, planned - 1))
     rng = np.random.default_rng(cfg.seed)
-    opt = nc.AdamWState(trainable, weight_decay=cfg.weight_decay)
+    opt = rc.AdamWState(trainable, weight_decay=cfg.weight_decay)
     step = 0
     for _ in range(epochs):
         order = rng.permutation(n_series)
@@ -510,8 +520,8 @@ def reference_probe(weights, head_kind, dataset, epochs, cfg, freeze=True):
                     loss = rc.mean_(rc.mul(diff, diff))
                 nc.backward(loss, tape)
             grads = {n: p.grad for n, p in trainable.items() if p.grad is not None}
-            nc.clip_global_norm(grads, cfg.clip_norm)
-            nc.adamw_step({n: trainable[n] for n in grads}, grads, opt, lr)
+            rc.clip_global_norm(grads, cfg.clip_norm)
+            rc.adamw_step({n: trainable[n] for n in grads}, grads, opt, lr)
             step += 1
     return weights
 
@@ -613,13 +623,17 @@ LOOP_CASES = {
     "epochs-cap-binds": dict(n=7, batch_size=3, epochs=2, total_steps=100),
     # stops after the first batch of the second epoch
     "total-steps-cap-binds": dict(n=8, batch_size=3, epochs=5, total_steps=4),
+    # every step's gradient norm is far above the clip norm
+    "every-step-clips": dict(n=8, batch_size=3, epochs=2, total_steps=None, clip_norm=1e-4),
+    # a forecasting head rides along untrained, or trained only by its own probe
+    "forecast-head-attached": dict(n=8, batch_size=3, epochs=2, total_steps=None, horizon=8),
 }
 
 
 def _loop_cfg(case):
     return tp.PretrainConfig(batch_size=case["batch_size"], epochs=case["epochs"],
                              total_steps=case["total_steps"], seed=4,
-                             lr_init=5e-3, lr_final=1e-4)
+                             lr_init=5e-3, lr_final=1e-4, clip_norm=case.get("clip_norm", 5.0))
 
 
 def _assert_same_weights(got, want):
@@ -627,32 +641,64 @@ def _assert_same_weights(got, want):
         assert np.array_equal(p.data, want.params[name].data), name
 
 
+def _head_bytes(weights, prefix):
+    return {n: p.data.tobytes() for n, p in weights.params.items() if n.startswith(prefix)}
+
+
+def _record_norms(monkeypatch):
+    """The pre-clip norm of every reference step, as rc.global_norm sees it."""
+    norms = []
+
+    def recording(grads):
+        norms.append(global_norm(grads))
+        return norms[-1]
+
+    global_norm = rc.global_norm
+    monkeypatch.setattr(rc, "global_norm", recording)
+    return norms
+
+
 @pytest.mark.parametrize("case", LOOP_CASES.values(), ids=LOOP_CASES.keys())
-def test_pretrain_matches_reference_loop(case):
+def test_pretrain_matches_reference_loop(case, monkeypatch):
     weights = tm.init_weights(tiny_cfg(), seed=11)
+    if "horizon" in case:
+        tm.attach_forecast_head(weights, horizon=case["horizon"], seed=11)
+    head = _head_bytes(weights, "forecast_head.")
     reference = clone_weights(weights)
     data = sine_corpus(n=case["n"])
     cfg = _loop_cfg(case)
+    norms = _record_norms(monkeypatch)
     _, log = tp.pretrain(weights, data, cfg)
     _, records, audit = reference_pretrain(reference, data, cfg)
     assert log.records == records
     assert log.audit_hash == audit
     _assert_same_weights(weights, reference)
+    assert _head_bytes(weights, "forecast_head.") == head
+    assert len(norms) == len(records)
+    if "clip_norm" in case:
+        assert min(norms) > 10 * cfg.clip_norm
 
 
 @pytest.mark.parametrize("head_kind", ["reconstruction", "forecast"])
 @pytest.mark.parametrize("case", LOOP_CASES.values(), ids=LOOP_CASES.keys())
-def test_unfrozen_probe_matches_reference_loop(case, head_kind):
+def test_unfrozen_probe_matches_reference_loop(case, head_kind, monkeypatch):
     # a probe's budget is its epochs argument; cfg.epochs and total_steps
     # do not cap it, in the merged loop as in the reference
     weights = tm.init_weights(tiny_cfg(), seed=12)
-    if head_kind == "forecast":
+    if head_kind == "forecast" or "horizon" in case:
         tm.attach_forecast_head(weights, horizon=8, seed=12)
+    if head_kind == "forecast":
         data = forecast_pairs(n=case["n"], horizon=8)
     else:
         data = sine_corpus(n=case["n"])
+    other = tm.HEAD_PREFIXES["reconstruction" if head_kind == "forecast" else "forecast"]
+    head = _head_bytes(weights, other)
     reference = clone_weights(weights)
     cfg = _loop_cfg(case)
+    norms = _record_norms(monkeypatch)
     tp.linear_probe(weights, head_kind, data, epochs=3, cfg=cfg, freeze=False)
     reference_probe(reference, head_kind, data, epochs=3, cfg=cfg, freeze=False)
     _assert_same_weights(weights, reference)
+    assert _head_bytes(weights, other) == head
+    if "clip_norm" in case:
+        assert min(norms) > 10 * cfg.clip_norm
