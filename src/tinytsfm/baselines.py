@@ -12,6 +12,7 @@ import numpy as np
 from .base import Estimator, check_fitted
 from .data import Series
 from .errors import ConfigError, ContractError, EmptySeriesError, ShapeError
+from .model import check_horizon
 
 # ------------------------------------------------------------------ comparators
 
@@ -40,8 +41,7 @@ def interp_nearest(x):
 def naive_forecast(history, horizon):
     """Repeat the final observation of a Series or array over an int
     horizon >= 1."""
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise ConfigError(f"horizon must be an int >= 1, got {horizon!r}")
+    check_horizon(horizon)
     values = history.values if isinstance(history, Series) else history
     y = np.asarray(values, dtype=np.float64).ravel()
     if len(y) < 1:

@@ -303,6 +303,16 @@ def map_series(fn, items, workers):
     return [row for rows in results for row in rows]
 
 
+def _detection_metrics(scores, labels):
+    """adj_best_f1 and vus_roc, the latter as its error text where undefined."""
+    metrics = {"adj_best_f1": mx.adjusted_best_f1(scores, labels)}
+    try:
+        metrics["vus_roc"] = mx.vus_roc(scores, labels)
+    except UndefinedMetricError as exc:
+        metrics["vus_roc"] = f"error: {exc}"
+    return metrics
+
+
 def _forecast_split(series, horizon):
     if len(series) <= horizon:
         raise ConfigError(
@@ -438,12 +448,7 @@ def cmd_detect(rc):
     labels = load_labels(rc["labels"], n_expected=len(series))
     series = dataclasses.replace(series, anomalies=labels)
     result = detect_anomalies(weights, series)
-    got_labels = result.series.anomalies
-    metrics = {"adj_best_f1": mx.adjusted_best_f1(result.scores, got_labels)}
-    try:
-        metrics["vus_roc"] = mx.vus_roc(result.scores, got_labels)
-    except UndefinedMetricError as exc:
-        metrics["vus_roc"] = f"error: {exc}"
+    metrics = _detection_metrics(result.scores, result.series.anomalies)
     os.makedirs(rc["out"], exist_ok=True)
     save_csv(
         os.path.join(rc["out"], "scores.csv"),
@@ -532,12 +537,7 @@ def cmd_eval_metrics(rc):
         )
     scores = score_series[0].values
     labels = load_labels(rc["labels"], n_expected=len(scores))
-    metrics = {"adj_best_f1": mx.adjusted_best_f1(scores, labels)}
-    try:
-        metrics["vus_roc"] = mx.vus_roc(scores, labels)
-    except UndefinedMetricError as exc:
-        metrics["vus_roc"] = f"error: {exc}"
-    return write_report(rc, rc["scores"], metrics)
+    return write_report(rc, rc["scores"], _detection_metrics(scores, labels))
 
 
 COMMANDS = {

@@ -21,7 +21,7 @@ class ScoredSeries:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.scores = _floats(self.scores, "scores")
         raw = np.asarray(self.labels)
         if self.scores.ndim != 1 or raw.ndim != 1:
             raise ShapeError("scores and labels must be 1-D")
@@ -39,6 +39,14 @@ class ScoredSeries:
         self.labels = raw.astype(np.int64)
 
 
+def _floats(values, what):
+    """values as a float64 array; non-numeric input is a ShapeError."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{what} must be numeric, got {values!r:.40}") from None
+
+
 def _score_label_pair(scores, labels):
     if isinstance(scores, ScoredSeries):
         if labels is not None:
@@ -49,8 +57,8 @@ def _score_label_pair(scores, labels):
 
 
 def _paired(y, y_hat):
-    a = np.asarray(y, dtype=np.float64).ravel()
-    b = np.asarray(y_hat, dtype=np.float64).ravel()
+    a = _floats(y, "y").ravel()
+    b = _floats(y_hat, "y_hat").ravel()
     if a.shape != b.shape:
         raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.size == 0:
@@ -93,7 +101,7 @@ def _smape_terms(a, b):
 def pointwise_rows(y, y_hat):
     """Row-wise (mse, mae, smape_m4) of [n, h] truths and forecasts in one
     pass: three [n] arrays whose entries equal the scalar functions' bits."""
-    a, b = (np.asarray(v, dtype=np.float64) for v in (y, y_hat))
+    a, b = _floats(y, "y"), _floats(y_hat, "y_hat")
     if a.ndim != 2 or a.shape != b.shape or a.shape[1] == 0:
         raise ShapeError(f"pointwise_rows needs equal [n, h>0] arrays, got {a.shape}, {b.shape}")
     diff = a - b

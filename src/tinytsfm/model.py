@@ -226,6 +226,24 @@ def prepare_windows(config, values, observed, names=None):
     return x_norm, patch_observed_indicator(observed, config.patch_len), stats
 
 
+def history_windows(config, histories, context):
+    """prepare_windows of every forecaster's and the forecast probe's input: each
+    history's last `context` steps, left-padded if short, then unobserved steps."""
+    values = np.zeros((len(histories), config.seq_len), dtype=np.float32)
+    observed = np.zeros(values.shape, dtype=bool)
+    for i, h in enumerate(histories):
+        values[i, :context], observed[i, :context] = left_pad(
+            h.values[-context:], context, h.observed[-context:]
+        )
+    return prepare_windows(config, values, observed, [h.name for h in histories])
+
+
+def check_horizon(horizon):
+    """The one horizon rule: an int >= 1 (a bool is refused), else a ConfigError."""
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ConfigError(f"horizon must be an int >= 1, got {horizon!r}")
+
+
 # ------------------------------------------------------------------ positions
 
 
@@ -351,8 +369,7 @@ def init_weights(config, seed=0):
 
 def attach_forecast_head(weights, horizon, seed=0):
     """Add (or replace) the flatten-and-project forecasting head for horizon H."""
-    if horizon < 1:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
+    check_horizon(horizon)
     rng = np.random.default_rng(seed)
     nd = weights.config.n_patches * weights.config.d_model
     bound = 1.0 / math.sqrt(nd)

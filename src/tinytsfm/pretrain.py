@@ -11,10 +11,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import numcore as nc
-from .data import fit_windows
+from .data import Series, fit_windows
 from .errors import (
     ConfigError,
     ContractError,
+    EmptySeriesError,
     ParseError,
     ShapeError,
     TrainingError,
@@ -24,6 +25,7 @@ from .model import (
     encode,
     encode_windows,
     forecasting_head,
+    history_windows,
     model_forward,
     nonpadded_patches,
     prepare_windows,
@@ -118,6 +120,9 @@ class TrainLog:
                 except ValueError:
                     raise ParseError(f"{path}: line {reader.line_num}: expected an int step, "
                                      f"a float lr and a float loss, got {row}") from None
+                if len(records) > 1 and records[-1][0] <= records[-2][0]:
+                    raise ParseError(f"{path}: line {reader.line_num}: step {records[-1][0]} "
+                                     f"does not follow step {records[-2][0]}")
         return cls(records=records)
 
 
@@ -145,29 +150,21 @@ def sample_patch_mask(rows, n_patches, ratio, rng):
 
 def masked_mse_loss(x_norm, x_hat, plan, observed=None):
     """Mean squared error pooled over timesteps of masked patches, for
-    windows x_norm [B,T] under plans [B,N], or one window [T] under its
-    plan [N] (the probes score windows one by one).
+    windows x_norm [B,T] under plans [B,N]; one window is a batch of one.
 
     A timestep contributes iff its patch is masked under `plan` and the
     timestep itself is real ground truth per `observed` (padded or missing
     steps never produce a target). Returns a scalar engine Tensor when x_hat
     is one (differentiable), else a float.
     """
-    x = np.asarray(x_norm, dtype=np.float32)
-    single = x.ndim == 1
-    xs = x[None] if single else x
+    xs = np.asarray(x_norm, dtype=np.float32)
     plan_arr = np.asarray(plan)
-    plan_arr = plan_arr.reshape(1, -1) if plan_arr.ndim == 1 else plan_arr
-    b, t = xs.shape
-    n = plan_arr.shape[1]
-    if plan_arr.shape[0] != b or t % n != 0:
-        raise ShapeError(f"plan shape {plan_arr.shape} incompatible with values {xs.shape}")
-    p = t // n
-    if observed is None:
-        obs = np.ones_like(xs, dtype=bool)
-    else:
-        obs = np.asarray(observed, dtype=bool)
-        obs = obs[None] if obs.ndim == 1 else obs
+    if xs.ndim != 2 or plan_arr.ndim != 2 or plan_arr.shape[0] != xs.shape[0] \
+            or xs.shape[1] % plan_arr.shape[1] != 0:
+        raise ShapeError(f"masked_mse_loss needs [B,T] values and [B,N] plans, got "
+                         f"{xs.shape} and {plan_arr.shape}")
+    p = xs.shape[1] // plan_arr.shape[1]
+    obs = np.ones_like(xs, dtype=bool) if observed is None else np.asarray(observed, dtype=bool)
     if obs.shape != xs.shape:
         raise ShapeError(f"observed shape {obs.shape} != values shape {xs.shape}")
     eligible = np.repeat(plan_arr == 0, p, axis=1) & obs
@@ -176,9 +173,9 @@ def masked_mse_loss(x_norm, x_hat, plan, observed=None):
         raise ContractError("masked loss needs at least one masked, real timestep")
     w = (eligible / count).astype(np.float32)
     if isinstance(x_hat, nc.Tensor):
-        if x_hat.shape not in (xs.shape, x.shape):
-            raise ShapeError(f"prediction shape {x_hat.shape} != values shape {x.shape}")
-        return nc.weighted_sq_error(x_hat, xs.reshape(x_hat.shape), w.reshape(x_hat.shape))
+        if x_hat.shape != xs.shape:
+            raise ShapeError(f"prediction shape {x_hat.shape} != values shape {xs.shape}")
+        return nc.weighted_sq_error(x_hat, xs, w)
     pred = np.asarray(x_hat, dtype=np.float32).reshape(xs.shape)
     return float((np.square(pred - xs) * w).sum())
 
@@ -284,19 +281,22 @@ def pretrain(weights, dataset, cfg=None):
 
 
 def _prepare_forecast_pairs(weights, dataset):
-    """Normalize (history, target) pairs with history-only statistics."""
+    """Normalize (history, target) pairs with history-only statistics, each
+    history on the window long_forecast serves: model.history_windows."""
+    if len(dataset) == 0:
+        raise EmptySeriesError("no forecast pairs to train or score on")
     horizon = weights.horizon
-    targets = [np.asarray(target, dtype=np.float32) for _, target in dataset]
-    for target in targets:
-        if target.shape != (horizon,):
-            raise ShapeError(
-                f"forecast target shape {target.shape} != horizon ({horizon},)"
-            )
+    for i, pair in enumerate(dataset):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and isinstance(pair[0], Series)):
+            raise ShapeError(f"forecast pair {i} must be a (history Series, target) "
+                             f"pair, got {type(pair).__name__}")
+        if np.shape(pair[1]) != (horizon,):
+            raise ShapeError(f"forecast target shape {np.shape(pair[1])} != horizon ({horizon},)")
     histories = [history for history, _ in dataset]
-    values, obs = fit_windows(histories, weights.config.seq_len)
-    xs, plans, stats = prepare_windows(weights.config, values, obs, [h.name for h in histories])
-    targets = (np.stack(targets) - stats.mean[:, None]) / stats.std[:, None]
-    return xs, plans, targets
+    xs, plans, stats = history_windows(weights.config, histories, weights.config.seq_len)
+    targets = np.asarray([target for _, target in dataset], dtype=np.float32)
+    return xs, plans, (targets - stats.mean[:, None]) / stats.std[:, None]
 
 
 @dataclass

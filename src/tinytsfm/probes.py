@@ -178,7 +178,8 @@ def frequency_error_curve(weights, grid=None, out_dir=None, noise=0.0, seed=0):
     xs, pobs, _ = prepare_windows(cfg, values, obs)
     plans = pobs & sample_patch_mask(len(xs), cfg.n_patches, 0.30, rng)
     recon = encode_windows(weights, xs, plans, reconstruction_head)
-    mses = np.asarray([masked_mse_loss(*row) for row in zip(xs, recon, plans, obs)],
+    rows = [slice(i, i + 1) for i in range(len(xs))]
+    mses = np.asarray([masked_mse_loss(xs[r], recon[r], plans[r], obs[r]) for r in rows],
                       dtype=np.float64)
     result = CurveResult(grid=grid, mses=mses, spearman=spearman_rho(grid, mses))
     if out_dir is not None:
@@ -239,11 +240,11 @@ def zero_vs_mask_probe(weights, dataset, mask_ratio=0.30, seed=0):
     recon_mask = encode_windows(weights, xs, plans, reconstruction_head)
     zero_filled = xs * np.repeat(plans, cfg.patch_len, axis=1).astype(np.float32)
     recon_zero = encode_windows(weights, zero_filled, pobs, reconstruction_head)
+    rows = [slice(i, i + 1) for i in range(len(xs))]
     per_series = [
-        (series.name, masked_mse_loss(x_norm, rm, plan, ob),
-         masked_mse_loss(x_norm, rz, plan, ob))
-        for series, x_norm, rm, rz, plan, ob in zip(dataset, xs, recon_mask, recon_zero,
-                                                     plans, obs)
+        (series.name, masked_mse_loss(xs[r], recon_mask[r], plans[r], obs[r]),
+         masked_mse_loss(xs[r], recon_zero[r], plans[r], obs[r]))
+        for series, r in zip(dataset, rows)
     ]
     return ZeroVsMaskReport(
         mask_token_mse=float(np.mean([r[1] for r in per_series])),

@@ -4,11 +4,11 @@ SVM classification over sequence representations.
 
 Every adapter encodes through model.encode_windows, in fixed chunks, and
 runs there only the head whose output it reads, so nothing an adapter runs
-is recorded, even inside an open Tape. The forecasting and
-imputation adapters take one Series or a list of them and return the same
-shape; a list is encoded in one batch, and each series' result matches its
-batch-1 result up to float rounding. A NumericError names the series and
-window whose activations went non-finite.
+is recorded, even inside an open Tape. The forecasting and imputation
+adapters take one Series or a list of them and return the same shape, any
+other input being a ShapeError naming the argument; a list is encoded in
+one batch, and each series' result matches its batch-1 result up to float
+rounding. A NumericError names the series and window that went non-finite.
 """
 
 import math
@@ -27,8 +27,10 @@ from .errors import (
     StratificationError,
 )
 from .model import (
+    check_horizon,
     encode_windows,
     forecasting_head,
+    history_windows,
     left_pad,
     nonpadded_patches,
     patch_observed_indicator,
@@ -119,9 +121,19 @@ def _window_grid(values, observed, window):
     return vs, obs, spans
 
 
-def _as_list(x):
-    """(list of series, whether x was a single Series)."""
-    return ([x], True) if isinstance(x, Series) else (list(x), False)
+def _as_list(x, arg):
+    """(list of series, whether x was a single Series), checked as _series_list."""
+    return ([x], True) if isinstance(x, Series) else (_series_list(x, arg), False)
+
+
+def _series_list(x, arg):
+    """x, a list or tuple of Series, as a list, else a ShapeError naming `arg`."""
+    if not isinstance(x, (list, tuple)):
+        raise ShapeError(f"{arg} must be a list of Series, got {type(x).__name__}")
+    for i, s in enumerate(x):
+        if not isinstance(s, Series):
+            raise ShapeError(f"{arg}[{i}] must be a Series, got {type(s).__name__}")
+    return list(x)
 
 
 def _encode(weights, norm, plan, owners, head=None):
@@ -146,7 +158,7 @@ def zero_shot_impute(weights, x):
     Series or a list; the windows of every series are encoded together.
     """
     cfg = weights.config
-    series, single = _as_list(x)
+    series, single = _as_list(x, "x")
     out = list(series)
     vs, obs, owners, gaps = [], [], [], []
     for i, s in enumerate(series):
@@ -195,6 +207,8 @@ def detect_anomalies(weights, x, spec=None):
     """Score every timestep by squared reconstruction error under a masking
     sweep: patches are hidden in `mask_rounds` disjoint rounds so each patch
     is reconstructed while masked exactly once."""
+    if not isinstance(x, Series):
+        raise ShapeError(f"x must be a Series, got {type(x).__name__}")
     spec = spec if spec is not None else AnomalySpec(window=weights.config.seq_len)
     if spec.window != weights.config.seq_len:
         raise ConfigError(
@@ -242,8 +256,7 @@ def zero_shot_short_forecast(weights, history, horizon):
     denormalized with statistics from the history region only — is returned.
     history is one Series or a list (returning a list), encoded together."""
     cfg = weights.config
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    check_horizon(horizon)
     if horizon > cfg.seq_len // 2:
         raise HorizonError(
             f"horizon {horizon} exceeds half the window ({cfg.seq_len // 2}); "
@@ -253,46 +266,32 @@ def zero_shot_short_forecast(weights, history, horizon):
     context = cfg.seq_len - n_tail * cfg.patch_len
     if context < 1:
         raise HorizonError(f"masked tail of {n_tail} patches leaves no history context")
-    histories, single = _as_list(history)
-    norm, plan, stats = _history_windows(cfg, histories, context)
-    recon = _encode(weights, norm, plan, [(h.name, 0) for h in histories],
-                    reconstruction_head)
-    denorm = revin_denormalize(recon, stats)
-    out = [Series(values=denorm[i, context:context + horizon], name=h.name, freq=h.freq)
-           for i, h in enumerate(histories)]
-    return out[0] if single else out
+    return _forecast(weights, history, context, reconstruction_head, context, horizon)
 
 
 def long_forecast(weights, history, horizon):
     """Forecast with the attached linear forecasting head: normalize the most
     recent lookback window, encode, project to the horizon, denormalize.
     history is one Series or a list (returning a list), encoded together."""
-    cfg = weights.config
+    check_horizon(horizon)
     if weights.horizon is None:
         raise ConfigError("forecasting head not attached")
     if weights.horizon != horizon:
         raise ConfigError(
             f"forecasting head horizon {weights.horizon} != requested {horizon}"
         )
-    histories, single = _as_list(history)
-    norm, plan, stats = _history_windows(cfg, histories, cfg.seq_len)
-    fc = _encode(weights, norm, plan, [(h.name, 0) for h in histories], forecasting_head)
-    denorm = revin_denormalize(fc, stats)
-    out = [Series(values=denorm[i], name=h.name, freq=h.freq)
-           for i, h in enumerate(histories)]
-    return out[0] if single else out
+    return _forecast(weights, history, weights.config.seq_len, forecasting_head, 0, horizon)
 
 
-def _history_windows(cfg, histories, context):
-    """Model input whose first `context` steps hold each history's most recent
-    steps (left-padded if short); any steps after them are unobserved."""
-    values = np.zeros((len(histories), cfg.seq_len), dtype=np.float32)
-    observed = np.zeros(values.shape, dtype=bool)
-    for i, h in enumerate(histories):
-        values[i, :context], observed[i, :context] = left_pad(
-            h.values[-context:], context, h.observed[-context:]
-        )
-    return prepare_windows(cfg, values, observed, [h.name for h in histories])
+def _forecast(weights, history, context, head, start, horizon):
+    """Encode each history's history_windows under `context`, run `head`,
+    denormalize, and return steps [start, start + horizon) of each row."""
+    histories, single = _as_list(history, "history")
+    norm, plan, stats = history_windows(weights.config, histories, context)
+    out = _encode(weights, norm, plan, [(h.name, 0) for h in histories], head)
+    out = revin_denormalize(out[:, start:start + horizon], stats)
+    fcs = [Series(values=row, name=h.name, freq=h.freq) for row, h in zip(out, histories)]
+    return fcs[0] if single else fcs
 
 
 # ------------------------------------------------------------------ classification
@@ -304,6 +303,7 @@ def embed_series(weights, collection):
     """Sequence representations for a list of series. Receives series only —
     labels never enter the embedding stage."""
     cfg = weights.config
+    collection = _series_list(collection, "collection")
     vals, obs = fit_windows(collection, cfg.seq_len)
     norm, plan, _ = prepare_windows(cfg, vals, obs, [s.name for s in collection])
     hidden = _encode(weights, norm, plan, [(s.name, 0) for s in collection])
@@ -337,6 +337,7 @@ def classify_by_representation(
 ):
     """Fit an RBF-SVM on frozen sequence representations, selecting C on a
     stratified validation split of the training set, and score the test set."""
+    train, test = _series_list(train, "train"), _series_list(test, "test")
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
     if len(train) != len(train_labels):

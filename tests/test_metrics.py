@@ -209,6 +209,15 @@ def test_nan_scores_are_refused_with_their_index(metric):
         metric([0.1, np.nan, 0.9, 0.3], [0, 1, 1, 0])
 
 
+@pytest.mark.parametrize(
+    "metric",
+    [mx.roc_auc, mx.vus_roc, mx.adjusted_best_f1, mx.ScoredSeries, mx.mse, mx.pointwise_rows],
+)
+def test_non_numeric_scores_are_a_shape_error(metric):
+    with pytest.raises(ShapeError, match="must be numeric, got 'abc'"):
+        metric("abc", [0, 1, 0])
+
+
 def test_infinite_scores_still_rank():
     scores = [-np.inf, np.inf, 0.9, 0.3]
     labels = [0, 1, 1, 0]

@@ -83,6 +83,17 @@ def test_train_log_load_names_the_bad_line(tmp_path, row):
     assert str(row.split(",")) in str(err.value)
 
 
+@pytest.mark.parametrize("steps", [(0, 1, 1), (0, 2, 1)])
+def test_train_log_load_names_a_step_that_does_not_increase(tmp_path, steps):
+    # this was the ContractError of TrainLog.__post_init__, naming neither
+    # the file nor the line
+    path = tmp_path / "log.csv"
+    path.write_text("step,lr,loss\n" + "".join(f"{s},1e-4,2.5\n" for s in steps))
+    with pytest.raises(ParseError, match=f"log.csv: line 4: step {steps[2]} does not "
+                                         f"follow step {steps[1]}"):
+        tp.TrainLog.load(str(path))
+
+
 def test_audit_digest_is_order_independent():
     a = tp.audit_digest(["s1", "s2", "s3"])
     b = tp.audit_digest(["s3", "s1", "s2", "s1"])
@@ -125,17 +136,17 @@ def test_sample_patch_mask_ratio_bounds():
 
 
 def test_masked_loss_perfect_reconstruction_is_zero():
-    x = np.random.default_rng(0).normal(size=32).astype(np.float32)
-    plan = np.array([1, 0, 1, 0], dtype=np.uint8)
+    x = np.random.default_rng(0).normal(size=(1, 32)).astype(np.float32)
+    plan = np.array([[1, 0, 1, 0]], dtype=np.uint8)
     assert tp.masked_mse_loss(x, x.copy(), plan) == 0.0
 
 
 def test_masked_loss_single_patch_constant_error():
-    x = np.zeros(32, dtype=np.float32)
+    x = np.zeros((1, 32), dtype=np.float32)
     pred = x.copy()
-    pred[8:16] += 1.0  # the masked patch is off by one everywhere
-    pred[0:8] += 99.0  # unmasked garbage must be ignored
-    plan = np.array([1, 0, 1, 1], dtype=np.uint8)
+    pred[0, 8:16] += 1.0  # the masked patch is off by one everywhere
+    pred[0, 0:8] += 99.0  # unmasked garbage must be ignored
+    plan = np.array([[1, 0, 1, 1]], dtype=np.uint8)
     assert tp.masked_mse_loss(x, pred, plan) == pytest.approx(1.0)
 
 
@@ -162,26 +173,32 @@ def test_masked_loss_matches_brute_force_oracle():
 
 def test_masked_loss_invariant_to_unmasked_values():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=32).astype(np.float32)
-    pred = rng.normal(size=32).astype(np.float32)
-    plan = np.array([1, 0, 1, 0], dtype=np.uint8)
+    x = rng.normal(size=(1, 32)).astype(np.float32)
+    pred = rng.normal(size=(1, 32)).astype(np.float32)
+    plan = np.array([[1, 0, 1, 0]], dtype=np.uint8)
     base = tp.masked_mse_loss(x, pred, plan)
     tampered = pred.copy()
-    tampered[0:8] = 1e6
-    tampered[16:24] = -1e6
+    tampered[0, 0:8] = 1e6
+    tampered[0, 16:24] = -1e6
     assert tp.masked_mse_loss(x, tampered, plan) == base
 
 
 def test_masked_loss_no_masked_patches_raises():
-    x = np.zeros(32, dtype=np.float32)
+    x = np.zeros((1, 32), dtype=np.float32)
     with pytest.raises(ContractError):
-        tp.masked_mse_loss(x, x, np.ones(4, dtype=np.uint8))
+        tp.masked_mse_loss(x, x, np.ones((1, 4), dtype=np.uint8))
     # also when every masked patch is fully padded
-    plan = np.array([0, 1, 1, 1], dtype=np.uint8)
-    obs = np.ones(32, dtype=bool)
-    obs[0:8] = False
+    plan = np.array([[0, 1, 1, 1]], dtype=np.uint8)
+    obs = np.ones((1, 32), dtype=bool)
+    obs[0, 0:8] = False
     with pytest.raises(ContractError):
         tp.masked_mse_loss(x, x, plan, obs)
+
+
+def test_masked_loss_refuses_a_window_that_is_not_a_batch():
+    x = np.zeros(32, dtype=np.float32)
+    with pytest.raises(ShapeError, match=r"\[B,T\] values and \[B,N\] plans"):
+        tp.masked_mse_loss(x, x, np.array([1, 0, 1, 0], dtype=np.uint8))
 
 
 def test_masked_loss_tensor_path_matches_float_path_and_grads():

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import clone_weights
 from tinytsfm import numcore as nc
-from tinytsfm import probes, tasks
+from tinytsfm import pretrain, probes, tasks
+from tinytsfm.baselines import naive_forecast
 from tinytsfm.data import Series, synth_sine
 from tinytsfm.errors import (
     ConfigError,
@@ -20,6 +21,7 @@ from tinytsfm.errors import (
     ShapeError,
     StratificationError,
 )
+from tinytsfm.estimator import MaskedSeriesModel
 from tinytsfm.model import (
     ModelConfig,
     attach_forecast_head,
@@ -31,7 +33,12 @@ from tinytsfm.model import (
     revin_denormalize,
 )
 from tinytsfm.numcore import CHUNK
-from tinytsfm.pretrain import _prepare_series, encode_forecast_pairs, evaluate_forecast_mse
+from tinytsfm.pretrain import (
+    _prepare_series,
+    encode_forecast_pairs,
+    evaluate_forecast_mse,
+    linear_probe,
+)
 from tinytsfm.tasks import (
     IMPUTE_RATIOS,
     SVM_C_GRID,
@@ -382,6 +389,58 @@ def test_long_forecast_truncates_to_lookback(small_weights):
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("factor", [1.5, 3])
+def test_forecast_probe_encodes_the_window_long_forecast_serves(monkeypatch, small_weights,
+                                                                 factor):
+    # the probe sub-sampled a history longer than seq_len at stride
+    # ceil(L / seq_len), while long_forecast serves its last seq_len steps
+    weights = attach_forecast_head(clone_weights(small_weights), horizon=8, seed=1)
+    length = int(factor * weights.config.seq_len)
+    histories = [gapped_series(length, seed=i, name=f"s{i}") for i in range(3)]
+    pairs = [(h, np.zeros(8, dtype=np.float32)) for h in histories]
+    seen = []
+
+    def encode_spy(w, x_norm, plan, head=None):
+        seen.append((np.array(x_norm, copy=True), np.array(plan, copy=True)))
+        return encode_windows(w, x_norm, plan, head)
+
+    monkeypatch.setattr(tasks, "encode_windows", encode_spy)
+    monkeypatch.setattr(pretrain, "encode_windows", encode_spy)
+    long_forecast(weights, histories, 8)
+    encode_forecast_pairs(weights, pairs)
+    evaluate_forecast_mse(weights, pairs)
+    (served, served_plan), *probed = seen
+    assert len(probed) == 2
+    for x_norm, plan in probed:
+        assert np.array_equal(x_norm, served) and np.array_equal(plan, served_plan)
+
+
+def horizon_calls(weights):
+    """name -> call of one forecasting path with a given horizon."""
+    history = noisy_series(64, seed=21)
+    model = MaskedSeriesModel()
+    model.weights_ = weights
+    return {
+        "naive_forecast": lambda h: naive_forecast(history, h),
+        "zero_shot_short_forecast": lambda h: zero_shot_short_forecast(weights, history, h),
+        "long_forecast": lambda h: long_forecast(weights, history, h),
+        "attach_forecast_head": lambda h: attach_forecast_head(clone_weights(weights), h),
+        "MaskedSeriesModel.forecast": lambda h: model.forecast(history, h),
+        "MaskedSeriesModel.forecast probed": lambda h: model.forecast(history, h,
+                                                                      mode="probed-head"),
+    }
+
+
+@pytest.mark.parametrize("horizon", [4.0, True, 0, "4"])
+@pytest.mark.parametrize("path", sorted(horizon_calls(None)))
+def test_every_forecast_path_refuses_a_horizon_that_is_not_a_positive_int(
+        small_weights, path, horizon):
+    # 4.0 died in a slice or went through, True forecast one step
+    weights = attach_forecast_head(clone_weights(small_weights), horizon=4, seed=1)
+    with pytest.raises(ConfigError, match=f"horizon must be an int >= 1, got {horizon!r}"):
+        horizon_calls(weights)[path](horizon)
+
+
 # ------------------------------------------------------------------ batches of series
 
 
@@ -408,6 +467,32 @@ def test_list_forms_match_one_series_at_a_time(small_weights, adapter):
         np.testing.assert_array_equal(g.observed, one.observed)
         np.testing.assert_allclose(g.values, one.values, rtol=1e-6, atol=1e-6)
     assert run(weights, []) == []
+
+
+WRONG_TYPES = {
+    "detect_anomalies([s])": (lambda w, s: detect_anomalies(w, [s]), "x", "list"),
+    "detect_anomalies(ndarray)": (lambda w, s: detect_anomalies(w, s.values), "x", "ndarray"),
+    "detect_anomalies([])": (lambda w, s: detect_anomalies(w, []), "x", "list"),
+    "zero_shot_impute(ndarray)": (lambda w, s: zero_shot_impute(w, s.values), "x", "ndarray"),
+    "zero_shot_impute(['x'])": (lambda w, s: zero_shot_impute(w, ["x"]), r"x\[0\]", "str"),
+    "zero_shot_short_forecast(ndarray)": (
+        lambda w, s: zero_shot_short_forecast(w, s.values, 4), "history", "ndarray"),
+    "embed_series(s)": (lambda w, s: embed_series(w, s), "collection", "Series"),
+    "classify_by_representation(ndarray)": (
+        lambda w, s: classify_by_representation(w, np.zeros((2, 64)), [0, 1], [s], [0]),
+        "train", "ndarray"),
+    "linear_probe(forecast, [1, 2])": (
+        lambda w, s: linear_probe(w, "forecast", [1, 2]), "forecast pair 0", "int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_wrong_typed_adapter_input_is_a_shape_error_naming_it(small_weights, case):
+    # each was a bare AttributeError or TypeError from deep inside the adapter
+    weights = attach_forecast_head(clone_weights(small_weights), horizon=4, seed=1)
+    call, arg, got = WRONG_TYPES[case]
+    with pytest.raises(ShapeError, match=f"^{arg} must be .*, got {got}$"):
+        call(weights, noisy_series(64, seed=22))
 
 
 def overflowing(x):
