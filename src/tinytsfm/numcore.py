@@ -6,12 +6,12 @@ calling thread has open (a context manager) whenever any input requires
 gradients; with no tape open in that thread, or inside OffTape, they run
 forward-only. The whole read path (model.encode_windows and the head it
 runs) is under OffTape, so inference records nothing even inside an open
-Tape. backward walks the tape exactly once in reverse, so
-recording order doubles as the topological order. Every op is a
-model-sized node with a hand-written backward: patch_embed, encoder_block,
-linear_head and weighted_sq_error, so a step records one node per layer
-plus three. Every backward returns None for a constant operand rather than
-a gradient nobody reads.
+Tape. backward walks the tape exactly once in reverse, so recording order
+doubles as the topological order, and returns the leaf gradients that
+AdamW.step takes. Every op is a model-sized node with a hand-written
+backward: patch_embed, encoder_block, linear_head and weighted_sq_error, so
+a step records one node per layer plus three. Every backward returns None
+for a constant operand rather than a gradient nobody reads.
 """
 
 import math
@@ -69,14 +69,13 @@ class OffTape:
 
 
 class Tensor:
-    """Dense f32 value. grad is populated by backward for requires_grad leaves."""
+    """Dense f32 value; backward returns the gradients of requires_grad leaves."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float32)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self):
@@ -302,20 +301,15 @@ def weighted_sq_error(pred, target, weight):
 
 
 def backward(loss, tape):
-    """Populate .grad on every requires_grad leaf reachable from `loss`.
-
-    Walks the tape once in reverse; gradients of intermediates live in a
-    scratch map and are dropped once their producing node is processed, so
-    what remains at the end belongs to leaves. Calling backward again
-    accumulates into existing .grad arrays.
-    """
+    """{leaf Tensor: float32 gradient} for every requires_grad leaf reachable
+    from `loss`. Walks the tape once in reverse; the map is keyed by tensor
+    (by identity: Tensor defines no __eq__); an intermediate's gradient is
+    popped when its producing node is processed, so only the leaves' remain."""
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    tensors = {id(loss): loss}
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {loss: np.ones_like(loss.data)}
     for out, inputs, bwd in reversed(tape._nodes):
-        g_out = grads.pop(id(out), None)
-        tensors.pop(id(out), None)
+        g_out = grads.pop(out, None)
         if g_out is None:
             continue
         for t, gi in zip(inputs, bwd(g_out)):
@@ -323,21 +317,8 @@ def backward(loss, tape):
             if gi is None or not t.requires_grad:
                 continue
             gi = np.asarray(gi, dtype=np.float32)
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                tensors[key] = t
-                grads[key] = gi
-    for key, t in tensors.items():
-        g = grads[key].reshape(t.data.shape).astype(np.float32)
-        t.grad = g if t.grad is None else t.grad + g
-
-
-def zero_grads(params):
-    """Clear .grad on a dict of name -> Tensor."""
-    for p in params.values():
-        p.grad = None
+            grads[t] = grads[t] + gi if t in grads else gi
+    return grads
 
 
 @dataclass
@@ -386,17 +367,17 @@ class AdamW:
             p.data = self.flat[part].reshape(p.data.shape)
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
 
-    def clipped_gradient(self, max_norm):
-        """(g, norm): the tensors' .grad in one vector, scaled by max_norm / norm
-        when their global L2 norm (one float64 sum per tensor, in order) exceeds
-        it. The norm is finite iff every gradient is: the one finite check."""
+    def clipped_gradient(self, grads, max_norm):
+        """(g, norm): the tensors' grads (as backward returns them) in one vector,
+        scaled by max_norm / norm when their global L2 norm (one float64 sum per
+        tensor, in order) exceeds it. The norm is finite iff every gradient is."""
         g = np.empty_like(self.flat)
         total = 0.0
         for name, p, part in self._slots:
-            if p.grad is None:
+            if p not in grads:
                 raise ContractError(f"trained parameter {name!r} has no gradient")
-            g[part] = p.grad.ravel()
-            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
+            g[part] = grads[p].ravel()
+            total += float(np.sum(np.square(grads[p], dtype=np.float64)))
         norm = math.sqrt(total)
         if not math.isfinite(norm):
             name = next(n for n, _, part in self._slots if not np.isfinite(g[part]).all())
@@ -405,13 +386,13 @@ class AdamW:
             g *= np.float32(max_norm / norm)
         return g, norm
 
-    def step(self, lr, max_norm):
-        """th -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * th) from the
-        gradients clipped at max_norm, in place in g and a block's scratch with
-        a per-tensor update's float32 operations; returns the pre-clip norm."""
+    def step(self, grads, lr, max_norm):
+        """th -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * th) from
+        grads clipped at max_norm, in place in g and a block's scratch with a
+        per-tensor update's float32 operations; returns the pre-clip norm."""
         if not min(lr, max_norm) > 0:
             raise ContractError(f"lr and max_norm must be positive, got {lr} and {max_norm}")
-        g, norm = self.clipped_gradient(max_norm)
+        g, norm = self.clipped_gradient(grads, max_norm)
         self.step_count += 1
         bc1, bc2 = 1.0 - BETA1**self.step_count, 1.0 - BETA2**self.step_count
         for lo in range(0, g.size, BLOCK):

@@ -196,16 +196,16 @@ def _prepare_series(dataset, config):
     return xs, obs, pobs, [s.name for s in dataset]
 
 
-def _fit_loop(weights, trainable, n_series, cfg, batch_loss):
+def _fit_loop(trainable, n_series, cfg, batch_loss):
     """The optimizer loop under pretraining and probing; returns the
     (step, lr, loss) records and which series were drawn into a batch.
 
     Until cfg's step budget runs out, each step draws the next batch of a
     fresh per-epoch permutation, opens the tape and calls batch_loss(idx,
     rng): it draws masks from rng and returns the batch's scalar loss built
-    on the tape. The loss is checked and backpropagated, and nc.AdamW clips
-    and applies the gradients of the tensors in trainable, packed into one
-    vector, at the cosine lr. Every logged loss precedes that step's update.
+    on the tape. The loss is checked, and nc.backward's gradients go straight
+    to nc.AdamW.step, which packs those of trainable into one vector, clips
+    and applies them at the cosine lr. Every logged loss precedes its update.
     """
     by_epochs = None if cfg.epochs is None else cfg.epochs * math.ceil(n_series / cfg.batch_size)
     planned = min(c for c in (by_epochs, cfg.total_steps) if c is not None)
@@ -222,14 +222,13 @@ def _fit_loop(weights, trainable, n_series, cfg, batch_loss):
                 break
             idx = order[lo:lo + cfg.batch_size]
             lr = nc.cosine_lr(step, sched)
-            nc.zero_grads(weights.params)
             with nc.Tape() as tape:
                 loss = batch_loss(idx, rng)
                 loss_val = float(loss.data)
                 if not np.isfinite(loss_val):
                     raise TrainingError(f"non-finite loss at step {step}")
-                nc.backward(loss, tape)
-            opt.step(lr, cfg.clip_norm)
+            # the map goes straight to the step, so no gradient outlives it
+            opt.step(nc.backward(loss, tape), lr, cfg.clip_norm)
             records.append((step, lr, loss_val))
             drawn[idx] = True
             step += 1
@@ -267,7 +266,7 @@ def pretrain(weights, dataset, cfg=None):
     cfg = cfg or PretrainConfig()
     names, batch_loss = _reconstruction_loss(weights, dataset, cfg.mask_ratio, freeze=False)
     trainable = weights.parameters("reconstruction", freeze=False)
-    records, drawn = _fit_loop(weights, trainable, len(names), cfg, batch_loss)
+    records, drawn = _fit_loop(trainable, len(names), cfg, batch_loss)
     consumed = {names[i] for i in np.flatnonzero(drawn)}
     log = TrainLog(
         records=records,
@@ -401,5 +400,5 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
         n_series = len(names)
     else:
         n_series, batch_loss = _forecast_loss(weights, dataset, freeze)
-    _fit_loop(weights, weights.parameters(head_kind, freeze), n_series, cfg, batch_loss)
+    _fit_loop(weights.parameters(head_kind, freeze), n_series, cfg, batch_loss)
     return weights

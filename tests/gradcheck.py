@@ -49,14 +49,13 @@ def check_grads(loss_fn, params, tol=1e-3, h=1e-3):
 
     Returns the worst unit-floored relative error across all parameters.
     """
-    nc.zero_grads(params)
     with nc.Tape() as tape:
         loss = loss_fn()
-    nc.backward(loss, tape)
+    grads = nc.backward(loss, tape)
     fd = finite_difference_grads(loss_fn, params, h=h)
     worst = 0.0
     for name, p in params.items():
-        assert p.grad is not None, f"no gradient reached parameter {name!r}"
-        worst = max(worst, max_rel_err(p.grad, fd[name]))
+        assert p in grads, f"no gradient reached parameter {name!r}"
+        worst = max(worst, max_rel_err(grads[p], fd[name]))
     assert worst <= tol, f"gradient mismatch: worst unit-floored rel err {worst:.2e}"
     return worst

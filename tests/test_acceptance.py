@@ -195,14 +195,13 @@ def _full_model_fd_check(entries_per_tensor=3, h=1e-3):
         _, recon = model_forward(weights, xs, plan)
         return masked_mse_loss(xs, recon, plan, obs)
 
-    nc.zero_grads(weights.params)
     with nc.Tape() as tape:
         loss = loss_fn()
-    nc.backward(loss, tape)
+    grads = nc.backward(loss, tape)
     worst, n_checked = 0.0, 0
     for name in sorted(weights.params):
         p = weights.params[name]
-        flat, gflat = p.data.reshape(-1), p.grad.reshape(-1)
+        flat, gflat = p.data.reshape(-1), grads[p].reshape(-1)
         for i in rng.choice(flat.size, size=min(entries_per_tensor, flat.size),
                             replace=False):
             orig = flat[i].item()

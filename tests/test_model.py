@@ -453,15 +453,13 @@ def _rel_err(got, want):
 
 def _encoder_run(w, e, wout):
     """hidden, attention sink and every gradient of one encoder pass."""
-    nc.zero_grads(w.params)
-    e.grad = None
     sink = []
     with nc.Tape() as tape:
         h = tm.encoder_forward(e, w, attn_sink=sink)
         loss = rc.mean_(rc.mul(h, wout))
-    nc.backward(loss, tape)
-    grads = {name: p.grad.copy() for name, p in w.params.items() if p.grad is not None}
-    grads["embeddings"] = e.grad.copy()
+    got = nc.backward(loss, tape)
+    grads = {name: got[p] for name, p in w.params.items() if p in got}
+    grads["embeddings"] = got[e]
     return h.data.copy(), sink, grads
 
 
@@ -501,14 +499,12 @@ def test_fused_attention_matches_reference_chain(monkeypatch, name, batch):
 
 def _encode_run(w, x, plan, wout):
     """hidden, attention sink and every parameter gradient of one encode."""
-    nc.zero_grads(w.params)
     sink = []
     with nc.Tape() as tape:
         h = tm.encode(w, x, plan, attn_sink=sink)
         loss = rc.mean_(rc.mul(h, wout))
-    nc.backward(loss, tape)
-    return h.data.copy(), sink, {name: p.grad.copy() for name, p in w.params.items()
-                                 if p.grad is not None}
+    got = nc.backward(loss, tape)
+    return h.data.copy(), sink, {name: got[p] for name, p in w.params.items() if p in got}
 
 
 @pytest.mark.parametrize("name", ["tiny", "small"])

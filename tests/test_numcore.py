@@ -5,7 +5,7 @@ The generic primitives (matmul, add, mul, ...) and relu, scale_norm and
 attention live in reference_chain: they are the oracle the model-sized
 nodes are checked against, so they keep their own hand values and FD
 checks, and they record on numcore's tapes, so the tape-semantics tests
-(thread-local tapes, accumulation, constant operands) run on them."""
+(thread-local tapes, fan-out, constant operands) run on them."""
 
 import math
 import threading
@@ -112,8 +112,7 @@ def test_backward_square_at_three():
     x = t(3.0, grad=True)
     with nc.Tape() as tape:
         loss = rc.mul(x, x)
-    nc.backward(loss, tape)
-    np.testing.assert_allclose(x.grad, 6.0)
+    np.testing.assert_allclose(nc.backward(loss, tape)[x], 6.0)
 
 
 def test_backward_requires_scalar():
@@ -124,13 +123,16 @@ def test_backward_requires_scalar():
         nc.backward(y, tape)
 
 
-def test_backward_accumulates_on_second_call():
+def test_backward_returns_the_gradients_and_writes_nothing():
     x = t(2.0, grad=True)
     with nc.Tape() as tape:
         loss = rc.mul(x, x)
-    nc.backward(loss, tape)
-    nc.backward(loss, tape)
-    np.testing.assert_allclose(x.grad, 8.0)
+    first, second = nc.backward(loss, tape), nc.backward(loss, tape)
+    assert list(first) == list(second) == [x]
+    assert first[x].dtype == np.float32
+    np.testing.assert_array_equal(first[x], second[x])
+    np.testing.assert_allclose(first[x], 4.0)
+    assert not hasattr(x, "grad")
 
 
 def test_backward_shared_input_fan_out():
@@ -139,8 +141,7 @@ def test_backward_shared_input_fan_out():
     three = t(3.0)
     with nc.Tape() as tape:
         loss = rc.add(rc.mul(x, x), rc.mul(x, three))
-    nc.backward(loss, tape)
-    np.testing.assert_allclose(x.grad, 6.0)
+    np.testing.assert_allclose(nc.backward(loss, tape)[x], 6.0)
 
 
 def test_no_recording_without_tape():
@@ -205,10 +206,10 @@ def test_constant_operands_get_no_backward_work():
     assert (False, True) not in slots  # no constant received a gradient
     assert (True, False) not in slots  # every live input did
     assert slots.count((False, False)) == 4  # c twice, k and w
-    nc.backward(loss, tape)
+    grads = nc.backward(loss, tape)
     g_inner = k.data.T @ w.data  # d loss / d (prod @ m)
-    np.testing.assert_allclose(m.grad, prod.data.T @ g_inner, rtol=1e-5)
-    np.testing.assert_allclose(a.grad, (g_inner @ m.data.T) * c.data * c.data, rtol=1e-5)
+    np.testing.assert_allclose(grads[m], prod.data.T @ g_inner, rtol=1e-5)
+    np.testing.assert_allclose(grads[a], (g_inner @ m.data.T) * c.data * c.data, rtol=1e-5)
 
 
 def test_model_step_constants_get_no_gradient():
@@ -226,8 +227,8 @@ def test_model_step_constants_get_no_gradient():
     assert (False, True) not in slots and (True, False) not in slots
     # patch_embed, one encoder_block, linear_head and weighted_sq_error
     assert len(tape) == 4
-    nc.backward(loss, tape)
-    assert all(p.grad is not None for p in weights.params.values())
+    grads = nc.backward(loss, tape)
+    assert all(p in grads for p in weights.params.values())
 
 
 # ------------------------------------------------------- FD checks per primitive
@@ -389,14 +390,12 @@ def test_encoder_block_matches_reference_chain():
     w = t(rng.normal(size=x.shape))
     runs = []
     for block in (nc.encoder_block, rc.reference_block):
-        nc.zero_grads(params)
-        x.grad = None
         sink = []
         with nc.Tape() as tape:
             out = block(x, *params.values(), idx, 2, sink=sink)
             loss = _weighted_mean_loss(out, w)
-        nc.backward(loss, tape)
-        runs.append((out.data, sink[0], [x.grad] + [p.grad for p in params.values()]))
+        grads = nc.backward(loss, tape)
+        runs.append((out.data, sink[0], [grads[x]] + [grads[p] for p in params.values()]))
     (out, sink, grads), (want, want_sink, want_grads) = runs
     np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
     assert sink.shape == want_sink.shape == (3, 2, 6, 6)  # query-major, as the chain's
@@ -419,8 +418,7 @@ def test_encoder_block_chunk_input_gradient_is_the_chunk_run_alone():
             # a plain sum: the upstream gradient is w's rows, whatever the batch
             out = nc.encoder_block(xs, *params.values(), idx, 2)
             loss = rc.sum_(rc.mul(out, t(w[lo:hi])))
-        nc.backward(loss, tape)
-        return xs.grad
+        return nc.backward(loss, tape)[xs]
 
     whole = input_grad(0, b)
     for lo in range(0, b, nc.CHUNK):
@@ -433,10 +431,10 @@ def test_encoder_block_empty_batch_gets_zero_gradients():
     x, params, idx = _block_inputs(rng, 0, 3, 2, 2, 5)
     with nc.Tape() as tape:
         loss = rc.sum_(nc.encoder_block(x, *params.values(), idx, 2))
-    nc.backward(loss, tape)
-    assert x.grad.shape == (0, 3, 4)
+    grads = nc.backward(loss, tape)
+    assert grads[x].shape == (0, 3, 4)
     for p in params.values():
-        np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
+        np.testing.assert_array_equal(grads[p], np.zeros_like(p.data))
 
 
 def test_encoder_block_sink_gets_a_fresh_copy():
@@ -445,7 +443,6 @@ def test_encoder_block_sink_gets_a_fresh_copy():
     w = t(rng.normal(size=x.shape))
     grads = []
     for scribble in (False, True):
-        nc.zero_grads(params)
         sink = []
         with nc.Tape() as tape:
             loss = _weighted_mean_loss(
@@ -454,8 +451,8 @@ def test_encoder_block_sink_gets_a_fresh_copy():
         np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, rtol=1e-6)
         if scribble:  # the backward must not read the caller's array
             sink[0][:] = 0.0
-        nc.backward(loss, tape)
-        grads.append([p.grad for p in params.values()])
+        got = nc.backward(loss, tape)
+        grads.append([got[p] for p in params.values()])
     for a, b in zip(*grads):
         np.testing.assert_array_equal(a, b)
 
@@ -486,11 +483,10 @@ def _node_and_chain_runs(node, chain, make_loss, params):
     then with its reference chain."""
     runs = []
     for op in (node, chain):
-        nc.zero_grads(params)
         with nc.Tape() as tape:
             out, loss = make_loss(op)
-        nc.backward(loss, tape)
-        runs.append((out.data, [p.grad for p in params.values()]))
+        grads = nc.backward(loss, tape)
+        runs.append((out.data, [grads[p] for p in params.values()]))
     return runs
 
 
@@ -572,17 +568,16 @@ def test_fd_oracle_detects_wrong_gradient():
 
 
 def _grads(params, grads):
-    """Set each tensor's .grad as backward would: a float32 array of its shape."""
-    for name, g in grads.items():
-        params[name].grad = np.asarray(g, dtype=np.float32).reshape(params[name].shape)
-    return params
+    """The map backward would return for name -> gradient: each tensor of
+    params to a float32 array of its shape."""
+    return {params[name]: np.asarray(g, dtype=np.float32).reshape(params[name].shape)
+            for name, g in grads.items()}
 
 
 def test_adamw_first_step_hand_example():
     p = {"w": t(0.0, grad=True)}
     opt = nc.AdamW(p, weight_decay=0.0)
-    _grads(p, {"w": 1.0})
-    opt.step(0.1, 5.0)
+    opt.step(_grads(p, {"w": 1.0}), 0.1, 5.0)
     np.testing.assert_allclose(p["w"].data, -0.1, atol=1e-7)
     assert opt.step_count == 1
 
@@ -591,16 +586,14 @@ def test_adamw_zero_grad_no_decay_keeps_params():
     p = {"w": t([1.0, -2.0], grad=True)}
     opt = nc.AdamW(p, weight_decay=0.0)
     for _ in range(5):
-        _grads(p, {"w": np.zeros(2)})
-        opt.step(0.1, 5.0)
+        opt.step(_grads(p, {"w": np.zeros(2)}), 0.1, 5.0)
     np.testing.assert_array_equal(p["w"].data, [1.0, -2.0])
 
 
 def test_adamw_pure_decay_term():
     p = {"w": t(1.0, grad=True)}
     opt = nc.AdamW(p, weight_decay=0.05)
-    _grads(p, {"w": 0.0})
-    opt.step(0.1, 5.0)
+    opt.step(_grads(p, {"w": 0.0}), 0.1, 5.0)
     np.testing.assert_allclose(p["w"].data, 0.995, rtol=1e-6)
 
 
@@ -624,17 +617,15 @@ def test_adamw_matches_reference_loop():
     p = {"w": t(theta, grad=True)}
     opt = nc.AdamW(p, weight_decay=wd)
     for g in gs:
-        _grads(p, {"w": g})
-        opt.step(lr, math.inf)
+        opt.step(_grads(p, {"w": g}), lr, math.inf)
     np.testing.assert_allclose(p["w"].data, ref, rtol=1e-4, atol=1e-6)
 
 
 def test_adamw_nan_grad_names_parameter():
     p = {"bad_param": t(1.0, grad=True)}
     opt = nc.AdamW(p)
-    _grads(p, {"bad_param": np.nan})
     with pytest.raises(TrainingError, match="bad_param"):
-        opt.step(0.1, 5.0)
+        opt.step(_grads(p, {"bad_param": np.nan}), 0.1, 5.0)
 
 
 def test_adamw_non_finite_grad_names_the_tensor_and_updates_nothing():
@@ -644,11 +635,11 @@ def test_adamw_non_finite_grad_names_the_tensor_and_updates_nothing():
     p = {f"p{i}": t(rng.normal(size=(3, 2)), grad=True) for i in range(4)}
     opt = nc.AdamW(p)
     for bad in (np.nan, np.inf):
-        _grads(p, {n: rng.normal(size=(3, 2)) for n in p})
-        p["p2"].grad[1, 0] = bad
+        grads = _grads(p, {n: rng.normal(size=(3, 2)) for n in p})
+        grads[p["p2"]][1, 0] = bad
         before = {n: x.data.tobytes() for n, x in p.items()}
         with pytest.raises(TrainingError, match="'p2'"):
-            opt.step(0.1, 5.0)
+            opt.step(grads, 0.1, 5.0)
         assert {n: x.data.tobytes() for n, x in p.items()} == before
         assert opt.step_count == 0
         assert not opt.m.any() and not opt.v.any()
@@ -660,18 +651,16 @@ def test_adamw_packs_its_tensors_into_one_vector():
     np.testing.assert_array_equal(opt.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
     assert p["a"].shape == (2, 2) and p["b"].shape == ()
     assert all(np.shares_memory(x.data, opt.flat) for x in p.values())
-    _grads(p, {"a": np.ones(4), "b": 1.0})
-    opt.step(0.1, 5.0)
+    opt.step(_grads(p, {"a": np.ones(4), "b": 1.0}), 0.1, 5.0)
     np.testing.assert_array_equal(p["a"].data.ravel(), opt.flat[:4])
-    p["b"].grad = None
     with pytest.raises(ContractError, match="'b'"):
-        opt.step(0.1, 5.0)
+        opt.step(_grads(p, {"a": np.ones(4)}), 0.1, 5.0)
 
 
 def _clipped(grads, max_norm=5.0):
     """(gradient vector, pre-clip norm) of an optimizer over tensors with grads."""
-    p = _grads({n: t(np.zeros(len(g)), grad=True) for n, g in grads.items()}, grads)
-    return nc.AdamW(p).clipped_gradient(max_norm)
+    p = {n: t(np.zeros(len(g)), grad=True) for n, g in grads.items()}
+    return nc.AdamW(p).clipped_gradient(_grads(p, grads), max_norm)
 
 
 def test_clip_boundary_norm_unchanged():

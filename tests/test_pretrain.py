@@ -209,9 +209,8 @@ def test_masked_loss_tensor_path_matches_float_path_and_grads():
     t = nc.Tensor(pred, requires_grad=True)
     with nc.Tape() as tape:
         loss = tp.masked_mse_loss(x, t, plan)
-        nc.backward(loss, tape)
     assert float(loss.data) == pytest.approx(tp.masked_mse_loss(x, pred, plan), rel=1e-6)
-    grad = t.grad.reshape(2, 4, 8)
+    grad = nc.backward(loss, tape)[t].reshape(2, 4, 8)
     assert np.all(grad[0, 0] == 0) and np.all(grad[0, 2] == 0)  # unmasked: no signal
     assert np.any(grad[0, 1] != 0) and np.any(grad[1, 0] != 0)
 
@@ -257,8 +256,8 @@ def test_small_batch64_step_memory_stays_bounded():
         start = tracemalloc.get_traced_memory()[0]
         with nc.Tape() as tape:
             _, recon = tm.model_forward(weights, x, plan)
-            nc.backward(tp.masked_mse_loss(x, recon, plan), tape)
-        opt.step(1e-4, 5.0)
+            loss = tp.masked_mse_loss(x, recon, plan)
+        opt.step(nc.backward(loss, tape), 1e-4, 5.0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -287,10 +286,9 @@ def test_training_step_gradients_match_the_head_and_loss_chains(monkeypatch, nam
                 lambda: nc.weighted_sq_error(
                     tm.forecasting_head(tm.encode(weights, x, plan), weights), target,
                     np.float32(1.0 / target.size))):
-            nc.zero_grads(weights.params)
             with nc.Tape() as tape:
-                nc.backward(loss_fn(), tape)
-            grads.append({k: p.grad for k, p in weights.params.items() if p.grad is not None})
+                got = nc.backward(loss_fn(), tape)
+            grads.append({k: got[p] for k, p in weights.params.items() if p in got})
             lengths.append(len(tape))
         return grads
 
@@ -484,13 +482,12 @@ def reference_pretrain(weights, dataset, cfg):
                 sampled[r] = tp.sample_patch_mask(1, n_patches, cfg.mask_ratio, rng)[0]
             input_plan = po & sampled
             lr = nc.cosine_lr(min(step, sched.total_steps), sched)
-            nc.zero_grads(weights.params)
             with nc.Tape() as tape:
                 _, recon = tm.model_forward(weights, xb, input_plan)
                 loss = tp.masked_mse_loss(xb, recon, input_plan, ob)
                 loss_val = float(loss.data)
-                nc.backward(loss, tape)
-            grads = {n: p.grad for n, p in weights.params.items() if p.grad is not None}
+                got = nc.backward(loss, tape)
+            grads = {n: got[p] for n, p in weights.params.items() if p in got}
             rc.clip_global_norm(grads, cfg.clip_norm)
             rc.adamw_step({n: weights.params[n] for n in grads}, grads, opt, lr)
             records.append((step, lr, loss_val))
@@ -521,7 +518,6 @@ def reference_probe(weights, head_kind, dataset, epochs, cfg, freeze=True):
         for lo in range(0, n_series, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             lr = nc.cosine_lr(min(step, sched.total_steps), sched)
-            nc.zero_grads(weights.params)
             with nc.Tape() as tape:
                 if head_kind == "reconstruction":
                     sampled = np.stack([
@@ -535,8 +531,8 @@ def reference_probe(weights, head_kind, dataset, epochs, cfg, freeze=True):
                     h, _ = tm.model_forward(weights, xs[idx], pobs[idx])
                     diff = rc.sub(tm.forecasting_head(h, weights), nc.Tensor(targets[idx]))
                     loss = rc.mean_(rc.mul(diff, diff))
-                nc.backward(loss, tape)
-            grads = {n: p.grad for n, p in trainable.items() if p.grad is not None}
+                got = nc.backward(loss, tape)
+            grads = {n: got[p] for n, p in trainable.items() if p in got}
             rc.clip_global_norm(grads, cfg.clip_norm)
             rc.adamw_step({n: trainable[n] for n in grads}, grads, opt, lr)
             step += 1
@@ -568,12 +564,20 @@ def test_frozen_probe_matches_per_batch_reference(head_kind):
 
 
 @pytest.mark.parametrize("head_kind", ["reconstruction", "forecast"])
-def test_frozen_probe_step_differentiates_only_the_head(head_kind):
+def test_frozen_probe_step_differentiates_only_the_head(monkeypatch, head_kind):
     weights, data = _probe_setup(head_kind, seed=7)
     prefix = "recon_head." if head_kind == "reconstruction" else "forecast_head."
+    maps, backward = [], nc.backward
+
+    def recording_backward(loss, tape):
+        maps.append(backward(loss, tape))
+        return maps[-1]
+
+    monkeypatch.setattr(nc, "backward", recording_backward)
     tp.linear_probe(weights, head_kind, data, epochs=1,
                     cfg=tp.PretrainConfig(batch_size=len(data), seed=0))
-    with_grad = sorted(n for n, p in weights.params.items() if p.grad is not None)
+    assert len(maps) == 1
+    with_grad = sorted(n for n, p in weights.params.items() if p in maps[0])
     assert with_grad == sorted(n for n in weights.params if n.startswith(prefix))
 
 
