@@ -12,13 +12,15 @@ import numpy as np
 from .base import Estimator, check_fitted
 from .data import Series
 from .errors import ConfigError, ContractError, EmptySeriesError, ShapeError
-from .model import check_horizon
+from .model import check_horizon, check_type
 
 # ------------------------------------------------------------------ comparators
 
 
 def interp_nearest(x):
     """Value of the index-nearest observed point; ties go to the left."""
+    if not isinstance(x, Series):
+        raise ShapeError(f"x must be a Series, got {type(x).__name__}")
     values = x.values.astype(np.float64)
     observed = x.observed
     obs_idx = np.flatnonzero(observed)
@@ -43,7 +45,11 @@ def naive_forecast(history, horizon):
     horizon >= 1."""
     check_horizon(horizon)
     values = history.values if isinstance(history, Series) else history
-    y = np.asarray(values, dtype=np.float64).ravel()
+    try:
+        y = np.asarray(values, dtype=np.float64).ravel()
+    except (TypeError, ValueError):
+        raise ShapeError(f"history must be a Series or numeric values, got "
+                         f"{type(history).__name__}") from None
     if len(y) < 1:
         raise EmptySeriesError("naive forecast needs at least one observation")
     return np.full(horizon, y[-1], dtype=np.float32)
@@ -190,6 +196,7 @@ class RbfSvm(Estimator):
         y = np.asarray(y)
         if len(y) != len(X):
             raise ShapeError(f"{len(X)} samples but {len(y)} labels")
+        check_type("C", self.C, float)
         if self.C <= 0:
             raise ConfigError(f"C must be positive, got {self.C}")
         self.classes_ = np.unique(y)
@@ -292,6 +299,7 @@ class Pca(Estimator):
         n, d = X.shape
         if n < 2:
             raise ShapeError(f"pca needs >= 2 samples, got {n}")
+        check_type("k", self.k, int)
         if not 1 <= self.k <= d:
             raise ConfigError(f"k must be in [1, {d}], got {self.k}")
         self.mean_ = X.mean(axis=0)

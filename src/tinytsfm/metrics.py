@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UndefinedMetricError
+from .errors import ShapeError, UndefinedMetricError
+from .model import check_int
 
 
 @dataclass
@@ -246,8 +247,7 @@ def vus_roc(scores, labels=None, max_buffer=4):
     close to segment boundaries via the linear ramps of soften_labels.
     """
     s, lab = _score_label_pair(scores, labels)
-    if max_buffer < 0:
-        raise ConfigError(f"max_buffer must be >= 0, got {max_buffer}")
+    check_int("max_buffer", max_buffer, 0)
     if lab.min() == lab.max():
         raise UndefinedMetricError("VUS-ROC needs both classes present")
     total = 0.0

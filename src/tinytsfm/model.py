@@ -32,6 +32,31 @@ from .errors import ConfigError, EmptySeriesError, NumericError, ParseError, Sha
 # ------------------------------------------------------------------ configuration
 
 
+def check_type(name, value, kind):
+    """The one typed-field rule: value must be an int when kind is int and an
+    int or a float when it is float, else a ConfigError naming `name`. A bool
+    is refused: it is an int subclass, and 8.0 would pass every range check."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+def check_fields(record, optional=()):
+    """check_type on every field of a dataclass record against its annotated
+    type; a field named in optional may also be None."""
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if value is not None or field.name not in optional:
+            check_type(field.name, value, field.type)
+
+
+def check_int(name, value, low):
+    """The one rule for an int argument: an int or numpy int >= low (a bool
+    is refused), else a ConfigError naming the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; defaults give the desk-scale tiny encoder."""
@@ -47,12 +72,7 @@ class ModelConfig:
     revin_eps: float = 1e-5
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            # bool is an int subclass, and 8.0 would pass every range check below
-            kinds = (int, float) if field.type is float else int
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{field.name} must be {field.type.__name__}, got {value!r}")
+        check_fields(self)
         for field in ("seq_len", "patch_len", "d_model", "n_heads", "d_ff",
                       "n_rel_buckets", "rel_max_distance"):
             if getattr(self, field) <= 0:
@@ -240,8 +260,7 @@ def history_windows(config, histories, context):
 
 def check_horizon(horizon):
     """The one horizon rule: an int >= 1 (a bool is refused), else a ConfigError."""
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise ConfigError(f"horizon must be an int >= 1, got {horizon!r}")
+    check_int("horizon", horizon, 1)
 
 
 # ------------------------------------------------------------------ positions

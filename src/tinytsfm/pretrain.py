@@ -22,6 +22,8 @@ from .errors import (
 )
 from .model import (
     HEAD_PREFIXES,
+    check_fields,
+    check_int,
     encode,
     encode_windows,
     forecasting_head,
@@ -51,6 +53,7 @@ class PretrainConfig:
     weight_decay: float = 0.05
 
     def __post_init__(self):
+        check_fields(self, optional=("epochs", "total_steps"))
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must be in (0, 1), got {self.mask_ratio}")
         if self.batch_size < 1:
@@ -390,11 +393,10 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
         raise ContractError(
             "an unfrozen encoder changes every step; pass the raw forecast pairs"
         )
+    check_int("epochs", epochs, 0)
     if epochs == 0:
         return weights
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    cfg = replace(cfg or PretrainConfig(), epochs=epochs, total_steps=None)
+    cfg = replace(cfg or PretrainConfig(), epochs=int(epochs), total_steps=None)
     if head_kind == "reconstruction":
         names, batch_loss = _reconstruction_loss(weights, dataset, cfg.mask_ratio, freeze)
         n_series = len(names)

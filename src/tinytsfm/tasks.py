@@ -27,6 +27,7 @@ from .errors import (
     StratificationError,
 )
 from .model import (
+    check_fields,
     check_horizon,
     encode_windows,
     forecasting_head,
@@ -55,6 +56,7 @@ class ImputationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.ratio not in IMPUTE_RATIOS:
             raise ConfigError(
                 f"masking ratio must be one of {IMPUTE_RATIOS}, got {self.ratio}"
@@ -96,6 +98,7 @@ class AnomalySpec:
     mask_rounds: int = 4  # ceil(1 / 0.3): disjoint groups tiling every patch
 
     def __post_init__(self):
+        check_fields(self)
         if self.window < 1 or self.mask_rounds < 1:
             raise ConfigError("window and mask_rounds must be positive")
 
@@ -210,6 +213,8 @@ def detect_anomalies(weights, x, spec=None):
     if not isinstance(x, Series):
         raise ShapeError(f"x must be a Series, got {type(x).__name__}")
     spec = spec if spec is not None else AnomalySpec(window=weights.config.seq_len)
+    if not isinstance(spec, AnomalySpec):
+        raise ShapeError(f"spec must be an AnomalySpec, got {type(spec).__name__}")
     if spec.window != weights.config.seq_len:
         raise ConfigError(
             f"spec window {spec.window} != model window {weights.config.seq_len}"
@@ -338,6 +343,10 @@ def classify_by_representation(
     """Fit an RBF-SVM on frozen sequence representations, selecting C on a
     stratified validation split of the training set, and score the test set."""
     train, test = _series_list(train, "train"), _series_list(test, "test")
+    for what, labels in (("train_labels", train_labels), ("test_labels", test_labels)):
+        if np.ndim(labels) != 1:
+            raise ShapeError(f"{what} must be 1-D, got {np.ndim(labels)}-D "
+                             f"{type(labels).__name__}")
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
     if len(train) != len(train_labels):

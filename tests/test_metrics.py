@@ -1,6 +1,7 @@
 """Metric tests: pinned example values, invariance properties, and
 independent brute-force oracle twins for the ranking metrics."""
 
+import re
 import warnings
 
 import numpy as np
@@ -466,6 +467,14 @@ def test_vus_single_class_and_bad_buffer():
         mx.vus_roc([0.1, 0.2], [1, 1])
     with pytest.raises(ConfigError):
         mx.vus_roc([0.1, 0.2], [0, 1], max_buffer=-1)
+
+
+@pytest.mark.parametrize("max_buffer", ["2", 1.5, 2.0, True, -1])
+def test_vus_refuses_a_buffer_that_is_not_an_int(max_buffer):
+    # "2" and 1.5 were bare TypeErrors from range()
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"max_buffer must be an int >= 0, got {max_buffer!r}")):
+        mx.vus_roc([0.1, 0.2], [0, 1], max_buffer=max_buffer)
 
 
 # ------------------------------------------------------------------ spearman

@@ -13,7 +13,10 @@ from gradcheck import check_grads
 import reference_chain as rc
 from tinytsfm import numcore as nc
 from tinytsfm import model as tm
+from tinytsfm.baselines import Pca, RbfSvm
 from tinytsfm.errors import ConfigError, EmptySeriesError, NumericError, ShapeError
+from tinytsfm.pretrain import PretrainConfig
+from tinytsfm.tasks import AnomalySpec, ImputationSpec
 
 
 def rng_for(seed):
@@ -82,6 +85,29 @@ def test_checkpoint_refuses_odd_d_model(tmp_path):
 def test_config_refuses_non_integer_sizes_and_bad_eps(field, value):
     with pytest.raises(ConfigError, match=field):
         tm.ModelConfig(**{field: value})
+
+
+RECORDS = {
+    "PretrainConfig": PretrainConfig,
+    "ImputationSpec": ImputationSpec,
+    "AnomalySpec": AnomalySpec,
+    "RbfSvm": lambda **kw: RbfSvm(**kw).fit(np.eye(4), [0, 1, 0, 1]),
+    "Pca": lambda **kw: Pca(**kw).fit(np.eye(4)),
+}
+
+
+@pytest.mark.parametrize("record, field, value", [
+    ("PretrainConfig", "epochs", "2"), ("PretrainConfig", "batch_size", 1.5),
+    ("PretrainConfig", "seed", True), ("PretrainConfig", "mask_ratio", None),
+    ("PretrainConfig", "total_steps", 10.0), ("ImputationSpec", "block_len", "8"),
+    ("ImputationSpec", "seed", None), ("AnomalySpec", "window", "x"),
+    ("AnomalySpec", "mask_rounds", 2.0), ("RbfSvm", "C", "1"), ("RbfSvm", "C", True),
+    ("Pca", "k", 1.5), ("Pca", "k", True),
+])
+def test_records_refuse_wrong_typed_fields(record, field, value):
+    # each was a bare TypeError from a range check, or was accepted
+    with pytest.raises(ConfigError, match=f"^{field} must be (int|float), got "):
+        RECORDS[record](**{field: value})
 
 
 @pytest.mark.parametrize("buckets, distance, field", [

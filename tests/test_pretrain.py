@@ -1,6 +1,7 @@
 """Pre-training tests: mask sampling, the masked objective against a
 brute-force oracle, the training loop contract, and probe freezing."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -390,6 +391,14 @@ def test_linear_probe_zero_epochs_changes_nothing():
     tp.linear_probe(weights, "reconstruction", sine_corpus(n=4), epochs=0)
     for name in before:
         assert np.array_equal(weights.params[name].data, before[name])
+
+
+@pytest.mark.parametrize("epochs", ["1", 1.5, 1.0, True, -1])
+def test_linear_probe_refuses_epochs_that_are_not_an_int(epochs):
+    # "1" was a bare TypeError, 1.5 trained two epochs' steps and True one epoch
+    weights = tm.init_weights(tiny_cfg(), seed=0)
+    with pytest.raises(ConfigError, match=re.escape(f"epochs must be an int >= 0, got {epochs!r}")):
+        tp.linear_probe(weights, "reconstruction", sine_corpus(n=4), epochs=epochs)
 
 
 def test_linear_probe_freezes_everything_but_the_head():

@@ -11,7 +11,7 @@ import pytest
 from conftest import clone_weights
 from tinytsfm import numcore as nc
 from tinytsfm import pretrain, probes, tasks
-from tinytsfm.baselines import naive_forecast
+from tinytsfm.baselines import interp_nearest, naive_forecast
 from tinytsfm.data import Series, synth_sine
 from tinytsfm.errors import (
     ConfigError,
@@ -483,6 +483,13 @@ WRONG_TYPES = {
         "train", "ndarray"),
     "linear_probe(forecast, [1, 2])": (
         lambda w, s: linear_probe(w, "forecast", [1, 2]), "forecast pair 0", "int"),
+    "classify_by_representation(2-D labels)": (
+        lambda w, s: classify_by_representation(w, [s, s], [[0], [1]], [s], [0]),
+        "train_labels", "2-D list"),
+    "detect_anomalies(spec='x')": (
+        lambda w, s: detect_anomalies(w, s, spec="x"), "spec", "str"),
+    "naive_forecast('abc')": (lambda w, s: naive_forecast("abc", 2), "history", "str"),
+    "interp_nearest(list)": (lambda w, s: interp_nearest([1.0, 2.0]), "x", "list"),
 }
 
 
