@@ -11,7 +11,8 @@ doubles as the topological order, and returns the leaf gradients that
 AdamW.step takes. Every op is a model-sized node with a hand-written
 backward: patch_embed, encoder_block, linear_head and weighted_sq_error, so
 a step records one node per layer plus three. Every backward returns None
-for a constant operand rather than a gradient nobody reads.
+for a constant operand rather than a gradient nobody reads. A Tape opened on
+a Workspace lends encoder_block arrays that the next step's tape reuses.
 """
 
 import math
@@ -34,12 +35,28 @@ class _TapeStack(threading.local):
 _TAPES = _TapeStack()
 
 
-class Tape:
-    """Ordered record of node applications for one backward pass."""
+class Workspace(dict):
+    """float32 arrays, by key, that one training run's steps reuse, so a step
+    writes into pages already faulted in (glibc handed freed heap back after
+    each step). An array grows to its key's largest request; a smaller one
+    takes its prefix. It serves one thread, and one tape until its backward."""
 
-    def __init__(self):
+    def _take(self, key, shape):
+        size = math.prod(shape)
+        buf = self.get(key)
+        if buf is None or buf.size < size:
+            buf = self[key] = np.empty(size, dtype=np.float32)
+        return buf[:size].reshape(shape)
+
+
+class Tape:
+    """Ordered record of node applications for one backward pass; its nodes
+    draw their large arrays from workspace, if given one."""
+
+    def __init__(self, workspace=None):
         # each node: (output Tensor, input Tensors, fn(out_grad) -> input grads)
         self._nodes = []
+        self.workspace = workspace
 
     def __enter__(self):
         _TAPES.tapes.append(self)
@@ -97,6 +114,16 @@ def _record(out, inputs, backward_fn):
     return out
 
 
+def _arrays(inputs):
+    """(take, node) for a node on inputs: take(key, shape) is a float32 array
+    from the workspace of the tape the node records onto, else a fresh one,
+    and node, its position on that tape, keys the arrays it saves."""
+    tapes = _TAPES.tapes
+    if tapes and tapes[-1].workspace is not None and any(t.requires_grad for t in inputs):
+        return tapes[-1].workspace._take, len(tapes[-1])
+    return lambda key, shape: np.empty(shape, dtype=np.float32), None
+
+
 # Windows per chunk, in model.encode_windows' forward-only encode and in
 # encoder_block's backward. Fixed, so a window's results never depend on how
 # many windows arrive with it, and peak memory is one chunk's. Not larger:
@@ -107,13 +134,14 @@ def _record(out, inputs, backward_fn):
 CHUNK = 16
 
 
-def _norm_backward(g_n, gamma, x_hat, inv):
-    """(g_x, g_gamma) of n = gamma * x_hat with x_hat = x * inv, both [rows, D];
-    g_n is a fresh array and is overwritten. g_x = inv * (g - x_hat *
+def _norm_backward(g_n, gamma, x_hat, inv, scratch):
+    """(g_x, g_gamma) of n = gamma * x_hat with x_hat = x * inv, all [rows, D];
+    g_n becomes g_x, and scratch is overwritten. g_x = inv * (g - x_hat *
     mean(g * x_hat)) with g = gamma * g_n."""
-    g_gamma = (g_n * x_hat).sum(axis=0) if gamma.requires_grad else None
+    g_gamma = np.multiply(g_n, x_hat, out=scratch).sum(axis=0) if gamma.requires_grad else None
     g_n *= gamma.data
-    g_n -= x_hat * (np.einsum("ij,ij->i", g_n, x_hat)[:, None] / np.float32(x_hat.shape[1]))
+    mean = np.einsum("ij,ij->i", g_n, x_hat)[:, None] / np.float32(x_hat.shape[1])
+    g_n -= np.multiply(x_hat, mean, out=scratch)
     g_n *= inv
     return g_n, g_gamma
 
@@ -163,17 +191,21 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     idx = np.asarray(idx)
     if idx.shape != (n, n):
         raise ShapeError(f"bucket index shape {idx.shape} != ({n}, {n})")
-    dh = d // n_heads
+    inputs = (x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2)
+    take, node = _arrays(inputs)
+    dh, rows, f = d // n_heads, b * n, w1.data.shape[1]
     # the 1/sqrt(dh) logit scale is folded into wq: a [D,D] product, not [B,H,N,N]
     scale = np.float32(1.0 / math.sqrt(dh))
     w_qkv = np.concatenate([wq.data * scale, wk.data, wv.data], axis=1)
-    xf = x.data.reshape(b * n, d)
+    xf = x.data.reshape(rows, d)
     eps = np.float32(1e-6)
-    inv1 = 1.0 / np.sqrt(np.mean(np.square(xf), axis=-1, keepdims=True) + eps)
+    out = np.empty((rows, d), dtype=np.float32)  # fresh; holds each product's input
+    inv1 = 1.0 / np.sqrt(np.mean(np.square(xf, out=out), axis=-1, keepdims=True) + eps)
+    np.multiply(np.multiply(xf, inv1, out=out), gamma1.data, out=out)
     # [B*N, 3D] -> three [B,H,N,dh] views
-    qkv = (xf * inv1 * gamma1.data) @ w_qkv
+    qkv = np.matmul(out, w_qkv, out=take((node, "qkv"), (rows, 3 * d)))
     q, k, v = qkv.reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    p = k @ q.swapaxes(-1, -2)
+    p = np.matmul(k, q.swapaxes(-1, -2), out=take((node, "p"), (b, n_heads, n, n)))
     # [H, Nk, Nq] in one gather from the [H, n_buckets] table
     p += np.take(np.ascontiguousarray(rel_bias.data.T), idx.T, axis=1)
     p -= np.fmax.reduce(p, axis=-2, keepdims=True)
@@ -183,83 +215,86 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     if sink is not None:
         sink.append(p.swapaxes(-1, -2).copy())
 
-    def context(lo, hi):
-        """[rows, D] context of windows lo:hi and its [b,H,N,dh] view."""
-        ctx = np.empty((hi - lo, n, n_heads, dh), dtype=np.float32)
-        ctx_h = ctx.transpose(0, 2, 1, 3)
+    def context(lo, hi, ctx):
+        """ctx [rows, D] holding the context of windows lo:hi, and its [b,H,N,dh] view."""
+        ctx_h = ctx.reshape(hi - lo, n, n_heads, dh).transpose(0, 2, 1, 3)
         np.matmul(p[lo:hi].swapaxes(-1, -2), v[lo:hi], out=ctx_h)
-        return ctx.reshape(-1, d), ctx_h
+        return ctx, ctx_h
 
-    y = context(0, b)[0] @ wo.data
+    # the context goes in x_hat2's array; y in g_s's, as no backward runs during a forward
+    x_hat2 = take((node, "x_hat2"), (rows, d))
+    y = np.matmul(context(0, b, x_hat2)[0], wo.data, out=take("g_s", (rows, d)))
     y += xf
-    inv2 = 1.0 / np.sqrt(np.mean(np.square(y), axis=-1, keepdims=True) + eps)
-    x_hat2 = y * inv2
-    hidden = (x_hat2 * gamma2.data) @ w1.data
+    inv2 = 1.0 / np.sqrt(np.mean(np.square(y, out=x_hat2), axis=-1, keepdims=True) + eps)
+    np.multiply(y, inv2, out=x_hat2)
+    hidden = np.matmul(np.multiply(x_hat2, gamma2.data, out=out), w1.data,
+                       out=take((node, "hidden"), (rows, f)))
     np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ w2.data
+    np.matmul(hidden, w2.data, out=out)
     out += y
 
-    def chunk_bwd(lo, hi, gf):
-        """(input gradient rows, weight gradients) of windows lo:hi, for gf,
-        their rows of the output gradient."""
+    def chunk_bwd(lo, hi, gf, g_x):
+        """Weight gradients of windows lo:hi, for gf, their rows of the output
+        gradient; their input gradient rows go into g_x. a and c hold, in turn,
+        the chunk's short-lived [rows, D] arrays."""
         r = slice(lo * n, hi * n)
+        a, c, g_y = (take(role, (len(gf), d)) for role in ("a", "c", "g_y"))
         g_w2 = hidden[r].T @ gf if w2.requires_grad else None
-        g_h = gf @ w2.data.T
+        g_h = np.matmul(gf, w2.data.T, out=take("g_s", (len(gf), f)))  # dead before g_s
         g_h *= hidden[r] > 0
-        g_w1 = (x_hat2[r] * gamma2.data).T @ g_h if w1.requires_grad else None
-        g_y, g_gamma2 = _norm_backward(g_h @ w1.data.T, gamma2, x_hat2[r], inv2[r])
-        del g_h  # the [rows, F] and [b,H,N,N] gradients go as soon as they are read
+        g_w1 = np.multiply(x_hat2[r], gamma2.data, out=a).T @ g_h if w1.requires_grad else None
+        g_y, g_gamma2 = _norm_backward(np.matmul(g_h, w1.data.T, out=g_y), gamma2,
+                                       x_hat2[r], inv2[r], a)
         g_y += gf
-        ctx, ctx_h = context(lo, hi)
+        ctx, ctx_h = context(lo, hi, a)
         g_wo = ctx.T @ g_y if wo.requires_grad else None
-        g_ctx = (g_y @ wo.data.T).reshape(hi - lo, n, n_heads, dh).transpose(0, 2, 1, 3)
-        g_qkv = np.empty((hi - lo, n, 3, n_heads, dh), dtype=np.float32)
+        g_ctx = np.matmul(g_y, wo.data.T, out=c).reshape(hi - lo, n, n_heads, dh)
+        g_ctx = g_ctx.transpose(0, 2, 1, 3)
+        g_qkv = take("g_qkv", (hi - lo, n, 3, n_heads, dh))
         g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
         np.matmul(p[lo:hi], g_ctx, out=g_v)
         # softmax backward over keys, p * (dp - colsum(p * dp)); colsum(p * dp)
         # equals rowsum(g_ctx * ctx) per query, which needs no [b,H,N,N] product
-        g_s = v[lo:hi] @ g_ctx.swapaxes(-1, -2)
+        g_s = take("g_s", (hi - lo, n_heads, n, n))
+        np.matmul(v[lo:hi], g_ctx.swapaxes(-1, -2), out=g_s)
         g_s -= np.einsum("bhqd,bhqd->bhq", g_ctx, ctx_h)[..., None, :]
         g_s *= p[lo:hi]
         g_bias = None
         if rel_bias.requires_grad:
-            n_buckets = rel_bias.data.shape[0]
-            key = idx.T[None] * n_heads + np.arange(n_heads)[:, None, None]
-            g_bias = np.bincount(key.ravel(), weights=g_s.sum(axis=0).ravel(),
-                                 minlength=n_buckets * n_heads)
-            g_bias = g_bias.reshape(n_buckets, n_heads).astype(np.float32)
+            # per head, each bucket adds its scores in [Nk,Nq] order, in float64
+            g_bias = np.stack([np.bincount(idx.T.ravel(), weights=g_head,
+                                           minlength=len(rel_bias.data))
+                               for g_head in g_s.sum(axis=0).reshape(n_heads, -1)], axis=1)
+            g_bias = g_bias.astype(np.float32)
         np.matmul(g_s.swapaxes(-1, -2), k[lo:hi], out=g_q)
         np.matmul(g_s, q[lo:hi], out=g_k)
-        del g_s, g_ctx, ctx, ctx_h
         g_qkv = g_qkv.reshape(-1, 3 * d)
-        x_hat1 = xf[r] * inv1[r]
-        g_w = (x_hat1 * gamma1.data).T @ g_qkv
+        x_hat1 = np.multiply(xf[r], inv1[r], out=a)
+        g_w = np.multiply(x_hat1, gamma1.data, out=c).T @ g_qkv
         g_w[:, :d] *= scale
-        g_x, g_gamma1 = _norm_backward(g_qkv @ w_qkv.T, gamma1, x_hat1, inv1[r])
-        g_x += g_y
-        return g_x, [g_gamma1, g_w, g_wo, g_bias, g_gamma2, g_w1, g_w2]
+        _, g_gamma1 = _norm_backward(np.matmul(g_qkv, w_qkv.T, out=g_x[r]), gamma1,
+                                     x_hat1, inv1[r], c)
+        g_x[r] += g_y
+        return [g_gamma1, g_w, g_wo, g_bias, g_gamma2, g_w1, g_w2]
 
     def bwd(g):
-        gf = g.reshape(b * n, d)
-        g_x = np.empty((b * n, d), dtype=np.float32) if x.requires_grad else None
+        gf = g.reshape(rows, d)
+        g_x = np.empty((rows, d), dtype=np.float32)
         sums = None
         # an empty batch still runs one (empty) chunk, so each gradient is defined
         for lo in range(0, max(b, 1), CHUNK):
             hi = min(lo + CHUNK, b)
-            g_rows, parts = chunk_bwd(lo, hi, gf[lo * n:hi * n])
-            if g_x is not None:
-                g_x[lo * n:hi * n] = g_rows
+            parts = chunk_bwd(lo, hi, gf[lo * n:hi * n], g_x)
             # weight gradients add up in chunk order
             sums = parts if sums is None else [
                 s if s is None else s + part for s, part in zip(sums, parts)]
         g_gamma1, g_w, g_wo, g_bias, g_gamma2, g_w1, g_w2 = sums
-        return (None if g_x is None else g_x.reshape(b, n, d), g_gamma1,
+        return (g_x.reshape(b, n, d) if x.requires_grad else None, g_gamma1,
                 *(g_w[:, j * d:(j + 1) * d] if w.requires_grad else None
                   for j, w in enumerate((wq, wk, wv))),
                 g_wo, g_bias, g_gamma2, g_w1, g_w2)
 
-    return _record(Tensor(out.reshape(b, n, d)),
-                   (x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2), bwd)
+    return _record(Tensor(out.reshape(b, n, d)), inputs, bwd)
 
 
 def linear_head(h, w, bias):
@@ -366,12 +401,14 @@ class AdamW:
             self.flat[part] = p.data.ravel()
             p.data = self.flat[part].reshape(p.data.shape)
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self._g = np.empty_like(self.flat)
 
     def clipped_gradient(self, grads, max_norm):
         """(g, norm): the tensors' grads (as backward returns them) in one vector,
         scaled by max_norm / norm when their global L2 norm (one float64 sum per
-        tensor, in order) exceeds it. The norm is finite iff every gradient is."""
-        g = np.empty_like(self.flat)
+        tensor, in order) exceeds it. The norm is finite iff every gradient is.
+        g is the optimizer's own gather vector, overwritten by the next call."""
+        g = self._g
         total = 0.0
         for name, p, part in self._slots:
             if p not in grads:

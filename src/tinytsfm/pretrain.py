@@ -215,6 +215,7 @@ def _fit_loop(trainable, n_series, cfg, batch_loss):
     sched = nc.CosineSchedule(cfg.lr_init, cfg.lr_final, max(1, planned - 1))
     rng = np.random.default_rng(cfg.seed)
     opt = nc.AdamW(trainable, cfg.weight_decay)
+    workspace = nc.Workspace()
     records = []
     drawn = np.zeros(n_series, dtype=bool)
     step = 0
@@ -225,7 +226,7 @@ def _fit_loop(trainable, n_series, cfg, batch_loss):
                 break
             idx = order[lo:lo + cfg.batch_size]
             lr = nc.cosine_lr(step, sched)
-            with nc.Tape() as tape:
+            with nc.Tape(workspace) as tape:
                 loss = batch_loss(idx, rng)
                 loss_val = float(loss.data)
                 if not np.isfinite(loss_val):

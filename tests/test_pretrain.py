@@ -2,7 +2,9 @@
 brute-force oracle, the training loop contract, and probe freezing."""
 
 import re
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -732,3 +734,100 @@ def test_unfrozen_probe_matches_reference_loop(case, head_kind, monkeypatch):
     assert _head_bytes(weights, other) == head
     if "clip_norm" in case:
         assert min(norms) > 10 * cfg.clip_norm
+
+
+# ------------------------------------------------------------------ step workspace
+
+
+@pytest.mark.parametrize("name, batch, n", [("tiny", 12, 12), ("small", 37, 50)])
+def test_fit_loop_workspace_matches_fresh_arrays(monkeypatch, name, batch, n):
+    # small at batch 37 ends each batch with a 5-window backward chunk, and
+    # its 13-window batches take a prefix of the 37-window arrays
+    cfg = tm.named_config(name)
+    data = sine_corpus(n=n, length=cfg.seq_len)
+    weights = tm.init_weights(cfg, seed=5)
+    fresh = clone_weights(weights)
+    pcfg = tp.PretrainConfig(batch_size=batch, epochs=None, total_steps=4, seed=5)
+    _, log = tp.pretrain(weights, data, pcfg)
+    # a Tape without a workspace gives every node fresh arrays
+    monkeypatch.setattr(nc, "Workspace", lambda: None)
+    _, fresh_log = tp.pretrain(fresh, data, pcfg)
+    assert log.records == fresh_log.records
+    _assert_same_weights(weights, fresh)
+
+
+def test_nothing_a_step_hands_back_aliases_the_workspace():
+    cfg = tm.named_config("tiny")
+    weights = tm.init_weights(cfg, seed=6)
+    workspace = nc.Workspace()
+
+    def step(seed):
+        """Everything a caller receives from one step: the hidden states,
+        reconstruction, loss, gradient map and attention sink."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(nc.CHUNK + 4, cfg.seq_len)).astype(np.float32)
+        plan = tp.sample_patch_mask(len(x), cfg.n_patches, 0.3, rng)
+        sink = []
+        with nc.Tape(workspace) as tape:
+            h, recon = tm.model_forward(weights, x, plan, attn_sink=sink)
+            loss = tp.masked_mse_loss(x, recon, plan)
+        grads = nc.backward(loss, tape)
+        return [h.data, recon.data, loss.data, *grads.values(), *sink]
+
+    held = step(1)
+    kept = [a.copy() for a in held]
+    step(2)
+    assert workspace
+    for got, want in zip(held, kept):
+        assert np.array_equal(got, want)
+        assert not any(np.shares_memory(got, buf) for buf in workspace.values())
+
+
+def test_fit_loop_steps_reuse_the_first_steps_arrays(monkeypatch):
+    made, seen = [], []
+    workspace, backward = nc.Workspace, nc.backward
+
+    def recording_workspace():
+        made.append(workspace())
+        return made[-1]
+
+    def recording_backward(loss, tape):
+        grads = backward(loss, tape)
+        seen.append(dict(tape.workspace))
+        return grads
+
+    monkeypatch.setattr(nc, "Workspace", recording_workspace)
+    monkeypatch.setattr(nc, "backward", recording_backward)
+    tp.pretrain(tm.init_weights(tiny_cfg(), seed=7), sine_corpus(n=8),
+                tp.PretrainConfig(batch_size=8, epochs=None, total_steps=3, seed=7))
+    assert len(made) == 1 and len(seen) == 3
+    first = seen[0]
+    assert first, "the first step drew nothing from its workspace"
+    for later in seen[1:]:
+        assert later.keys() == first.keys()
+        assert all(later[key] is first[key] for key in first)
+
+
+def test_two_threads_training_at_once_each_match_a_serial_run():
+    cfg = tm.named_config("tiny")
+    data = sine_corpus(n=24, length=cfg.seq_len)
+    seeds = (8, 9)
+    start = [tm.init_weights(cfg, seed=s) for s in seeds]
+
+    def run(i):
+        pcfg = tp.PretrainConfig(batch_size=12, epochs=None, total_steps=20, seed=seeds[i])
+        weights, log = tp.pretrain(clone_weights(start[i]), data, pcfg)
+        return weights, log.records
+
+    serial = [run(i) for i in range(2)]
+    barrier = threading.Barrier(2)
+
+    def run_together(i):
+        barrier.wait()
+        return run(i)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(run_together, range(2)))
+    for (got, got_records), (want, want_records) in zip(concurrent, serial):
+        assert got_records == want_records
+        _assert_same_weights(got, want)
