@@ -194,6 +194,8 @@ class RbfSvm(Estimator):
                 f"svm input row {int(np.argmin(finite))} holds a non-finite value"
             )
         y = np.asarray(y)
+        if y.ndim != 1:
+            raise ShapeError(f"y must be 1-D, got shape {y.shape}")
         if len(y) != len(X):
             raise ShapeError(f"{len(X)} samples but {len(y)} labels")
         check_type("C", self.C, float)

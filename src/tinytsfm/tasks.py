@@ -337,18 +337,25 @@ class ClassificationResult:
     val_accuracy: float
 
 
+def _labels(what, labels):
+    """labels as a 1-D array, else a ShapeError naming them `what`."""
+    try:
+        arr = np.asarray(labels)
+    except ValueError:  # numpy refuses ragged nesting
+        raise ShapeError(f"{what} must be 1-D, got ragged {type(labels).__name__}") from None
+    if arr.ndim != 1:
+        raise ShapeError(f"{what} must be 1-D, got {arr.ndim}-D {type(labels).__name__}")
+    return arr
+
+
 def classify_by_representation(
     weights, train, train_labels, test, test_labels, c_grid=SVM_C_GRID, seed=13
 ):
     """Fit an RBF-SVM on frozen sequence representations, selecting C on a
     stratified validation split of the training set, and score the test set."""
     train, test = _series_list(train, "train"), _series_list(test, "test")
-    for what, labels in (("train_labels", train_labels), ("test_labels", test_labels)):
-        if np.ndim(labels) != 1:
-            raise ShapeError(f"{what} must be 1-D, got {np.ndim(labels)}-D "
-                             f"{type(labels).__name__}")
-    train_labels = np.asarray(train_labels)
-    test_labels = np.asarray(test_labels)
+    train_labels, test_labels = (_labels(what, labels) for what, labels in (
+        ("train_labels", train_labels), ("test_labels", test_labels)))
     if len(train) != len(train_labels):
         raise ShapeError(f"{len(train)} train series but {len(train_labels)} labels")
     if len(test) != len(test_labels):

@@ -2,6 +2,7 @@
 sinusoid + AR(1) corpus, reused by task smokes, probes, and acceptance."""
 
 import os
+import threading
 
 # One BLAS thread unless the environment says otherwise, as perfbench pins
 # it: tiny-model steps are dispatch-bound, and on a 2-core host a second
@@ -28,6 +29,16 @@ def clone_weights(weights):
         for name, p in weights.params.items()
     }
     return ModelWeights(config=weights.config, params=params)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fails a test that leaves a thread running: the package starts none of
+    its own, and a test joins every thread it starts before it ends."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -192,6 +192,12 @@ def test_svm_errors():
         RbfSvm().predict(np.zeros((1, 2)))
 
 
+def test_svm_refuses_2d_labels_naming_y():
+    # a 2-D y passed the length check and failed inside a matmul
+    with pytest.raises(ShapeError, match=r"^y must be 1-D, got shape \(4, 1\)$"):
+        RbfSvm().fit(np.zeros((4, 2)), [[0], [1], [0], [1]])
+
+
 def test_svm_refuses_non_finite_input_naming_the_first_row():
     x = np.zeros((5, 2))
     x[3, 0] = np.inf

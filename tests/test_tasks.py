@@ -486,6 +486,9 @@ WRONG_TYPES = {
     "classify_by_representation(2-D labels)": (
         lambda w, s: classify_by_representation(w, [s, s], [[0], [1]], [s], [0]),
         "train_labels", "2-D list"),
+    "classify_by_representation(ragged labels)": (
+        lambda w, s: classify_by_representation(w, [s, s], [[0], [1, 2]], [s], [0]),
+        "train_labels", "ragged list"),
     "detect_anomalies(spec='x')": (
         lambda w, s: detect_anomalies(w, s, spec="x"), "spec", "str"),
     "naive_forecast('abc')": (lambda w, s: naive_forecast("abc", 2), "history", "str"),
