@@ -257,14 +257,26 @@ def _csv_rows(path, kind):
 
 
 def load_labels(path, n_expected=None):
-    """Read `<name>.labels.csv`: one 0 or 1 per row, aligned to csv data rows."""
-    labels = []
-    for lineno, row in _csv_rows(path, "labels"):
-        token = ",".join(row).strip()
-        if token not in ("0", "1"):
-            raise ParseError(f"{path} line {lineno}: labels must be 0 or 1, got {token!r}")
-        labels.append(token == "1")
-    arr = np.array(labels, dtype=bool)
+    """Read `<name>.labels.csv`: one 0 or 1 per row, aligned to csv data rows.
+    A file whose every line is a bare 0 or 1 is read in one NumPy pass; any
+    other goes through the row parser, which alone raises ParseError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read().removeprefix(b"\xef\xbb\xbf")
+    except OSError:
+        raw = b""
+    b = np.frombuffer(raw, dtype=np.uint8)
+    # bare lines: a 0 or 1 at every even byte and a "\n" at every odd one
+    if b.size and (b[1::2] == ord("\n")).all() and np.isin(b[::2], tuple(b"01")).all():
+        arr = b[::2] == ord("1")
+    else:
+        labels = []
+        for lineno, row in _csv_rows(path, "labels"):
+            token = ",".join(row).strip()
+            if token not in ("0", "1"):
+                raise ParseError(f"{path} line {lineno}: labels must be 0 or 1, got {token!r}")
+            labels.append(token == "1")
+        arr = np.array(labels, dtype=bool)
     if n_expected is not None and len(arr) != n_expected:
         raise ParseError(f"{path}: {len(arr)} labels for {n_expected} timesteps")
     return arr

@@ -12,7 +12,8 @@ AdamW.step takes. Every op is a model-sized node with a hand-written
 backward: patch_embed, encoder_block, linear_head and weighted_sq_error, so
 a step records one node per layer plus three. Every backward returns None
 for a constant operand rather than a gradient nobody reads. A Tape opened on
-a Workspace lends encoder_block arrays that the next step's tape reuses.
+a Workspace lends encoder_block arrays that the next step's tape reuses; off
+the tape, a block on at most CHUNK windows borrows its thread's scratch.
 """
 
 import math
@@ -26,13 +27,12 @@ from .errors import ContractError, ShapeError, TrainingError
 
 class _TapeStack(threading.local):
     """Each thread's stack of open tapes, so concurrent inference in one
-    thread never records onto a tape that another thread opened."""
+    thread never records onto a tape that another thread opened, and its
+    scratch Workspace (glibc handed each chunk's freed arrays back)."""
 
     def __init__(self):
         self.tapes = []
-
-
-_TAPES = _TapeStack()
+        self.scratch = Workspace()
 
 
 class Workspace(dict):
@@ -49,6 +49,9 @@ class Workspace(dict):
         return buf[:size].reshape(shape)
 
 
+_TAPES = _TapeStack()
+
+
 class Tape:
     """Ordered record of node applications for one backward pass; its nodes
     draw their large arrays from workspace, if given one."""
@@ -59,6 +62,8 @@ class Tape:
         self.workspace = workspace
 
     def __enter__(self):
+        if self.workspace is not None:  # a step's arrays stand in for the scratch
+            _TAPES.scratch.clear()
         _TAPES.tapes.append(self)
         return self
 
@@ -116,11 +121,16 @@ def _record(out, inputs, backward_fn):
 
 def _arrays(inputs):
     """(take, node) for a node on inputs: take(key, shape) is a float32 array
-    from the workspace of the tape the node records onto, else a fresh one,
-    and node, its position on that tape, keys the arrays it saves."""
+    from the workspace of the tape the node records onto; for an unrecorded
+    node (it saves nothing) on at most CHUNK windows, from its thread's
+    scratch, which every such node reuses; else a fresh one. node, its
+    position on that tape, keys the arrays it saves."""
     tapes = _TAPES.tapes
-    if tapes and tapes[-1].workspace is not None and any(t.requires_grad for t in inputs):
+    recorded = tapes and any(t.requires_grad for t in inputs)
+    if recorded and tapes[-1].workspace is not None:
         return tapes[-1].workspace._take, len(tapes[-1])
+    if not recorded and len(inputs[0].data) <= CHUNK:
+        return _TAPES.scratch._take, None
     return lambda key, shape: np.empty(shape, dtype=np.float32), None
 
 

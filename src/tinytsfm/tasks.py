@@ -40,6 +40,7 @@ from .model import (
     revin_denormalize,
     sequence_representation,
 )
+from .numcore import CHUNK
 
 # ------------------------------------------------------------------ task specs
 
@@ -139,14 +140,14 @@ def _series_list(x, arg):
     return list(x)
 
 
-def _encode(weights, norm, plan, owners, head=None):
-    """encode_windows, with a NumericError that names the series and window
-    of the failing row: owners[row] is (series name, window index)."""
+def _encode(weights, norm, plan, owners, head=None, lo=0):
+    """encode_windows on batch rows lo.., with a NumericError that names the
+    series and window of failing row r: owners[r] is (series name, window index)."""
     try:
         return encode_windows(weights, norm, plan, head)
     except NumericError as exc:
-        name, w = owners[exc.row]
-        raise NumericError(f"series {name!r}: window {w}: {exc}", row=exc.row) from None
+        name, w = owners[lo + exc.row]
+        raise NumericError(f"series {name!r}: window {w}: {exc}", row=lo + exc.row) from None
 
 
 # ------------------------------------------------------------------ imputation
@@ -306,13 +307,20 @@ SVM_C_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4)
 
 def embed_series(weights, collection):
     """Sequence representations for a list of series. Receives series only —
-    labels never enter the embedding stage."""
+    labels never enter the embedding stage. Each CHUNK of windows is pooled
+    as soon as it is encoded, so one chunk's hidden states live at a time."""
     cfg = weights.config
     collection = _series_list(collection, "collection")
     vals, obs = fit_windows(collection, cfg.seq_len)
     norm, plan, _ = prepare_windows(cfg, vals, obs, [s.name for s in collection])
-    hidden = _encode(weights, norm, plan, [(s.name, 0) for s in collection])
-    return sequence_representation(hidden, nonpadded_patches(obs, cfg.patch_len))
+    include = nonpadded_patches(obs, cfg.patch_len)
+    owners = [(s.name, 0) for s in collection]
+    reps = np.empty((len(collection), cfg.d_model), dtype=np.float32)
+    for lo in range(0, len(reps), CHUNK):
+        hi = lo + CHUNK
+        hidden = _encode(weights, norm[lo:hi], plan[lo:hi], owners, lo=lo)
+        reps[lo:hi] = sequence_representation(hidden, include[lo:hi])
+    return reps
 
 
 def _stratified_holdout(labels, val_frac=0.2, seed=13):

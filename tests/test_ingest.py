@@ -314,6 +314,91 @@ def test_load_csv_matches_row_parser_on_mutated_files(tmp_path, seed):
 # ------------------------------------------------------------------ labels
 
 
+def reference_load_labels(path):
+    """The row parser alone, as load_labels read every file before its
+    one-pass read of bare 0 and 1 lines."""
+    labels = []
+    for lineno, row in td._csv_rows(path, "labels"):
+        token = ",".join(row).strip()
+        if token not in ("0", "1"):
+            raise ParseError(f"{path} line {lineno}: labels must be 0 or 1, got {token!r}")
+        labels.append(token == "1")
+    return np.array(labels, dtype=bool)
+
+
+def label_outcome(loader, path):
+    """What a label loader makes of a file: its array or its ParseError text."""
+    try:
+        return loader(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_same_labels(path):
+    got, want = (label_outcome(f, path) for f in (td.load_labels, reference_load_labels))
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want) and got.dtype == want.dtype == bool
+
+
+LABEL_FILES = {
+    "bare": b"0\n1\n1\n0\n",
+    "no_final_newline": b"1\n0\n1",
+    "one": b"1",
+    "bom": b"\xef\xbb\xbf0\n1\n",
+    "two_boms": b"\xef\xbb\xbf\xef\xbb\xbf0\n",
+    "crlf": b"0\r\n1\r\n",
+    "cr": b"0\r1\r",
+    "blank_line": b"0\n\n1\n",
+    "two_final_newlines": b"0\n1\n\n",
+    "leading_newline": b"\n0\n1",
+    "empty": b"",
+    "newline": b"\n",
+    "spaces": b" 0\n1 \n",
+    "quoted": b'"1"\n0\n',
+    "two_digits": b"10\n",
+    "form_feed": b"0\x0c1\n",
+    "tab": b"0\t1\n",
+    "bad_token": b"0\n2\n",
+    "nul": b"0\n\x00\n",
+    "undecodable": b"0\n\xe9\n",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_FILES))
+def test_load_labels_matches_row_parser(tmp_path, name):
+    path = tmp_path / "x.labels.csv"
+    if LABEL_FILES[name] is not None:
+        path.write_bytes(LABEL_FILES[name])
+    assert_same_labels(str(path))
+
+
+def test_load_labels_matches_row_parser_on_random_files(tmp_path):
+    rng = np.random.default_rng(7)
+    alphabet = [b"0", b"1", b"\n", b"\r", b" ", b",", b"\xef\xbb\xbf", b"2"]
+    for i in range(300):
+        picks = rng.choice(len(alphabet), size=int(rng.integers(0, 12)),
+                           p=[0.3, 0.3, 0.25, 0.03, 0.03, 0.03, 0.03, 0.03])
+        path = tmp_path / f"r{i}.labels.csv"
+        path.write_bytes(b"".join(alphabet[k] for k in picks))
+        assert_same_labels(str(path))
+
+
+def test_bare_label_files_take_the_one_pass_read(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("row parser reached")
+
+    monkeypatch.setattr(td, "_csv_rows", refuse)
+    for text, want in ((b"0\n1\n", [0, 1]), (b"1", [1]), (b"\xef\xbb\xbf1\n0", [1, 0]),
+                       (b"0\n1\n1\n" * 2000, [0, 1, 1] * 2000)):
+        path = tmp_path / "x.labels.csv"
+        path.write_bytes(text)
+        assert np.array_equal(td.load_labels(str(path)), np.array(want, dtype=bool))
+
+
 def test_load_labels_counts_blank_lines_in_line_numbers(tmp_path):
     path = write(tmp_path, "x.labels.csv", "0\n\n1\n\n\n2\n")
     with pytest.raises(ParseError, match=r"line 6: labels must be 0 or 1, got '2'"):

@@ -614,6 +614,30 @@ def test_encode_windows_matches_encode_in_chunks_and_records_nothing():
     np.testing.assert_allclose(hidden[:3], h.data, rtol=1e-6, atol=1e-6)
 
 
+def test_encode_windows_reuses_the_thread_scratch_and_hands_back_none_of_it():
+    # unrecorded encoder_block nodes on at most CHUNK windows draw their large
+    # arrays from the thread's scratch Workspace, so each chunk writes into
+    # pages the last one faulted in (glibc handed them back after each chunk)
+    cfg = tm.named_config("tiny")
+    w = tm.init_weights(cfg, seed=4)
+    n = 2 * nc.CHUNK + 3
+    xb = rng_for(17).normal(size=(n, cfg.seq_len)).astype(np.float32)
+    plan = np.ones((n, cfg.n_patches), dtype=np.uint8)
+    hidden = tm.encode_windows(w, xb, plan)
+    scratch = nc._TAPES.scratch
+    first = dict(scratch)
+    assert first, "no chunk drew from the scratch"
+    recon = tm.encode_windows(w, xb[:5], plan[:5], tm.reconstruction_head)
+    assert all(scratch[key] is buf for key, buf in first.items())
+    for got in (hidden, recon):
+        assert not any(np.shares_memory(got, buf) for buf in scratch.values())
+    # bit for bit what fresh arrays give: a batch over CHUNK windows takes them
+    np.testing.assert_array_equal(hidden, tm.encode(w, xb, plan).data)
+    # a training step's workspace stands in for the scratch
+    with nc.Tape(nc.Workspace()):
+        assert not scratch
+
+
 def test_encode_windows_numeric_error_carries_the_batch_row():
     cfg = _small_cfg()
     w = tm.init_weights(cfg, seed=9)

@@ -3,6 +3,7 @@ protocol, masked-tail and head-based forecasting, and representation
 classification."""
 
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -513,14 +514,18 @@ def overflowing(x):
     return replace(x, values=values)
 
 
-@pytest.mark.parametrize("adapter, length, window", [
-    ("forecast", 100, 0),
-    ("impute", 128, 1),  # two windows a series; the overflow is in the second
-    ("embed", 64, 0),
+@pytest.mark.parametrize("adapter, length, window, n, bad", [
+    pytest.param("forecast", 100, 0, 5, 2, id="forecast-100-0"),
+    # two windows a series; the overflow is in the second
+    pytest.param("impute", 128, 1, 5, 2, id="impute-128-1"),
+    pytest.param("embed", 64, 0, 5, 2, id="embed-64-0"),
+    # past the first chunk: embed encodes and pools CHUNK rows at a time
+    pytest.param("embed", 64, 0, 24, 21, id="embed-64-0-past-first-chunk"),
 ])
-def test_numeric_error_names_the_series_and_window(small_weights, adapter, length, window):
-    batch = [gapped_series(length, seed=i, name=f"s{i}") for i in range(5)]
-    batch[2] = overflowing(batch[2])
+def test_numeric_error_names_the_series_and_window(small_weights, adapter, length,
+                                                   window, n, bad):
+    batch = [gapped_series(length, seed=i, name=f"s{i}") for i in range(n)]
+    batch[bad] = overflowing(batch[bad])
     run = {
         "forecast": lambda: zero_shot_short_forecast(small_weights, batch, 8),
         "impute": lambda: zero_shot_impute(small_weights, batch),
@@ -529,7 +534,7 @@ def test_numeric_error_names_the_series_and_window(small_weights, adapter, lengt
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
         run()
     assert str(err.value) == (
-        f"series 's2': window {window}: non-finite activation after layer 0"
+        f"series 's{bad}': window {window}: non-finite activation after layer 0"
     )
 
 
@@ -559,6 +564,25 @@ def test_embed_series_shape_and_determinism(small_weights):
     assert np.array_equal(reps, embed_series(small_weights, series))
     with pytest.raises(EmptySeriesError):
         embed_series(small_weights, [])
+
+
+def test_embed_series_memory_holds_one_chunk_of_hidden_states():
+    # each chunk of windows is pooled as soon as it is encoded; holding the
+    # whole batch's [B,N,D] states and their masked copy peaked 20.8 MiB
+    cfg = named_config("tiny")
+    weights = init_weights(cfg, seed=0)
+    rng = np.random.default_rng(4)
+    series = [Series(values=rng.normal(size=cfg.seq_len).astype(np.float32),
+                     name=f"s{i}") for i in range(1024)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        reps = embed_series(weights, series)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert reps.shape == (1024, cfg.d_model)
+    assert peak < 10 * 2**20, f"embedding 1,024 tiny series peaked {peak / 2**20:.1f} MiB"
 
 
 def test_embed_series_names_an_all_unobserved_series(small_weights):
