@@ -8,7 +8,7 @@ and put everything learned in trailing-underscore attributes.
 
 import inspect
 
-from .errors import NotFittedError
+from .errors import ConfigError, NotFittedError
 
 
 class Estimator:
@@ -28,11 +28,12 @@ class Estimator:
         return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params):
-        """Set constructor parameters by name; unknown names raise ValueError."""
+        """Set constructor parameters by name; an unknown name raises a
+        ConfigError (a ValueError, as scikit-learn expects) naming it."""
         valid = set(self._param_names())
         for name, value in params.items():
             if name not in valid:
-                raise ValueError(
+                raise ConfigError(
                     f"invalid parameter {name!r} for {type(self).__name__}; "
                     f"valid parameters: {sorted(valid)}"
                 )

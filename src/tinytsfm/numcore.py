@@ -135,8 +135,9 @@ def _arrays(inputs):
 
 
 # Windows per chunk, in model.encode_windows' forward-only encode and in
-# encoder_block's backward. Fixed, so a window's results never depend on how
-# many windows arrive with it, and peak memory is one chunk's. Not larger:
+# encoder_block's attention, forward and backward. Fixed, so a window's
+# results never depend on how many windows arrive with it, and peak memory
+# is one chunk's. Not larger:
 # glibc hands freed heap back to the OS once the free top of the heap exceeds
 # twice its largest freed mmap block, and a 32-row tiny chunk's temporaries
 # crossed that line, so every chunk faulted its ~4 MB in afresh (256 tiny
@@ -148,7 +149,7 @@ def _norm_backward(g_n, gamma, x_hat, inv, scratch):
     """(g_x, g_gamma) of n = gamma * x_hat with x_hat = x * inv, all [rows, D];
     g_n becomes g_x, and scratch is overwritten. g_x = inv * (g - x_hat *
     mean(g * x_hat)) with g = gamma * g_n."""
-    g_gamma = np.multiply(g_n, x_hat, out=scratch).sum(axis=0) if gamma.requires_grad else None
+    g_gamma = np.einsum("ij,ij->j", g_n, x_hat) if gamma.requires_grad else None
     g_n *= gamma.data
     mean = np.einsum("ij,ij->i", g_n, x_hat)[:, None] / np.float32(x_hat.shape[1])
     g_n -= np.multiply(x_hat, mean, out=scratch)
@@ -188,11 +189,12 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     where norm(x, gamma) = gamma * x / sqrt(mean(x^2, last) + 1e-6). q, k and v
     come from one [D, 3D] product; head h adds rel_bias[idx, h] for the [N,N]
     bucket ids idx. Scores are key-major, [B,H,Nk,Nq], so the softmax reduces
-    over axis -2; a sink list gets a fresh query-major copy of them. The node
-    keeps x_hat2 = y * inv2, the inv of both norms, the QKV product, the
-    probabilities and the ReLU output. Its backward works CHUNK windows at a
-    time and recomputes each chunk's x_hat1 = x * inv1 and context, bit for
-    bit, so a batch of at most CHUNK windows takes the unchunked path."""
+    over axis -2; a sink list gets a fresh query-major copy of them. The
+    attention runs CHUNK windows at a time, forward and backward, and each
+    chunk's QKV product goes into one chunk-sized array that every node
+    shares. The node keeps x_hat2 = y * inv2, the inv of both norms, the
+    probabilities and the ReLU output. Its backward recomputes each chunk's
+    x_hat1 = x * inv1, QKV product and context, bit for bit the forward's."""
     if x.ndim != 3:
         raise ShapeError(f"encoder_block expects [B,N,D] input, got {x.shape}")
     b, n, d = x.shape
@@ -212,28 +214,37 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     out = np.empty((rows, d), dtype=np.float32)  # fresh; holds each product's input
     inv1 = 1.0 / np.sqrt(np.mean(np.square(xf, out=out), axis=-1, keepdims=True) + eps)
     np.multiply(np.multiply(xf, inv1, out=out), gamma1.data, out=out)
-    # [B*N, 3D] -> three [B,H,N,dh] views
-    qkv = np.matmul(out, w_qkv, out=take((node, "qkv"), (rows, 3 * d)))
-    q, k, v = qkv.reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    p = np.matmul(k, q.swapaxes(-1, -2), out=take((node, "p"), (b, n_heads, n, n)))
     # [H, Nk, Nq] in one gather from the [H, n_buckets] table
-    p += np.take(np.ascontiguousarray(rel_bias.data.T), idx.T, axis=1)
-    p -= np.fmax.reduce(p, axis=-2, keepdims=True)
-    np.exp(p, out=p)
-    total = p.sum(axis=-2, keepdims=True)
-    p *= np.reciprocal(total, out=total)
-    if sink is not None:
-        sink.append(p.swapaxes(-1, -2).copy())
+    bias = np.take(np.ascontiguousarray(rel_bias.data.T), idx.T, axis=1)
+    p = take((node, "p"), (b, n_heads, n, n))
 
-    def context(lo, hi, ctx):
+    def qkv_heads(xg):
+        """q, k and v, [windows,H,N,dh] views of the QKV product of the rows xg
+        of x_hat1 * gamma1, in the one chunk-sized array that every node shares."""
+        qkv = np.matmul(xg, w_qkv, out=take("qkv", (len(xg), 3 * d)))
+        return qkv.reshape(-1, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+
+    def context(lo, hi, v, ctx):
         """ctx [rows, D] holding the context of windows lo:hi, and its [b,H,N,dh] view."""
         ctx_h = ctx.reshape(hi - lo, n, n_heads, dh).transpose(0, 2, 1, 3)
-        np.matmul(p[lo:hi].swapaxes(-1, -2), v[lo:hi], out=ctx_h)
+        np.matmul(p[lo:hi].swapaxes(-1, -2), v, out=ctx_h)
         return ctx, ctx_h
 
     # the context goes in x_hat2's array; y in g_s's, as no backward runs during a forward
     x_hat2 = take((node, "x_hat2"), (rows, d))
-    y = np.matmul(context(0, b, x_hat2)[0], wo.data, out=take("g_s", (rows, d)))
+    for lo in range(0, b, CHUNK):
+        hi = min(lo + CHUNK, b)
+        q, k, v = qkv_heads(out[lo * n:hi * n])
+        scores = np.matmul(k, q.swapaxes(-1, -2), out=p[lo:hi])
+        scores += bias
+        scores -= np.fmax.reduce(scores, axis=-2, keepdims=True)
+        np.exp(scores, out=scores)
+        total = np.einsum("bhkq->bhq", scores)
+        scores *= np.reciprocal(total, out=total)[..., None, :]
+        context(lo, hi, v, x_hat2[lo * n:hi * n])
+    if sink is not None:
+        sink.append(p.swapaxes(-1, -2).copy())
+    y = np.matmul(x_hat2, wo.data, out=take("g_s", (rows, d)))
     y += xf
     inv2 = 1.0 / np.sqrt(np.mean(np.square(y, out=x_hat2), axis=-1, keepdims=True) + eps)
     np.multiply(y, inv2, out=x_hat2)
@@ -256,7 +267,10 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
         g_y, g_gamma2 = _norm_backward(np.matmul(g_h, w1.data.T, out=g_y), gamma2,
                                        x_hat2[r], inv2[r], a)
         g_y += gf
-        ctx, ctx_h = context(lo, hi, a)
+        # the chunk's q, k and v again, bit for bit, from x_hat1 * gamma1
+        q, k, v = qkv_heads(np.multiply(np.multiply(xf[r], inv1[r], out=c), gamma1.data,
+                                        out=c))
+        ctx, ctx_h = context(lo, hi, v, a)
         g_wo = ctx.T @ g_y if wo.requires_grad else None
         g_ctx = np.matmul(g_y, wo.data.T, out=c).reshape(hi - lo, n, n_heads, dh)
         g_ctx = g_ctx.transpose(0, 2, 1, 3)
@@ -266,18 +280,20 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
         # softmax backward over keys, p * (dp - colsum(p * dp)); colsum(p * dp)
         # equals rowsum(g_ctx * ctx) per query, which needs no [b,H,N,N] product
         g_s = take("g_s", (hi - lo, n_heads, n, n))
-        np.matmul(v[lo:hi], g_ctx.swapaxes(-1, -2), out=g_s)
+        np.matmul(v, g_ctx.swapaxes(-1, -2), out=g_s)
         g_s -= np.einsum("bhqd,bhqd->bhq", g_ctx, ctx_h)[..., None, :]
         g_s *= p[lo:hi]
         g_bias = None
         if rel_bias.requires_grad:
-            # per head, each bucket adds its scores in [Nk,Nq] order, in float64
-            g_bias = np.stack([np.bincount(idx.T.ravel(), weights=g_head,
-                                           minlength=len(rel_bias.data))
-                               for g_head in g_s.sum(axis=0).reshape(n_heads, -1)], axis=1)
-            g_bias = g_bias.astype(np.float32)
-        np.matmul(g_s.swapaxes(-1, -2), k[lo:hi], out=g_q)
-        np.matmul(g_s, q[lo:hi], out=g_k)
+            # one bincount over bucket ids offset by each head's first bucket;
+            # each bucket adds its scores in [Nk,Nq] order, in float64
+            nb = len(rel_bias.data)
+            ids = np.arange(n_heads)[:, None, None] * nb + idx.T
+            g_bias = np.bincount(ids.ravel(), weights=np.einsum("bhkq->hkq", g_s).ravel(),
+                                 minlength=n_heads * nb)
+            g_bias = g_bias.reshape(n_heads, nb).T.astype(np.float32, order="C")
+        np.matmul(g_s.swapaxes(-1, -2), k, out=g_q)
+        np.matmul(g_s, q, out=g_k)
         g_qkv = g_qkv.reshape(-1, 3 * d)
         x_hat1 = np.multiply(xf[r], inv1[r], out=a)
         g_w = np.multiply(x_hat1, gamma1.data, out=c).T @ g_qkv
@@ -327,7 +343,7 @@ def linear_head(h, w, bias):
         gf = g.reshape(b * per, m)
         return ((gf @ w.data.T).reshape(b, n, d) if h.requires_grad else None,
                 rows.T @ gf if w.requires_grad else None,
-                gf.sum(axis=0) if bias.requires_grad else None)
+                np.einsum("ij->j", gf) if bias.requires_grad else None)
 
     return _record(Tensor(out.reshape(b, per * m)), (h, w, bias), bwd)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tinytsfm import estimator
+from tinytsfm.baselines import RbfSvm
 from tinytsfm.data import Series
 from tinytsfm.errors import ConfigError, NotFittedError
 from tinytsfm.estimator import MaskedSeriesModel
@@ -33,6 +34,16 @@ def test_get_params_round_trip():
     assert clone.get_params() == params
     with pytest.raises(ValueError):
         est.set_params(nonsense=1)
+
+
+@pytest.mark.parametrize("est, name, valid", [(MaskedSeriesModel(), "foo", "seed"),
+                                              (RbfSvm(), "bad", "gamma")],
+                         ids=["MaskedSeriesModel", "RbfSvm"])
+def test_set_params_unknown_name_is_a_config_error_naming_it(est, name, valid):
+    # a ConfigError is a TsfmError and still a ValueError, as sklearn expects
+    with pytest.raises(ConfigError, match=rf"{name!r}.*valid parameters: .*{valid!r}") as info:
+        est.set_params(**{name: 1})
+    assert isinstance(info.value, ValueError)
 
 
 def test_unfitted_methods_raise():

@@ -405,25 +405,28 @@ def test_encoder_block_matches_reference_chain():
 
 
 def test_encoder_block_chunk_input_gradient_is_the_chunk_run_alone():
-    # the backward takes nc.CHUNK windows at a time, so a chunk's input-gradient
-    # rows are bit for bit those of its windows run alone
+    # the forward and backward take nc.CHUNK windows at a time, so a chunk's
+    # output, attention and input-gradient rows are bit for bit those of its
+    # windows run alone
     rng = np.random.default_rng(27)
     b = 2 * nc.CHUNK + 5
     x, params, idx = _block_inputs(rng, b, 6, 2, 4, 16)
     w = rng.normal(size=x.shape).astype(np.float32)
 
-    def input_grad(lo, hi):
+    def run(lo, hi):
         xs = t(x.data[lo:hi], grad=True)
+        sink = []
         with nc.Tape() as tape:
             # a plain sum: the upstream gradient is w's rows, whatever the batch
-            out = nc.encoder_block(xs, *params.values(), idx, 2)
+            out = nc.encoder_block(xs, *params.values(), idx, 2, sink=sink)
             loss = rc.sum_(rc.mul(out, t(w[lo:hi])))
-        return nc.backward(loss, tape)[xs]
+        return out.data, sink[0], nc.backward(loss, tape)[xs]
 
-    whole = input_grad(0, b)
+    whole = run(0, b)
     for lo in range(0, b, nc.CHUNK):
         hi = min(lo + nc.CHUNK, b)
-        np.testing.assert_array_equal(whole[lo:hi], input_grad(lo, hi))
+        for got, alone in zip(whole, run(lo, hi)):
+            np.testing.assert_array_equal(got[lo:hi], alone)
 
 
 def test_encoder_block_empty_batch_gets_zero_gradients():
