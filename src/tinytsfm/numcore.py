@@ -135,7 +135,7 @@ def _arrays(inputs):
 
 
 # Windows per chunk, in model.encode_windows' forward-only encode and in
-# encoder_block's attention, forward and backward. Fixed, so a window's
+# encoder_block, forward and backward. Fixed, so a window's
 # results never depend on how many windows arrive with it, and peak memory
 # is one chunk's. Not larger:
 # glibc hands freed heap back to the OS once the free top of the heap exceeds
@@ -189,12 +189,14 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     where norm(x, gamma) = gamma * x / sqrt(mean(x^2, last) + 1e-6). q, k and v
     come from one [D, 3D] product; head h adds rel_bias[idx, h] for the [N,N]
     bucket ids idx. Scores are key-major, [B,H,Nk,Nq], so the softmax reduces
-    over axis -2; a sink list gets a fresh query-major copy of them. The
-    attention runs CHUNK windows at a time, forward and backward, and each
-    chunk's QKV product goes into one chunk-sized array that every node
-    shares. The node keeps x_hat2 = y * inv2, the inv of both norms, the
-    probabilities and the ReLU output. Its backward recomputes each chunk's
-    x_hat1 = x * inv1, QKV product and context, bit for bit the forward's."""
+    over axis -2; a sink list gets a fresh query-major copy of them. The layer
+    runs CHUNK windows at a time, forward and backward, and each chunk's QKV
+    product and probabilities go into chunk-sized arrays that every node
+    shares. The node keeps x_hat2 = y * inv2, the inv of both norms, the ReLU
+    output, its last chunk's probabilities and, for every query, the max its
+    softmax subtracted and the reciprocal of its total. Its backward rebuilds
+    each chunk's x_hat1 = x * inv1, QKV product, other probabilities and
+    context, bit for bit the forward's."""
     if x.ndim != 3:
         raise ShapeError(f"encoder_block expects [B,N,D] input, got {x.shape}")
     b, n, d = x.shape
@@ -211,12 +213,15 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     w_qkv = np.concatenate([wq.data * scale, wk.data, wv.data], axis=1)
     xf = x.data.reshape(rows, d)
     eps = np.float32(1e-6)
-    out = np.empty((rows, d), dtype=np.float32)  # fresh; holds each product's input
-    inv1 = 1.0 / np.sqrt(np.mean(np.square(xf, out=out), axis=-1, keepdims=True) + eps)
-    np.multiply(np.multiply(xf, inv1, out=out), gamma1.data, out=out)
     # [H, Nk, Nq] in one gather from the [H, n_buckets] table
     bias = np.take(np.ascontiguousarray(rel_bias.data.T), idx.T, axis=1)
-    p = take((node, "p"), (b, n_heads, n, n))
+    last = (max(b, 1) - 1) // CHUNK * CHUNK  # the first window of the last chunk
+    p_last = take((node, "p"), (b - last, n_heads, n, n))
+    top, recip = take((node, "max"), (b, n_heads, 1, n)), take((node, "recip"), (b, n_heads, n))
+    x_hat2, hidden = take((node, "x_hat2"), (rows, d)), take((node, "hidden"), (rows, f))
+    inv1, inv2 = np.empty((2, rows, 1), dtype=np.float32)
+    out = np.empty((rows, d), dtype=np.float32)  # fresh; holds each product's input
+    probs = None if sink is None else np.empty((b, n_heads, n, n), dtype=np.float32)
 
     def qkv_heads(xg):
         """q, k and v, [windows,H,N,dh] views of the QKV product of the rows xg
@@ -224,37 +229,52 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
         qkv = np.matmul(xg, w_qkv, out=take("qkv", (len(xg), 3 * d)))
         return qkv.reshape(-1, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
 
-    def context(lo, hi, v, ctx):
-        """ctx [rows, D] holding the context of windows lo:hi, and its [b,H,N,dh] view."""
-        ctx_h = ctx.reshape(hi - lo, n, n_heads, dh).transpose(0, 2, 1, 3)
-        np.matmul(p[lo:hi].swapaxes(-1, -2), v, out=ctx_h)
+    def attention(lo, hi, q, k, fresh):
+        """The probabilities of windows lo:hi, in the node's array for its last
+        chunk, else in the chunk-sized one that every node shares. A fresh
+        softmax saves each query's max and reciprocal total; a rebuild applies
+        them."""
+        p = p_last if lo == last else take("p", (hi - lo, n_heads, n, n))
+        np.matmul(k, q.swapaxes(-1, -2), out=p)
+        p += bias
+        if fresh:
+            np.fmax.reduce(p, axis=-2, keepdims=True, out=top[lo:hi])
+        p -= top[lo:hi]
+        np.exp(p, out=p)
+        if fresh:
+            np.reciprocal(np.einsum("bhkq->bhq", p), out=recip[lo:hi])
+        p *= recip[lo:hi, :, None, :]
+        return p
+
+    def context(p, v, ctx):
+        """ctx [rows, D] holding the context p @ v of p's windows, and its [b,H,N,dh] view."""
+        ctx_h = ctx.reshape(len(p), n, n_heads, dh).transpose(0, 2, 1, 3)
+        np.matmul(p.swapaxes(-1, -2), v, out=ctx_h)
         return ctx, ctx_h
 
-    # the context goes in x_hat2's array; y in g_s's, as no backward runs during a forward
-    x_hat2 = take((node, "x_hat2"), (rows, d))
     for lo in range(0, b, CHUNK):
         hi = min(lo + CHUNK, b)
-        q, k, v = qkv_heads(out[lo * n:hi * n])
-        scores = np.matmul(k, q.swapaxes(-1, -2), out=p[lo:hi])
-        scores += bias
-        scores -= np.fmax.reduce(scores, axis=-2, keepdims=True)
-        np.exp(scores, out=scores)
-        total = np.einsum("bhkq->bhq", scores)
-        scores *= np.reciprocal(total, out=total)[..., None, :]
-        context(lo, hi, v, x_hat2[lo * n:hi * n])
+        r = slice(lo * n, hi * n)
+        xn, x2 = out[r], x_hat2[r]
+        inv1[r] = 1.0 / np.sqrt(np.mean(np.square(xf[r], out=xn), axis=-1, keepdims=True) + eps)
+        q, k, v = qkv_heads(np.multiply(np.multiply(xf[r], inv1[r], out=xn), gamma1.data,
+                                        out=xn))
+        p = attention(lo, hi, q, k, True)
+        if probs is not None:
+            probs[lo:hi] = p.swapaxes(-1, -2)
+        # the context goes in x_hat2's rows before x_hat2 does
+        y = np.matmul(context(p, v, x2)[0], wo.data, out=take("g_y", (len(xn), d)))
+        y += xf[r]
+        inv2[r] = 1.0 / np.sqrt(np.mean(np.square(y, out=x2), axis=-1, keepdims=True) + eps)
+        np.multiply(y, inv2[r], out=x2)
+        np.matmul(np.multiply(x2, gamma2.data, out=xn), w1.data, out=hidden[r])
+        np.maximum(hidden[r], 0.0, out=hidden[r])
+        np.matmul(hidden[r], w2.data, out=xn)
+        xn += y
     if sink is not None:
-        sink.append(p.swapaxes(-1, -2).copy())
-    y = np.matmul(x_hat2, wo.data, out=take("g_s", (rows, d)))
-    y += xf
-    inv2 = 1.0 / np.sqrt(np.mean(np.square(y, out=x_hat2), axis=-1, keepdims=True) + eps)
-    np.multiply(y, inv2, out=x_hat2)
-    hidden = np.matmul(np.multiply(x_hat2, gamma2.data, out=out), w1.data,
-                       out=take((node, "hidden"), (rows, f)))
-    np.maximum(hidden, 0.0, out=hidden)
-    np.matmul(hidden, w2.data, out=out)
-    out += y
+        sink.append(probs)
 
-    def chunk_bwd(lo, hi, gf, g_x):
+    def chunk_bwd(lo, hi, gf, g_x, ids):
         """Weight gradients of windows lo:hi, for gf, their rows of the output
         gradient; their input gradient rows go into g_x. a and c hold, in turn,
         the chunk's short-lived [rows, D] arrays."""
@@ -267,31 +287,30 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
         g_y, g_gamma2 = _norm_backward(np.matmul(g_h, w1.data.T, out=g_y), gamma2,
                                        x_hat2[r], inv2[r], a)
         g_y += gf
-        # the chunk's q, k and v again, bit for bit, from x_hat1 * gamma1
+        # the chunk's q, k, v and probabilities again, bit for bit, from x_hat1 * gamma1
         q, k, v = qkv_heads(np.multiply(np.multiply(xf[r], inv1[r], out=c), gamma1.data,
                                         out=c))
-        ctx, ctx_h = context(lo, hi, v, a)
+        p = p_last if lo == last else attention(lo, hi, q, k, False)
+        ctx, ctx_h = context(p, v, a)
         g_wo = ctx.T @ g_y if wo.requires_grad else None
         g_ctx = np.matmul(g_y, wo.data.T, out=c).reshape(hi - lo, n, n_heads, dh)
         g_ctx = g_ctx.transpose(0, 2, 1, 3)
         g_qkv = take("g_qkv", (hi - lo, n, 3, n_heads, dh))
         g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(p[lo:hi], g_ctx, out=g_v)
+        np.matmul(p, g_ctx, out=g_v)
         # softmax backward over keys, p * (dp - colsum(p * dp)); colsum(p * dp)
         # equals rowsum(g_ctx * ctx) per query, which needs no [b,H,N,N] product
         g_s = take("g_s", (hi - lo, n_heads, n, n))
         np.matmul(v, g_ctx.swapaxes(-1, -2), out=g_s)
         g_s -= np.einsum("bhqd,bhqd->bhq", g_ctx, ctx_h)[..., None, :]
-        g_s *= p[lo:hi]
+        g_s *= p
         g_bias = None
-        if rel_bias.requires_grad:
-            # one bincount over bucket ids offset by each head's first bucket;
-            # each bucket adds its scores in [Nk,Nq] order, in float64
-            nb = len(rel_bias.data)
-            ids = np.arange(n_heads)[:, None, None] * nb + idx.T
-            g_bias = np.bincount(ids.ravel(), weights=np.einsum("bhkq->hkq", g_s).ravel(),
-                                 minlength=n_heads * nb)
-            g_bias = g_bias.reshape(n_heads, nb).T.astype(np.float32, order="C")
+        if ids is not None:
+            # one bincount over every head's bucket ids; each bucket adds its
+            # scores in [Nk,Nq] order, in float64
+            g_bias = np.bincount(ids, weights=np.einsum("bhkq->hkq", g_s).ravel(),
+                                 minlength=n_heads * len(rel_bias.data))
+            g_bias = g_bias.reshape(n_heads, -1).T.astype(np.float32, order="C")
         np.matmul(g_s.swapaxes(-1, -2), k, out=g_q)
         np.matmul(g_s, q, out=g_k)
         g_qkv = g_qkv.reshape(-1, 3 * d)
@@ -306,11 +325,14 @@ def encoder_block(x, gamma1, wq, wk, wv, wo, rel_bias, gamma2, w1, w2, idx, n_he
     def bwd(g):
         gf = g.reshape(rows, d)
         g_x = np.empty((rows, d), dtype=np.float32)
+        # the relative bias's bucket ids, offset by each head's first bucket, once a node
+        ids = None if not rel_bias.requires_grad else (
+            np.arange(n_heads)[:, None, None] * len(rel_bias.data) + idx.T).ravel()
         sums = None
         # an empty batch still runs one (empty) chunk, so each gradient is defined
         for lo in range(0, max(b, 1), CHUNK):
             hi = min(lo + CHUNK, b)
-            parts = chunk_bwd(lo, hi, gf[lo * n:hi * n], g_x)
+            parts = chunk_bwd(lo, hi, gf[lo * n:hi * n], g_x, ids)
             # weight gradients add up in chunk order
             sums = parts if sums is None else [
                 s if s is None else s + part for s, part in zip(sums, parts)]

@@ -429,6 +429,46 @@ def test_encoder_block_chunk_input_gradient_is_the_chunk_run_alone():
             np.testing.assert_array_equal(got[lo:hi], alone)
 
 
+def test_encoder_block_rebuilt_chunks_match_on_every_tape():
+    # small's block shape at 33 windows runs chunks of 16, 16 and 1: the node
+    # keeps the last one's probabilities and its backward rebuilds the others'.
+    # Fresh arrays and a reused workspace give the same bits, each chunk's
+    # rows are those of the chunk run alone, and the weight gradients are the
+    # chunks' own added in chunk order
+    rng = np.random.default_rng(29)
+    b = 2 * nc.CHUNK + 1
+    x, params, idx = _block_inputs(rng, b, 64, 4, 16, 128)
+    w = rng.normal(size=x.shape).astype(np.float32)
+    workspace = nc.Workspace()
+
+    def run(lo, hi, ws):
+        xs = t(x.data[lo:hi], grad=True)
+        sink = []
+        with nc.Tape(ws) as tape:
+            out = nc.encoder_block(xs, *params.values(), idx, 4, sink=sink)
+            loss = rc.sum_(rc.mul(out, t(w[lo:hi])))
+        grads = nc.backward(loss, tape)
+        # the output, attention and input gradient rows, then the weight gradients
+        return [out.data, sink[0], grads[xs], *(grads[p] for p in params.values())]
+
+    whole = run(0, b, None)
+    for got, want in zip(run(0, b, workspace), whole):
+        np.testing.assert_array_equal(got, want)
+    with nc.OffTape():
+        np.testing.assert_array_equal(
+            nc.encoder_block(x, *params.values(), idx, 4).data, whole[0])
+    for ws in (None, workspace):
+        summed = None
+        for lo in range(0, b, nc.CHUNK):
+            hi = min(lo + nc.CHUNK, b)
+            alone = run(lo, hi, ws)
+            for got, rows in zip(whole[:3], alone[:3]):
+                np.testing.assert_array_equal(got[lo:hi], rows)
+            summed = alone[3:] if summed is None else [s + g for s, g in zip(summed, alone[3:])]
+        for got, want in zip(whole[3:], summed):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_encoder_block_empty_batch_gets_zero_gradients():
     rng = np.random.default_rng(28)
     x, params, idx = _block_inputs(rng, 0, 3, 2, 2, 5)

@@ -242,15 +242,15 @@ def test_pretrain_loss_decreases_across_seed_sweep():
         assert np.mean(losses[-10:]) < np.mean(losses[:10]), f"seed {seed}"
 
 
-@pytest.mark.parametrize("name, nodes, bound_mib", [("small", 5, 25), ("base", 7, 83)],
+@pytest.mark.parametrize("name, nodes, bound_mib", [("small", 5, 21), ("base", 7, 65)],
                          ids=["small", "base"])
 def test_batch64_step_memory_stays_bounded(name, nodes, bound_mib):
     # what a step holds is what its backward reads: one patch_embed and one
     # encoder_block node per layer, each saving only the arrays its backward
     # cannot cheaply recompute (no QKV product: 29.2 and 104.4 MiB when each
-    # block saved it), and each block's transients are one chunk's (small: the
-    # primitive chain held 55 MB at its peak and 36 nodes; the unchunked block
-    # backward 38.7 MiB)
+    # block saved it; every chunk's probabilities: 24.3 and 82.5 MiB), and each
+    # block's transients are one chunk's (small: the primitive chain held 55 MB
+    # at its peak and 36 nodes; the unchunked block backward 38.7 MiB)
     cfg = tm.named_config(name)
     weights = tm.init_weights(cfg, seed=0)
     rng = np.random.default_rng(3)
@@ -269,6 +269,26 @@ def test_batch64_step_memory_stays_bounded(name, nodes, bound_mib):
         tracemalloc.stop()
     assert len(tape) == nodes
     assert peak < bound_mib * 2**20, f"a {name} batch-64 step peaked {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("name, bound_mib", [("small", 12.5), ("base", 41.5)],
+                         ids=["small", "base"])
+def test_batch64_step_workspace_stays_bounded(name, bound_mib):
+    # per node the workspace holds x_hat2, the ReLU output, the last chunk's
+    # probabilities and each query's softmax max and reciprocal total; every
+    # other array is one chunk's, shared by the nodes (17.25 and 62.5 MiB when
+    # each node kept every chunk's probabilities)
+    cfg = tm.named_config(name)
+    weights = tm.init_weights(cfg, seed=0)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(64, cfg.seq_len)).astype(np.float32)
+    plan = tp.sample_patch_mask(64, cfg.n_patches, 0.3, rng)
+    workspace = nc.Workspace()
+    with nc.Tape(workspace) as tape:
+        loss = tp.masked_mse_loss(x, tm.model_forward(weights, x, plan)[1], plan)
+    nc.AdamW(weights.params).step(nc.backward(loss, tape), 1e-4, 5.0)
+    held = sum(a.nbytes for a in workspace.values())
+    assert held <= bound_mib * 2**20, f"a {name} batch-64 step left {held / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("name, nodes", [("tiny", 4), ("small", 5)])

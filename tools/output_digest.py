@@ -12,7 +12,14 @@ this at its parent and at the change and compares the two outputs.
   as the training loop takes them, of the masked reconstruction loss or a
   forecasting head's squared error, training every tensor but the other
   head's: each step's loss, every gradient (by parameter name), the
-  weights after AdamW, and the first step's attention probabilities.
+  weights after AdamW, and the first step's attention probabilities. A
+  `fresh` case takes the same steps on tapes without a workspace, so every
+  array its nodes draw is a new one.
+- `frozen <config> b<batch>`: three steps of the masked reconstruction loss
+  over a frozen encoder, as `pretrain._reconstruction_loss(..., freeze=True)`
+  takes them: the encoder runs off the tape on the whole batch, and only the
+  reconstruction head trains. Each step's loss, the head's gradients and its
+  weights after AdamW.
 - `encode <config> b<batch> <head>`: `encode_windows` alone and with the
   reconstruction and forecasting heads, on seeded weights with seeded noise
   added to every tensor, so the biases, the relative bias and the norm
@@ -33,12 +40,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "src"))
 
 from tinytsfm import model as tm  # noqa: E402
+from tinytsfm.data import Series  # noqa: E402
 from tinytsfm import numcore as nc  # noqa: E402
 from tinytsfm import pretrain as tp  # noqa: E402
 
 TRAIN_CASES = (("tiny", 12, "reconstruction"), ("tiny", 1, "reconstruction"),
                ("small", 64, "reconstruction"), ("small", 17, "reconstruction"),
                ("base", 20, "reconstruction"), ("tiny", 12, "forecast"), ("small", 17, "forecast"))
+# (config, batch): chunks of 16, 16 and 1 on tapes without a workspace
+FRESH_CASES = (("small", 33),)
+# (config, batch): a frozen encoder off the tape, on more windows than a chunk
+FROZEN_CASES = (("small", 64),)
 ENCODE_CONFIGS = ("tiny", "small", "base")
 ENCODE_BATCHES = (1, 5, 16, 33)
 STEPS, HORIZON = 3, 16
@@ -53,8 +65,9 @@ def digest(arrays):
     return h.hexdigest()
 
 
-def train_arrays(name, batch, head):
-    """Every array `STEPS` seeded training steps on one workspace produce."""
+def train_arrays(name, batch, head, workspace=True):
+    """Every array `STEPS` seeded training steps produce, on one workspace or
+    on none."""
     weights = tm.init_weights(tm.named_config(name), seed=0)
     if head == "forecast":
         tm.attach_forecast_head(weights, HORIZON, seed=0)
@@ -62,7 +75,7 @@ def train_arrays(name, batch, head):
     rng = np.random.default_rng(batch)
     trained = weights.parameters(head, freeze=False)
     opt = nc.AdamW(trained)
-    workspace = nc.Workspace()
+    workspace = nc.Workspace() if workspace else None
     for step in range(STEPS):
         x = rng.normal(size=(batch, cfg.seq_len)).astype(np.float32)
         plan = tp.sample_patch_mask(batch, cfg.n_patches, 0.3, rng)
@@ -83,6 +96,26 @@ def train_arrays(name, batch, head):
         yield from (p.data for p in trained.values())
 
 
+def frozen_arrays(name, batch):
+    """Every array `STEPS` seeded frozen-encoder reconstruction steps produce."""
+    weights = tm.init_weights(tm.named_config(name), seed=0)
+    cfg = weights.config
+    rng = np.random.default_rng(batch)
+    dataset = [Series(rng.normal(size=cfg.seq_len), name=f"s{i}") for i in range(batch)]
+    _, batch_loss = tp._reconstruction_loss(weights, dataset, 0.3, freeze=True)
+    trained = weights.parameters("reconstruction")
+    opt = nc.AdamW(trained)
+    workspace = nc.Workspace()
+    for _ in range(STEPS):
+        with nc.Tape(workspace) as tape:
+            loss = batch_loss(np.arange(batch), rng)
+        grads = nc.backward(loss, tape)
+        yield loss.data
+        yield from (grads[p] for p in trained.values())
+        opt.step(grads, 1e-3, 1.0)
+        yield from (p.data for p in trained.values())
+
+
 def encode_arrays(weights, batch, head):
     cfg = weights.config
     rng = np.random.default_rng(100 + batch)
@@ -94,6 +127,11 @@ def encode_arrays(weights, batch, head):
 def main():
     for name, batch, head in TRAIN_CASES:
         print(f"train {name} b{batch} {head} {digest(train_arrays(name, batch, head))}")
+    for name, batch in FRESH_CASES:
+        print(f"train {name} b{batch} reconstruction fresh "
+              f"{digest(train_arrays(name, batch, 'reconstruction', workspace=False))}")
+    for name, batch in FROZEN_CASES:
+        print(f"frozen {name} b{batch} {digest(frozen_arrays(name, batch))}")
     heads = (("none", None), ("recon", tm.reconstruction_head),
              ("forecast", tm.forecasting_head))
     for name in ENCODE_CONFIGS:
