@@ -11,8 +11,7 @@ import numpy as np
 
 from .base import Estimator, check_fitted
 from .data import Series
-from .errors import ConfigError, ContractError, EmptySeriesError, ShapeError
-from .model import check_horizon, check_type
+from .errors import ConfigError, ContractError, EmptySeriesError, ShapeError, check_value
 
 # ------------------------------------------------------------------ comparators
 
@@ -43,7 +42,7 @@ def interp_nearest(x):
 def naive_forecast(history, horizon):
     """Repeat the final observation of a Series or array over an int
     horizon >= 1."""
-    check_horizon(horizon)
+    check_value("horizon", horizon, int, low=1)
     values = history.values if isinstance(history, Series) else history
     try:
         y = np.asarray(values, dtype=np.float64).ravel()
@@ -198,9 +197,11 @@ class RbfSvm(Estimator):
             raise ShapeError(f"y must be 1-D, got shape {y.shape}")
         if len(y) != len(X):
             raise ShapeError(f"{len(X)} samples but {len(y)} labels")
-        check_type("C", self.C, float)
-        if self.C <= 0:
-            raise ConfigError(f"C must be positive, got {self.C}")
+        check_value("C", self.C, float, above=0)
+        check_value("tol", self.tol, float, above=0)
+        if self.gamma is not None:
+            check_value("gamma", self.gamma, float, above=0)
+        check_value("max_iter", self.max_iter, int, low=1)
         self.classes_ = np.unique(y)
         if len(self.classes_) < 2:
             raise ContractError("svm needs at least 2 classes")
@@ -301,8 +302,8 @@ class Pca(Estimator):
         n, d = X.shape
         if n < 2:
             raise ShapeError(f"pca needs >= 2 samples, got {n}")
-        check_type("k", self.k, int)
-        if not 1 <= self.k <= d:
+        check_value("k", self.k, int, low=1)
+        if self.k > d:
             raise ConfigError(f"k must be in [1, {d}], got {self.k}")
         self.mean_ = X.mean(axis=0)
         centered = X - self.mean_

@@ -27,7 +27,7 @@ from . import __version__
 from . import metrics as mx
 from .baselines import naive_forecast
 from .data import Series, load_classes, load_csv, load_labels, save_csv
-from .errors import ConfigError, ParseError, TsfmError, UndefinedMetricError
+from .errors import ConfigError, ParseError, TsfmError, UndefinedMetricError, check_value
 from .model import (
     attach_forecast_head,
     init_weights,
@@ -241,8 +241,8 @@ def resolve_run_config(args):
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         else:
             resolved[key] = default
-    if resolved.get("workers", 1) < 1:
-        raise ConfigError(f"--workers must be at least 1, got {resolved['workers']}")
+    check_value("seed", resolved["seed"], int, low=0)
+    check_value("--workers", resolved.get("workers", 1), int, low=1)
     return resolved
 
 
@@ -344,8 +344,7 @@ def cmd_pretrain(rc):
 
 
 def cmd_finetune(rc):
-    if rc["epochs"] < 0:  # refused before any compute; 0 epochs is a no-op
-        raise ConfigError(f"epochs must be >= 0, got {rc['epochs']}")
+    check_value("epochs", rc["epochs"], int, low=0)  # before any compute; 0 is a no-op
     weights = load_checkpoint(rc["ckpt"])
     dataset = load_series_arg(rc["data"])
     # the probe's budget is --epochs, which linear_probe takes on its own

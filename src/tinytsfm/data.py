@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, EmptySeriesError, ParseError, ShapeError
+from .errors import ConfigError, EmptySeriesError, ParseError, ShapeError, check_value
 from .model import left_pad
 
 # ------------------------------------------------------------------ record
@@ -87,6 +87,7 @@ class SplitSpec:
             raise ConfigError(f"fractions must sum to 1, got {self.fractions}")
         if self.mode not in ("horizontal", "by_series"):
             raise ConfigError(f"unknown split mode {self.mode!r}")
+        check_value("seed", self.seed, int, low=0)
 
 
 # ------------------------------------------------------------------ csv i/o
@@ -406,6 +407,7 @@ def synth_sine(kind, c, length=512, noise=0.1, seed=0, name=None):
     baseline: sin(2*pi*8*t/T)+c; phase: sin(2*pi*8*t/T+c). Additive noise is
     N(0, noise^2), drawn only when noise > 0 so noiseless output is exact.
     """
+    check_value("seed", seed, int, low=0)
     t = np.arange(length, dtype=np.float64) / length
     if kind == "trend":
         base = t**c

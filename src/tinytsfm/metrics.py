@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UndefinedMetricError
-from .model import check_int
+from .errors import ShapeError, UndefinedMetricError, check_value
 
 
 @dataclass
@@ -247,7 +246,7 @@ def vus_roc(scores, labels=None, max_buffer=4):
     close to segment boundaries via the linear ramps of soften_labels.
     """
     s, lab = _score_label_pair(scores, labels)
-    check_int("max_buffer", max_buffer, 0)
+    check_value("max_buffer", max_buffer, int, low=0)
     if lab.min() == lab.max():
         raise UndefinedMetricError("VUS-ROC needs both classes present")
     total = 0.0

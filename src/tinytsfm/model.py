@@ -21,67 +21,43 @@ import json
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, EmptySeriesError, NumericError, ParseError, ShapeError
+from .errors import (
+    ConfigError,
+    EmptySeriesError,
+    NumericError,
+    ParseError,
+    ShapeError,
+    bounded,
+    check_fields,
+    check_value,
+)
 
 # ------------------------------------------------------------------ configuration
-
-
-def check_type(name, value, kind):
-    """The one typed-field rule: value must be an int when kind is int and an
-    int or a float when it is float, else a ConfigError naming `name`. A bool
-    is refused: it is an int subclass, and 8.0 would pass every range check."""
-    kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
-
-
-def check_fields(record, optional=()):
-    """check_type on every field of a dataclass record against its annotated
-    type; a field named in optional may also be None."""
-    for field in fields(record):
-        value = getattr(record, field.name)
-        if value is not None or field.name not in optional:
-            check_type(field.name, value, field.type)
-
-
-def check_int(name, value, low):
-    """The one rule for an int argument: an int or numpy int >= low (a bool
-    is refused), else a ConfigError naming the value."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; defaults give the desk-scale tiny encoder."""
 
-    seq_len: int = 512
-    patch_len: int = 8
-    d_model: int = 32
-    n_layers: int = 1
-    n_heads: int = 4
-    d_ff: int = 64
-    n_rel_buckets: int = 32
-    rel_max_distance: int = 128
-    revin_eps: float = 1e-5
+    seq_len: int = bounded(512, low=1)
+    patch_len: int = bounded(8, low=1)
+    d_model: int = bounded(32, low=1)
+    n_layers: int = bounded(1, low=0)
+    n_heads: int = bounded(4, low=1)
+    d_ff: int = bounded(64, low=1)
+    # relative_bucket divides by n_rel_buckets // 4 and by log(rel_max_distance / that)
+    n_rel_buckets: int = bounded(32, low=4)
+    rel_max_distance: int = bounded(128, low=1)
+    revin_eps: float = bounded(1e-5, above=0)
 
     def __post_init__(self):
         check_fields(self)
-        for field in ("seq_len", "patch_len", "d_model", "n_heads", "d_ff",
-                      "n_rel_buckets", "rel_max_distance"):
-            if getattr(self, field) <= 0:
-                raise ConfigError(f"{field} must be positive, got {getattr(self, field)}")
-        if self.n_layers < 0:
-            raise ConfigError(f"n_layers must be >= 0, got {self.n_layers}")
-        # relative_bucket divides by n_rel_buckets // 4 and by log(rel_max_distance / that)
-        if self.n_rel_buckets < 4:
-            raise ConfigError(f"n_rel_buckets must be >= 4, got {self.n_rel_buckets}")
         if self.rel_max_distance <= self.n_rel_buckets // 4:
             raise ConfigError(f"rel_max_distance must exceed n_rel_buckets // 4, got "
                               f"{self.rel_max_distance} for {self.n_rel_buckets} buckets")
@@ -95,8 +71,6 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}"
             )
-        if not 0 < self.revin_eps < math.inf:
-            raise ConfigError(f"revin_eps must be positive and finite, got {self.revin_eps}")
 
     @property
     def n_patches(self):
@@ -268,11 +242,6 @@ def history_windows(config, histories, context):
     return prepare_windows(config, values, observed, [h.name for h in histories])
 
 
-def check_horizon(horizon):
-    """The one horizon rule: an int >= 1 (a bool is refused), else a ConfigError."""
-    check_int("horizon", horizon, 1)
-
-
 # ------------------------------------------------------------------ positions
 
 
@@ -380,6 +349,7 @@ def init_weights(config, seed=0):
     """Fresh weights with no forecasting head (attach_forecast_head adds it):
     fan-in scaled-uniform matrices, unit gammas, zero biases, standard-normal
     mask token."""
+    check_value("seed", seed, int, low=0)
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in expected_param_shapes(config).items():
@@ -398,7 +368,8 @@ def init_weights(config, seed=0):
 
 def attach_forecast_head(weights, horizon, seed=0):
     """Add (or replace) the flatten-and-project forecasting head for horizon H."""
-    check_horizon(horizon)
+    check_value("horizon", horizon, int, low=1)
+    check_value("seed", seed, int, low=0)
     rng = np.random.default_rng(seed)
     nd = weights.config.n_patches * weights.config.d_model
     bound = 1.0 / math.sqrt(nd)

@@ -19,11 +19,12 @@ from .errors import (
     ParseError,
     ShapeError,
     TrainingError,
+    bounded,
+    check_fields,
+    check_value,
 )
 from .model import (
     HEAD_PREFIXES,
-    check_fields,
-    check_int,
     encode,
     encode_windows,
     forecasting_head,
@@ -42,32 +43,20 @@ class PretrainConfig:
     """Training recipe. epochs and total_steps are both budget caps: training
     stops at whichever is reached first; either may be None to disable it."""
 
-    mask_ratio: float = 0.30
-    batch_size: int = 64
-    epochs: int = 2
-    total_steps: int = 2000
-    seed: int = 0
-    lr_init: float = 1e-4
-    lr_final: float = 1e-5
-    clip_norm: float = 5.0
-    weight_decay: float = 0.05
+    mask_ratio: float = bounded(0.30, above=0, below=1)
+    batch_size: int = bounded(64, low=1)
+    epochs: int = bounded(2, low=1)
+    total_steps: int = bounded(2000, low=1)
+    seed: int = bounded(0, low=0)
+    lr_init: float = bounded(1e-4, above=0)
+    lr_final: float = bounded(1e-5, above=0)
+    clip_norm: float = bounded(5.0, above=0)
+    weight_decay: float = bounded(0.05, low=0)
 
     def __post_init__(self):
         check_fields(self, optional=("epochs", "total_steps"))
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise ConfigError(f"mask_ratio must be in (0, 1), got {self.mask_ratio}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs is None and self.total_steps is None:
             raise ConfigError("one of epochs / total_steps must be set")
-        if self.epochs is not None and self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.total_steps is not None and self.total_steps < 1:
-            raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.lr_init <= 0 or self.lr_final <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 def train_config(options, lr_scale=1.0):
@@ -142,8 +131,7 @@ def sample_patch_mask(rows, n_patches, ratio, rng):
     """Plans [rows, n_patches] (1 = kept observed, 0 = masked), each row
     masking exactly max(1, floor(ratio * N)) patches uniformly without
     replacement; the rows are drawn from rng one after another."""
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"mask ratio must be in (0, 1), got {ratio}")
+    check_value("mask_ratio", ratio, float, above=0, below=1)
     k = max(1, math.floor(ratio * n_patches))
     plan = np.ones((rows, n_patches), dtype=np.uint8)
     for row in plan:
@@ -394,10 +382,10 @@ def linear_probe(weights, head_kind, dataset, epochs=1, cfg=None, freeze=True):
         raise ContractError(
             "an unfrozen encoder changes every step; pass the raw forecast pairs"
         )
-    check_int("epochs", epochs, 0)
+    check_value("epochs", epochs, int, low=0)
     if epochs == 0:
         return weights
-    cfg = replace(cfg or PretrainConfig(), epochs=int(epochs), total_steps=None)
+    cfg = replace(cfg or PretrainConfig(), epochs=epochs, total_steps=None)
     if head_kind == "reconstruction":
         names, batch_loss = _reconstruction_loss(weights, dataset, cfg.mask_ratio, freeze)
         n_series = len(names)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import Pca
 from .data import SINE_KINDS, fit_windows, synth_sine
-from .errors import ConfigError
+from .errors import ConfigError, check_value
 from .metrics import spearman_rho
 from .model import encode_windows, prepare_windows, reconstruction_head
 from .pretrain import masked_mse_loss, sample_patch_mask
@@ -168,6 +168,7 @@ def frequency_error_curve(weights, grid=None, out_dir=None, noise=0.0, seed=0):
     grid = np.asarray(
         default_grid("frequency") if grid is None else grid, dtype=np.float64
     )
+    check_value("seed", seed, int, low=0)
     cfg = weights.config
     rng = np.random.default_rng(seed)
     sines = [
@@ -232,6 +233,7 @@ def zero_vs_mask_probe(weights, dataset, mask_ratio=0.30, seed=0):
     """Reconstruct the same masked plan two ways — masked patches replaced by
     the [MASK] embedding vs zero-filled and projected as if observed — and
     compare masked-region MSEs. Unmasked timesteps are identical in both."""
+    check_value("seed", seed, int, low=0)
     cfg = weights.config
     rng = np.random.default_rng(seed)
     values, obs = fit_windows(dataset, cfg.seq_len)

@@ -25,10 +25,11 @@ from .errors import (
     NumericError,
     ShapeError,
     StratificationError,
+    bounded,
+    check_fields,
+    check_value,
 )
 from .model import (
-    check_fields,
-    check_horizon,
     encode_windows,
     forecasting_head,
     history_windows,
@@ -53,8 +54,8 @@ class ImputationSpec:
     non-overlapping, patch-aligned blocks of `block_len` timesteps."""
 
     ratio: float = 0.25
-    block_len: int = 8
-    seed: int = 0
+    block_len: int = bounded(8, low=1)
+    seed: int = bounded(0, low=0)
 
     def __post_init__(self):
         check_fields(self)
@@ -62,8 +63,6 @@ class ImputationSpec:
             raise ConfigError(
                 f"masking ratio must be one of {IMPUTE_RATIOS}, got {self.ratio}"
             )
-        if self.block_len < 1:
-            raise ConfigError(f"block length must be >= 1, got {self.block_len}")
 
 
 def sample_block_mask(spec, length):
@@ -93,15 +92,13 @@ class AnomalySpec:
     """Anomaly-scoring protocol: window length, downsampling rule, and the
     pointwise squared-error score."""
 
-    window: int = 512
-    downsample_threshold: int = 2560
-    downsample_factor: int = 10
-    mask_rounds: int = 4  # ceil(1 / 0.3): disjoint groups tiling every patch
+    window: int = bounded(512, low=1)
+    downsample_threshold: int = bounded(2560, low=0)
+    downsample_factor: int = bounded(10, low=1)
+    mask_rounds: int = bounded(4, low=1)  # ceil(1 / 0.3): disjoint groups tiling every patch
 
     def __post_init__(self):
         check_fields(self)
-        if self.window < 1 or self.mask_rounds < 1:
-            raise ConfigError("window and mask_rounds must be positive")
 
 
 # ------------------------------------------------------------------ windowing
@@ -262,7 +259,7 @@ def zero_shot_short_forecast(weights, history, horizon):
     denormalized with statistics from the history region only — is returned.
     history is one Series or a list (returning a list), encoded together."""
     cfg = weights.config
-    check_horizon(horizon)
+    check_value("horizon", horizon, int, low=1)
     if horizon > cfg.seq_len // 2:
         raise HorizonError(
             f"horizon {horizon} exceeds half the window ({cfg.seq_len // 2}); "
@@ -279,7 +276,7 @@ def long_forecast(weights, history, horizon):
     """Forecast with the attached linear forecasting head: normalize the most
     recent lookback window, encode, project to the horizon, denormalize.
     history is one Series or a list (returning a list), encoded together."""
-    check_horizon(horizon)
+    check_value("horizon", horizon, int, low=1)
     if weights.horizon is None:
         raise ConfigError("forecasting head not attached")
     if weights.horizon != horizon:
@@ -361,6 +358,7 @@ def classify_by_representation(
 ):
     """Fit an RBF-SVM on frozen sequence representations, selecting C on a
     stratified validation split of the training set, and score the test set."""
+    check_value("seed", seed, int, low=0)
     train, test = _series_list(train, "train"), _series_list(test, "test")
     train_labels, test_labels = (_labels(what, labels) for what, labels in (
         ("train_labels", train_labels), ("test_labels", test_labels)))

@@ -236,6 +236,35 @@ def test_bad_env_seed_is_a_domain_error(tmp_path, monkeypatch, capsys):
     assert "MOMENT_MINI_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("how", ["flag", "run-config", "env"])
+def test_negative_seed_is_a_domain_error(workdir, tmp_path, monkeypatch, capsys, how):
+    # pretrain printed default_rng's ValueError traceback
+    monkeypatch.delenv("MOMENT_MINI_SEED", raising=False)
+    out = tmp_path / "out"
+    argv = ["pretrain", "--data", workdir["data"], "--out", str(out), "--steps", "1",
+            "--batch-size", "2"]
+    if how == "flag":
+        argv += ["--seed", "-1"]
+    elif how == "run-config":
+        (tmp_path / "rc.json").write_text('{"seed": -1}')
+        argv += ["--run-config", str(tmp_path / "rc.json")]
+    else:
+        monkeypatch.setenv("MOMENT_MINI_SEED", "-5")
+    assert dispatch(argv) == 1
+    assert "seed must be an int >= 0, got -" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lr-init", "inf"), ("--lr-final", "nan")])
+def test_non_finite_learning_rate_does_not_train(workdir, tmp_path, capsys, flag, value):
+    # --lr-init inf exited 0 and wrote NaN weights that load_checkpoint refused
+    out = tmp_path / "out"
+    assert dispatch(["pretrain", "--data", workdir["data"], "--out", str(out),
+                     "--steps", "2", "--batch-size", "2", flag, value]) == 1
+    assert f"{flag[2:].replace('-', '_')} must be a finite float > 0" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_flags_override_run_config_file(workdir, tmp_path):
     cfg_path = str(tmp_path / "rc.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:

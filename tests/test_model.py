@@ -1,10 +1,12 @@
 """Architecture tests: normalization, patching, positions, encoder invariants,
 heads, checkpoints, and a full-model finite-difference gradient check."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +16,12 @@ import reference_chain as rc
 from tinytsfm import numcore as nc
 from tinytsfm import model as tm
 from tinytsfm.baselines import Pca, RbfSvm
+from tinytsfm.data import SplitSpec, synth_sine
 from tinytsfm.errors import ConfigError, EmptySeriesError, NumericError, ShapeError
+from tinytsfm.estimator import MaskedSeriesModel
 from tinytsfm.pretrain import PretrainConfig
-from tinytsfm.tasks import AnomalySpec, ImputationSpec
+from tinytsfm.probes import frequency_error_curve, sinusoid_embedding_suite, zero_vs_mask_probe
+from tinytsfm.tasks import AnomalySpec, ImputationSpec, classify_by_representation
 
 
 def rng_for(seed):
@@ -88,12 +93,19 @@ def test_config_refuses_non_integer_sizes_and_bad_eps(field, value):
 
 
 RECORDS = {
+    "ModelConfig": tm.ModelConfig,
     "PretrainConfig": PretrainConfig,
     "ImputationSpec": ImputationSpec,
     "AnomalySpec": AnomalySpec,
     "RbfSvm": lambda **kw: RbfSvm(**kw).fit(np.eye(4), [0, 1, 0, 1]),
     "Pca": lambda **kw: Pca(**kw).fit(np.eye(4)),
 }
+
+
+def _refusal(field, value):
+    """check_value's one message: the field, its kind and bounds, the value."""
+    return (f"^{field} must be (an int|a finite float)( [<>]=? [0-9.]+( and)?)*, "
+            f"got {re.escape(repr(value))}$")
 
 
 @pytest.mark.parametrize("record, field, value", [
@@ -103,11 +115,73 @@ RECORDS = {
     ("ImputationSpec", "seed", None), ("AnomalySpec", "window", "x"),
     ("AnomalySpec", "mask_rounds", 2.0), ("RbfSvm", "C", "1"), ("RbfSvm", "C", True),
     ("Pca", "k", 1.5), ("Pca", "k", True),
+    # a bare TypeError from the SMO loop, or from gamma's products
+    ("RbfSvm", "tol", "x"), ("RbfSvm", "max_iter", "5"), ("RbfSvm", "gamma", "x"),
+    # refused alike by every record: json cannot write a numpy integer
+    ("ModelConfig", "seq_len", np.int64(512)), ("PretrainConfig", "seed", np.int64(3)),
 ])
 def test_records_refuse_wrong_typed_fields(record, field, value):
     # each was a bare TypeError from a range check, or was accepted
-    with pytest.raises(ConfigError, match=f"^{field} must be (int|float), got "):
+    with pytest.raises(ConfigError, match=_refusal(field, value)):
         RECORDS[record](**{field: value})
+
+
+@pytest.mark.parametrize("record, field, value", [
+    # a ZeroDivisionError from detect_anomalies, and a misleading EmptySeriesError
+    ("AnomalySpec", "downsample_factor", 0), ("AnomalySpec", "downsample_factor", -2),
+    ("AnomalySpec", "downsample_threshold", -1),
+    # C=nan fitted and predicted one class for every row; the rest were accepted
+    ("RbfSvm", "gamma", -1.0), ("RbfSvm", "gamma", 0.0), ("RbfSvm", "C", math.nan),
+    ("RbfSvm", "tol", 0.0), ("RbfSvm", "max_iter", 0),
+    # a bare ValueError from default_rng, NaN weights after the first step, or accepted
+    ("PretrainConfig", "seed", -1), ("ImputationSpec", "seed", -1),
+    ("PretrainConfig", "lr_init", math.inf), ("PretrainConfig", "lr_final", -1e-5),
+    ("PretrainConfig", "weight_decay", math.nan), ("PretrainConfig", "weight_decay", -0.1),
+    ("PretrainConfig", "clip_norm", math.inf), ("PretrainConfig", "mask_ratio", 1),
+    ("ModelConfig", "revin_eps", math.inf), ("ModelConfig", "n_layers", -1),
+    ("ModelConfig", "d_model", 0), ("Pca", "k", 0),
+])
+def test_records_refuse_out_of_range_fields(record, field, value):
+    with pytest.raises(ConfigError, match=_refusal(field, value)):
+        RECORDS[record](**{field: value})
+
+
+# every library entry point that hands a seed argument to default_rng,
+# called with weights w and four series xs of w's window
+SEEDED_CALLS = {
+    "init_weights": lambda w, xs, s: tm.init_weights(w.config, seed=s),
+    "attach_forecast_head": lambda w, xs, s: tm.attach_forecast_head(w, 4, seed=s),
+    "MaskedSeriesModel.fit": lambda w, xs, s: MaskedSeriesModel(config=w.config,
+                                                                seed=s).fit(xs),
+    "classify_by_representation": lambda w, xs, s: classify_by_representation(
+        w, xs, [0, 1, 0, 1], xs, [0, 1, 0, 1], seed=s),
+    "synth_sine": lambda w, xs, s: synth_sine("frequency", 1.0, seed=s),
+    "frequency_error_curve": lambda w, xs, s: frequency_error_curve(w, seed=s),
+    "zero_vs_mask_probe": lambda w, xs, s: zero_vs_mask_probe(w, xs, seed=s),
+    "sinusoid_embedding_suite": lambda w, xs, s: sinusoid_embedding_suite(w, "frequency",
+                                                                          seed=s),
+    "SplitSpec": lambda w, xs, s: SplitSpec(seed=s),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, np.int64(2)])
+@pytest.mark.parametrize("call", sorted(SEEDED_CALLS))
+def test_every_seeded_entry_point_refuses_a_seed_that_is_not_a_non_negative_int(call, seed):
+    # -1 was a bare ValueError from default_rng, and SplitSpec accepted it
+    w = tm.init_weights(_small_cfg(), seed=0)
+    xs = [synth_sine("frequency", c, length=32) for c in (1.0, 2.0, 3.0, 4.0)]
+    with pytest.raises(ConfigError, match=_refusal("seed", seed)):
+        SEEDED_CALLS[call](w, xs, seed)
+
+
+@pytest.mark.parametrize("record", [tm.ModelConfig, PretrainConfig, ImputationSpec, AnomalySpec])
+def test_every_numeric_record_field_declares_a_bound(record):
+    # check_fields enforces only what a field declares, so a new field
+    # without a bound would take any int or float, a negative seed included
+    unbounded = [f.name for f in dataclasses.fields(record)
+                 if f.type in (int, float) and not f.metadata
+                 and (record, f.name) != (ImputationSpec, "ratio")]  # held to IMPUTE_RATIOS
+    assert unbounded == []
 
 
 @pytest.mark.parametrize("buckets, distance, field", [
